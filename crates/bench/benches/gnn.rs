@@ -51,7 +51,11 @@ fn bench_epoch(c: &mut Criterion) {
                 layer_norm: true,
                 seed: 2,
             });
-            clf.fit(&graphs, &labels, TrainParams { epochs: 1, batch_size: 6, lr: 1e-3, seed: 3 })
+            clf.fit(
+                graphs.clone(),
+                labels.clone(),
+                TrainParams { epochs: 1, batch_size: 6, lr: 1e-3, seed: 3 },
+            )
         })
     });
     grp.finish();

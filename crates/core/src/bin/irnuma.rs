@@ -18,7 +18,9 @@ use irnuma_core::{bench_check, dataset_pack, top as top_view, trace_report, trac
 use irnuma_graph::{build_module_graph, to_dot, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_ir::{print_module, Interp, InterpConfig, Value};
-use irnuma_nn::{CheckpointConfig, GnnClassifier, GnnConfig, MemorySource, TrainParams};
+use irnuma_nn::{
+    CheckpointConfig, GnnClassifier, GnnConfig, MemorySource, ShardSource, TrainParams,
+};
 use irnuma_passes::{o3_sequence, run_sequence};
 use irnuma_sim::{default_config, sweep_region, Machine, MicroArch};
 use irnuma_workloads::{all_regions, InputSize, RegionSpec};
@@ -462,16 +464,21 @@ fn train(rest: &[String]) -> Result<(), String> {
         seed,
     });
     let p = TrainParams { epochs, batch_size: 16, lr: 3e-3, seed };
+    // The same loop as a pack, over one resident shard: a one-shard pack of
+    // this dataset trains the identical model.
+    let mut source = MemorySource::from_shards(vec![(graphs, labels)]);
     let t0 = std::time::Instant::now();
-    let history =
-        clf.fit_checkpointed(&graphs, &labels, p, ckpt.as_ref()).map_err(|e| e.to_string())?;
+    let history = clf.fit_streaming(&mut source, p, ckpt.as_ref()).map_err(|e| e.to_string())?;
     let elapsed = t0.elapsed().as_secs_f64();
-    let acc = clf.accuracy(&graphs, &labels);
+    // Check the training set back out of the source for the accuracy pass.
+    source.begin_epoch(&[0]);
+    let set = source.next_shard().map_err(|e| e.to_string())?;
+    let acc = clf.accuracy(&set.graphs, &set.labels);
     println!(
         "trained {} epochs on {} graphs: loss {:.4} → {:.4}, train accuracy {} \
          ({:.2} epochs/sec, fused engine)",
         history.len(),
-        graphs.len(),
+        set.len(),
         history.first().copied().unwrap_or(f64::NAN),
         history.last().copied().unwrap_or(f64::NAN),
         acc.map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}")),

@@ -84,8 +84,8 @@ fn run_variant(
             seed: p.seed,
         });
         clf.fit(
-            &graphs,
-            &labels,
+            graphs,
+            labels,
             TrainParams { epochs: p.epochs, batch_size: p.batch, lr: p.lr, seed: p.seed },
         );
         for &r in validation {

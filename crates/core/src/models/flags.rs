@@ -48,7 +48,7 @@ pub fn gains_matrix(ds: &Dataset, sm: &StaticModel, idx: &[usize]) -> Vec<Vec<f6
     // One batched inference pass over every (region × sequence) graph.
     let refs: Vec<&GraphData> =
         idx.iter().flat_map(|&r| (0..n_seq).map(move |s| &ds.regions[r].graphs[s])).collect();
-    let outputs = sm.clf.model.infer_batch_refs(&refs);
+    let outputs = sm.clf.model.infer_batch(&refs);
     idx.iter()
         .enumerate()
         .map(|(i, &r)| {

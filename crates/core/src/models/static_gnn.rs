@@ -74,8 +74,8 @@ impl StaticModel {
         };
         let mut clf = GnnClassifier::new(cfg);
         clf.fit(
-            &graphs,
-            &labels,
+            graphs,
+            labels,
             TrainParams { epochs: p.epochs, batch_size: p.batch, lr: p.lr, seed: p.seed ^ 0x9e37 },
         );
 
@@ -85,7 +85,7 @@ impl StaticModel {
         let graph_refs: Vec<&GraphData> = (0..ds.sequences.len())
             .flat_map(|s| train_idx.iter().map(move |&r| &ds.regions[r].graphs[s]))
             .collect();
-        let outputs = clf.model.infer_batch_refs(&graph_refs);
+        let outputs = clf.model.infer_batch(&graph_refs);
         let explored_seq = (0..ds.sequences.len())
             .map(|s| {
                 let base = s * train_idx.len();

@@ -28,6 +28,7 @@ use crate::dispatch::{self, plan_matmul, ModelPlan, RelView};
 use crate::graphdata::GraphData;
 use crate::model::GnnModel;
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 /// Everything one forward pass yields.
@@ -273,53 +274,27 @@ impl GnnModel {
     /// back in: with a trace sink installed, each worker opens an
     /// `infer.graph` span under the batch (`span_fanout!`), so `irnuma
     /// trace analyze` sees the fan-out; without one the macro is inert.
-    pub fn infer_batch(&self, graphs: &[GraphData]) -> Vec<InferOutput> {
-        let span = irnuma_obs::span!("infer.batch", graphs = graphs.len());
-        let ctx = span.ctx();
-        let plan = self.plan();
-        let out: Vec<InferOutput> = graphs
-            .par_iter()
-            .map(|g| {
-                let _g = irnuma_obs::span_fanout!(ctx, "infer.graph");
-                self.infer_planned_threadlocal(&plan, g)
-            })
-            .collect();
-        self.record_batch(&span, graphs.len());
-        out
+    pub fn infer_batch<G: Borrow<GraphData> + Sync>(&self, graphs: &[G]) -> Vec<InferOutput> {
+        self.infer_batch_planned(&self.plan(), graphs)
     }
 
-    /// [`infer_batch`](GnnModel::infer_batch) over scattered graph
-    /// references (e.g. one graph per (region, sequence) pair).
-    pub fn infer_batch_refs(&self, graphs: &[&GraphData]) -> Vec<InferOutput> {
-        let span = irnuma_obs::span!("infer.batch", graphs = graphs.len());
-        let ctx = span.ctx();
-        let plan = self.plan();
-        let out: Vec<InferOutput> = graphs
-            .par_iter()
-            .map(|g| {
-                let _g = irnuma_obs::span_fanout!(ctx, "infer.graph");
-                self.infer_planned_threadlocal(&plan, g)
-            })
-            .collect();
-        self.record_batch(&span, graphs.len());
-        out
-    }
-
-    /// [`infer_batch_refs`](GnnModel::infer_batch_refs) through a prebuilt
-    /// (typically cached and `Arc`-shared) [`ModelPlan`] — the serving
-    /// path, where one immutable plan per model generation is shared by
-    /// every connection and rebuilding it per micro-batch would dominate
-    /// small batches. `plan` must have been built from this model's current
-    /// parameters; results are bit-identical to
-    /// [`infer_batch`](GnnModel::infer_batch).
-    pub fn infer_batch_planned(&self, plan: &ModelPlan, graphs: &[&GraphData]) -> Vec<InferOutput> {
+    /// [`infer_batch`](GnnModel::infer_batch) through a prebuilt (typically
+    /// cached and `Arc`-shared) [`ModelPlan`] — the serving path, where one
+    /// immutable plan per model generation is shared by every connection
+    /// and rebuilding it per micro-batch would dominate small batches.
+    /// `plan` must have been built from this model's current parameters.
+    pub fn infer_batch_planned<G: Borrow<GraphData> + Sync>(
+        &self,
+        plan: &ModelPlan,
+        graphs: &[G],
+    ) -> Vec<InferOutput> {
         let span = irnuma_obs::span!("infer.batch", graphs = graphs.len());
         let ctx = span.ctx();
         let out: Vec<InferOutput> = graphs
             .par_iter()
             .map(|g| {
                 let _g = irnuma_obs::span_fanout!(ctx, "infer.graph");
-                self.infer_planned_threadlocal(plan, g)
+                self.infer_planned_threadlocal(plan, g.borrow())
             })
             .collect();
         self.record_batch(&span, graphs.len());
@@ -407,7 +382,7 @@ mod tests {
             assert_eq!(out.pooled, serial.pooled);
         }
         let refs: Vec<&GraphData> = graphs.iter().collect();
-        let by_ref = m.infer_batch_refs(&refs);
+        let by_ref = m.infer_batch(&refs);
         for (a, b) in batch.iter().zip(&by_ref) {
             assert_eq!(a.logits, b.logits);
         }
@@ -455,7 +430,7 @@ mod tests {
         let refs: Vec<&GraphData> = graphs.iter().collect();
         let plan = crate::dispatch::shared_plan(&m);
         let planned = m.infer_batch_planned(&plan, &refs);
-        let per_call = m.infer_batch_refs(&refs);
+        let per_call = m.infer_batch(&refs);
         for (a, b) in planned.iter().zip(&per_call) {
             assert_eq!(a.logits, b.logits);
             assert_eq!(a.pooled, b.pooled);

@@ -6,10 +6,12 @@
 //! add, relu, sparse typed-edge message passing, mean pooling, residual
 //! add, layer norm, softmax cross-entropy), the RGCN graph classifier
 //! ([`model::GnnModel`]) implementing the paper's Eq. 1, and an Adam trainer
-//! ([`train`]) with rayon map-reduce gradient accumulation over minibatches.
-//! Training gradients come from a tape-free fused forward+backward engine
-//! ([`backprop`]) — per-worker scratch, flat gradient buffers, deterministic
-//! tree reduction — with the tape kept as its verification oracle.
+//! ([`train`]) with one epoch loop over a [`stream::ShardSource`]: resident
+//! graphs train as a one-shard [`stream::MemorySource`], packed corpora
+//! stream through [`stream::ShardStream`]. Training gradients come from a
+//! tape-free fused forward+backward engine ([`backprop`]) — per-worker
+//! scratch, flat gradient buffers, deterministic tree reduction — with the
+//! tape kept as its verification oracle.
 //!
 //! Inference goes through a separate tape-free engine ([`infer`]): one pass
 //! over a graph produces logits, pooled embedding, softmax probabilities and
@@ -18,8 +20,9 @@
 //! while matching the tape forward bit-for-bit.
 //!
 //! Everything is seeded and deterministic: `GnnClassifier::fit` with the
-//! same seed and data reproduces identical weights bit-for-bit (per-graph
-//! gradients are summed in a canonical order after the parallel map).
+//! same seed and data reproduces identical weights bit-for-bit (gradients
+//! are reduced in a fixed order after the parallel map), and so does a
+//! streamed run over the same shard layout, across interrupt and resume.
 
 pub mod autograd;
 pub mod backprop;
@@ -43,4 +46,4 @@ pub use infer::{InferOutput, Scratch};
 pub use model::{GnnConfig, GnnModel};
 pub use stream::{MemorySource, RecordMap, ShardBatch, ShardSource, ShardStream, GRAPH_SHARD_KIND};
 pub use tensor::Tensor;
-pub use train::{CheckpointConfig, GnnClassifier, TrainCheckpoint, TrainEngine, TrainParams};
+pub use train::{CheckpointConfig, GnnClassifier, TrainCheckpoint, TrainParams};

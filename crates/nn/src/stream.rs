@@ -13,9 +13,10 @@
 //! [`ShardSource::begin_epoch`] an explicit shard order and receives shards
 //! back in exactly that order; within a shard, records keep pack order.
 //! Combined with the fused engine's fixed graph→buffer assignment and
-//! ordered tree reduce, a streamed epoch consumes graphs in a sequence that
-//! depends only on the seed — never on thread timing — which is what makes
-//! streaming `--resume` bit-for-bit reproducible (see `train::fit_streaming`).
+//! ordered tree reduce, an epoch consumes graphs in a sequence that depends
+//! only on the seed and the shard layout — never on thread timing — which
+//! is what makes `--resume` bit-for-bit reproducible (see
+//! `GnnClassifier::fit_streaming`, the one training loop).
 
 use crate::binfmt::decode_graph_into;
 use crate::graphdata::GraphData;
@@ -63,7 +64,7 @@ impl ShardBatch {
     }
 }
 
-/// A source of decoded shards for the streaming train loop. The contract:
+/// A source of decoded shards for the train loop. The contract:
 /// call [`begin_epoch`](ShardSource::begin_epoch) with the epoch's shard
 /// order, then alternate exactly `num_shards` calls to
 /// [`next_shard`](ShardSource::next_shard) — which returns shards in that
@@ -296,9 +297,9 @@ fn load_shard(
     Ok(())
 }
 
-/// An in-memory [`ShardSource`]: all shards decoded once and held resident.
-/// This is the legacy-equivalent path (`irnuma train --in-memory`) and the
-/// determinism oracle the streaming path is tested against.
+/// An in-memory [`ShardSource`]: all shards held resident and handed out by
+/// move, never copied. `GnnClassifier::fit` trains resident graphs as one
+/// shard of it; `irnuma train --in-memory` decodes a whole pack into it.
 pub struct MemorySource {
     shards: Vec<Option<(Vec<GraphData>, Vec<usize>)>>,
     order: VecDeque<usize>,

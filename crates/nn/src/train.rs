@@ -1,24 +1,27 @@
 //! Adam optimizer and the graph-classification trainer.
 //!
-//! Minibatch gradients flow through the tape-free fused engine
-//! ([`crate::backprop`]) by default: per-graph forward+backward in parallel
-//! (rayon map) with fixed graph→buffer assignment and an ordered pairwise
-//! tree reduction, so training is bit-for-bit deterministic for a given
-//! seed regardless of thread count. The autograd tape remains available as
-//! [`TrainEngine::TapeReference`] — the verification oracle and benchmark
-//! baseline.
+//! There is one epoch loop, [`GnnClassifier::fit_streaming`], over a
+//! [`ShardSource`]; [`GnnClassifier::fit`] moves resident graphs into a
+//! one-shard [`MemorySource`] and runs the same loop. Minibatch gradients
+//! come from the tape-free fused engine ([`crate::backprop`]): per-graph
+//! forward+backward in parallel (rayon map) with fixed graph→buffer
+//! assignment and an ordered pairwise tree reduction, so training is
+//! bit-for-bit deterministic for a given seed regardless of thread count.
+//! The autograd tape ([`GnnModel::loss_and_grads`]) is the oracle the fused
+//! gradients are tested against; no training path runs it.
 //!
-//! Training can checkpoint through `irnuma-store`
-//! ([`GnnClassifier::fit_checkpointed`]): every N epochs the full trainer
-//! state (weights, Adam moments, loss history) is written atomically, and a
-//! resumed run replays the RNG to the checkpointed epoch so an interrupted
-//! run reproduces the uninterrupted one bit for bit.
+//! Training can checkpoint through `irnuma-store`: every N epochs the full
+//! trainer state (weights, Adam moments, loss history, per-shard record
+//! counts) is written atomically, and a resumed run replays the completed
+//! epochs' shuffles so an interrupted run reproduces the uninterrupted one
+//! bit for bit.
 
 use crate::backprop::FusedEngine;
 use crate::graphdata::GraphData;
 use crate::model::{GnnConfig, GnnModel};
-use crate::stream::ShardSource;
+use crate::stream::{MemorySource, ShardBatch, ShardSource};
 use crate::tensor::Tensor;
+use irnuma_store::invalid;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,8 +59,7 @@ impl Adam {
     }
 
     /// One optimizer step. Gradients arrive as one flat slice per parameter
-    /// (aligned with `params`) so both the fused engine's [`GradBuffer`]
-    /// views and the tape path's tensors feed the same update.
+    /// (aligned with `params`): the fused engine's [`GradBuffer`] views.
     ///
     /// [`GradBuffer`]: crate::backprop::GradBuffer
     fn step(&mut self, params: &mut [Tensor], grads: &[&[f32]]) {
@@ -88,25 +90,6 @@ impl Adam {
     }
 }
 
-/// Which gradient engine drives the epoch loop. Both compute the same math
-/// (fused forward losses are bit-identical to the tape; gradients agree to
-/// float rounding), so this is a performance switch, not a semantic one —
-/// which is why it is *not* part of [`TrainParams`] (and never reaches a
-/// checkpoint): a run checkpointed under one engine may resume under the
-/// other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainEngine {
-    /// The tape-free fused forward+backward engine
-    /// ([`crate::backprop::FusedEngine`]) — per-worker scratch, flat
-    /// gradient buffers, deterministic tree reduction. The default.
-    #[default]
-    Fused,
-    /// Per-graph autograd tape ([`GnnModel::loss_and_grads`]). The reference
-    /// oracle the fused engine is verified against, and the baseline the
-    /// training benchmark measures speedup over.
-    TapeReference,
-}
-
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainParams {
@@ -122,7 +105,7 @@ impl Default for TrainParams {
     }
 }
 
-/// Checkpointing knobs for [`GnnClassifier::fit_checkpointed`].
+/// Checkpointing knobs for [`GnnClassifier::fit_streaming`].
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Directory holding `ckpt-<epoch>.json` files plus the `latest` pointer.
@@ -140,7 +123,8 @@ const LATEST_FILE: &str = "latest";
 
 /// The full trainer state after `epoch` completed epochs: enough to continue
 /// training bit-for-bit (weights, Adam moments, loss history; the shuffle
-/// RNG is re-derived from `params.seed` by replaying `epoch` shuffles).
+/// RNG and orders are re-derived from `params.seed` and `shard_sizes` by
+/// replaying `epoch` epochs of shuffles).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainCheckpoint {
     /// Number of completed epochs.
@@ -149,14 +133,12 @@ pub struct TrainCheckpoint {
     pub classifier: GnnClassifier,
     adam: Adam,
     pub history: Vec<f64>,
-    /// Whether this checkpoint came from the streaming loop
-    /// ([`GnnClassifier::fit_streaming`]). The two loops consume graphs in
-    /// different seeded orders, so resuming one from the other's checkpoint
-    /// would silently change the training trajectory — each path refuses
-    /// the other's checkpoints. Defaults to `false` for pre-streaming
-    /// checkpoints.
+    /// Training records per shard of the source that wrote it, in shard
+    /// index order: what resume replays the shuffles from. Empty in
+    /// checkpoints written before there was one training loop; those are
+    /// refused, since their shuffles followed a different seeded order.
     #[serde(default)]
-    pub streaming: bool,
+    pub shard_sizes: Vec<usize>,
 }
 
 impl TrainCheckpoint {
@@ -235,47 +217,52 @@ impl GnnClassifier {
         GnnClassifier { model: GnnModel::new(cfg) }
     }
 
-    /// Train on labeled graphs; returns the mean loss per epoch.
-    pub fn fit(&mut self, graphs: &[GraphData], labels: &[usize], p: TrainParams) -> Vec<f64> {
-        self.fit_checkpointed(graphs, labels, p, None)
-            .expect("training without checkpoints performs no I/O")
+    /// Train on resident labeled graphs; returns the mean loss per epoch.
+    /// The vectors move, uncopied, into a one-shard [`MemorySource`] and run
+    /// through [`GnnClassifier::fit_streaming`]. An empty set or an
+    /// out-of-range label is a caller bug here and panics.
+    pub fn fit(&mut self, graphs: Vec<GraphData>, labels: Vec<usize>, p: TrainParams) -> Vec<f64> {
+        let mut source = MemorySource::from_shards(vec![(graphs, labels)]);
+        self.fit_streaming(&mut source, p, None)
+            .expect("in-memory training needs a non-empty set with in-range labels")
     }
 
-    /// [`GnnClassifier::fit`] with optional crash-safe checkpointing: every
-    /// `ckpt.every` epochs (and at the final epoch) the trainer state is
-    /// written atomically under `ckpt.dir`. With `ckpt.resume`, training
-    /// continues from the newest valid checkpoint — the shuffle RNG is
-    /// fast-forwarded by replaying the completed epochs' shuffles, so an
-    /// interrupted-then-resumed run reproduces the uninterrupted run bit
-    /// for bit on the same seed.
-    pub fn fit_checkpointed(
+    /// Train from a [`ShardSource`] — the one epoch loop. Only one decoded
+    /// shard is resident at a time (two with the
+    /// [`crate::stream::ShardStream`] double buffer), so the corpus never
+    /// has to fit in memory.
+    ///
+    /// Determinism: one run-wide RNG seeded from `p.seed` reshuffles a
+    /// persistent shard order each epoch, then each visited shard's
+    /// persistent record order. Shard arrival order is fixed by
+    /// [`ShardSource::begin_epoch`] and gradient reduction is the fused
+    /// engine's ordered tree, so the whole trajectory depends only on the
+    /// seed and the shard layout — never on thread timing. Shuffling a
+    /// one-element shard order draws nothing, so a one-shard source trains
+    /// exactly like the resident graphs it holds.
+    ///
+    /// Checkpointing: every `ckpt.every` epochs (and at the final epoch) the
+    /// trainer state is written atomically under `ckpt.dir`, with each
+    /// shard's record count. With `ckpt.resume`, training continues from
+    /// the newest valid checkpoint: the completed epochs' shuffles are
+    /// replayed from those counts, so an interrupted-then-resumed run
+    /// reproduces the uninterrupted one bit for bit. A checkpoint whose
+    /// hyper-parameters, model shape, shard count or shard sizes differ
+    /// from this run is refused with [`io::ErrorKind::InvalidData`], as are
+    /// shards with out-of-range labels.
+    pub fn fit_streaming(
         &mut self,
-        graphs: &[GraphData],
-        labels: &[usize],
+        source: &mut dyn ShardSource,
         p: TrainParams,
         ckpt: Option<&CheckpointConfig>,
     ) -> io::Result<Vec<f64>> {
-        self.fit_with_engine(graphs, labels, p, ckpt, TrainEngine::Fused)
-    }
-
-    /// [`GnnClassifier::fit_checkpointed`] with an explicit gradient engine
-    /// (benchmarks pin [`TrainEngine::TapeReference`] as the baseline).
-    pub fn fit_with_engine(
-        &mut self,
-        graphs: &[GraphData],
-        labels: &[usize],
-        p: TrainParams,
-        ckpt: Option<&CheckpointConfig>,
-        engine: TrainEngine,
-    ) -> io::Result<Vec<f64>> {
-        assert_eq!(graphs.len(), labels.len());
-        assert!(!graphs.is_empty(), "cannot fit on an empty dataset");
-        for &l in labels {
-            assert!(l < self.model.cfg.classes, "label {l} out of range");
-        }
+        let num_shards = source.num_shards();
         let mut adam = Adam::new(&self.model.params, p.lr);
         let mut rng = ChaCha8Rng::seed_from_u64(p.seed);
-        let mut order: Vec<usize> = (0..graphs.len()).collect();
+        let mut shard_order: Vec<usize> = (0..num_shards).collect();
+        // Each shard's record order: created on the shard's first visit (or
+        // from a checkpoint's sizes), then reshuffled in place every epoch.
+        let mut record_orders: Vec<Option<Vec<usize>>> = vec![None; num_shards];
         let mut history = Vec::with_capacity(p.epochs);
         let mut start_epoch = 0;
 
@@ -284,34 +271,34 @@ impl GnnClassifier {
                 let same = (saved.params.batch_size, saved.params.lr, saved.params.seed)
                     == (p.batch_size, p.lr, p.seed);
                 if !same || saved.classifier.model.cfg != self.model.cfg {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} was trained with different \
-                             hyper-parameters or model shape; refusing to resume",
-                            saved.epoch
-                        ),
-                    ));
+                    return Err(invalid(format!(
+                        "checkpoint at epoch {} was trained with different \
+                         hyper-parameters or model shape; refusing to resume",
+                        saved.epoch
+                    )));
                 }
-                if saved.streaming {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} came from the streaming loop; \
-                             resume it with `fit_streaming` (the in-memory loop \
-                             shuffles graphs in a different seeded order)",
-                            saved.epoch
-                        ),
-                    ));
+                if saved.shard_sizes.len() != num_shards {
+                    return Err(invalid(format!(
+                        "checkpoint at epoch {} records {} shard sizes but the source \
+                         has {num_shards} shards; refusing to resume",
+                        saved.epoch,
+                        saved.shard_sizes.len()
+                    )));
                 }
                 start_epoch = saved.epoch;
                 *self = saved.classifier;
                 adam = saved.adam;
                 history = saved.history;
-                // Replay the completed epochs' shuffles: `order` and `rng`
-                // end up exactly where the uninterrupted run had them.
+                record_orders = saved.shard_sizes.iter().map(|&n| Some((0..n).collect())).collect();
+                // Replay the completed epochs' shuffles: the orders and
+                // `rng` end up exactly where the uninterrupted run had them.
                 for _ in 0..start_epoch {
-                    order.shuffle(&mut rng);
+                    shard_order.shuffle(&mut rng);
+                    for &s in &shard_order {
+                        if let Some(order) = &mut record_orders[s] {
+                            order.shuffle(&mut rng);
+                        }
+                    }
                 }
                 irnuma_obs::info!(
                     "resuming training at epoch {start_epoch}/{} from {}",
@@ -324,220 +311,46 @@ impl GnnClassifier {
         let mut fused = FusedEngine::new();
         let mut fit_span = irnuma_obs::span!(
             "train.fit",
-            graphs = graphs.len(),
-            epochs = p.epochs,
-            batch_size = p.batch_size
-        );
-        for epoch in start_epoch..p.epochs {
-            let mut epoch_span = irnuma_obs::span!("train.epoch", epoch = epoch);
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            // Gradient-norm telemetry is sampled from the epoch's final
-            // minibatch: a full pass over every parameter per chunk would
-            // cost more than the tracing budget allows.
-            let mut grad_sq = 0.0f64;
-            let chunks = order.chunks(p.batch_size.max(1));
-            let last_chunk = chunks.len().saturating_sub(1);
-            for (chunk_i, chunk) in chunks.enumerate() {
-                match engine {
-                    TrainEngine::Fused => {
-                        // Fixed graph→buffer assignment + ordered tree
-                        // reduce inside `batch_grads`: deterministic.
-                        let (chunk_loss, gb) =
-                            fused.batch_grads(&self.model, graphs, labels, chunk);
-                        epoch_loss += chunk_loss;
-                        let views = gb.views();
-                        if irnuma_obs::telemetry_enabled() {
-                            if chunk_i == last_chunk {
-                                grad_sq = gb.squared_norm();
-                            }
-                            let t0 = std::time::Instant::now();
-                            adam.step(&mut self.model.params, &views);
-                            irnuma_obs::histogram!("train.adam_step_ns")
-                                .record_duration(t0.elapsed());
-                            irnuma_obs::counter!("train.batches").inc(1);
-                        } else {
-                            adam.step(&mut self.model.params, &views);
-                        }
-                    }
-                    TrainEngine::TapeReference => {
-                        // Parallel map, canonical-order reduce: deterministic.
-                        // Worker spans adopt the epoch's context so the
-                        // trace forest nests them under this epoch.
-                        let ctx = epoch_span.ctx();
-                        let results: Vec<(f64, Vec<Tensor>)> = chunk
-                            .par_iter()
-                            .map(|&i| {
-                                let _g = irnuma_obs::span_fanout!(ctx, "train.tape_grads");
-                                self.model.loss_and_grads(&graphs[i], labels[i])
-                            })
-                            .collect();
-                        let mut total: Vec<Tensor> = self
-                            .model
-                            .params
-                            .iter()
-                            .map(|q| Tensor::zeros(q.rows, q.cols))
-                            .collect();
-                        let inv = 1.0 / chunk.len() as f32;
-                        for (loss, grads) in results {
-                            epoch_loss += loss;
-                            for (acc, g) in total.iter_mut().zip(&grads) {
-                                acc.axpy(inv, g);
-                            }
-                        }
-                        let views: Vec<&[f32]> = total.iter().map(|t| t.data.as_slice()).collect();
-                        if irnuma_obs::telemetry_enabled() {
-                            if chunk_i == last_chunk {
-                                grad_sq = total
-                                    .iter()
-                                    .flat_map(|t| &t.data)
-                                    .map(|&g| g as f64 * g as f64)
-                                    .sum::<f64>();
-                            }
-                            let t0 = std::time::Instant::now();
-                            adam.step(&mut self.model.params, &views);
-                            irnuma_obs::histogram!("train.adam_step_ns")
-                                .record_duration(t0.elapsed());
-                            irnuma_obs::counter!("train.batches").inc(1);
-                        } else {
-                            adam.step(&mut self.model.params, &views);
-                        }
-                    }
-                }
-            }
-            let mean_loss = epoch_loss / graphs.len() as f64;
-            if irnuma_obs::telemetry_enabled() {
-                epoch_span.field("loss", mean_loss);
-                epoch_span.field("grad_norm", grad_sq.sqrt());
-                irnuma_obs::histogram!("train.epoch_ns").record_duration(epoch_span.elapsed());
-                irnuma_obs::gauge!("train.loss").set(mean_loss);
-            }
-            history.push(mean_loss);
-
-            if let Some(c) = ckpt {
-                let done = epoch + 1;
-                if (c.every > 0 && done % c.every == 0) || done == p.epochs {
-                    TrainCheckpoint {
-                        epoch: done,
-                        params: p,
-                        classifier: self.clone(),
-                        adam: adam.clone(),
-                        history: history.clone(),
-                        streaming: false,
-                    }
-                    .save(&c.dir)?;
-                    irnuma_obs::counter!("ckpt.written").inc(1);
-                }
-            }
-        }
-        if let Some(&last) = history.last() {
-            fit_span.field("final_loss", last);
-        }
-        Ok(history)
-    }
-
-    /// Train from a [`ShardSource`] — the out-of-core epoch loop. Shards
-    /// are visited in a seeded order and only one decoded shard is resident
-    /// at a time (two with the [`crate::stream::ShardStream`] double
-    /// buffer), so the corpus never has to fit in memory.
-    ///
-    /// Determinism: each epoch derives a fresh RNG from
-    /// `seed ⊕ mix(epoch)`, then shuffles the shard order and each shard's
-    /// records with it. Shard arrival order is fixed by
-    /// [`ShardSource::begin_epoch`] and gradient reduction is the fused
-    /// engine's ordered tree, so the whole trajectory depends only on the
-    /// seed and the pack — never on thread timing. Per-epoch derivation
-    /// (rather than one sequential RNG) is what makes `--resume` exact with
-    /// no replay: epoch `k`'s shuffles are the same whether or not epochs
-    /// `0..k` ran in this process.
-    ///
-    /// Checkpoints are tagged `streaming: true`; resuming an in-memory
-    /// ([`GnnClassifier::fit_checkpointed`]) checkpoint here is refused
-    /// (and vice versa) since the two loops consume graphs in different
-    /// seeded orders.
-    pub fn fit_streaming(
-        &mut self,
-        source: &mut dyn ShardSource,
-        p: TrainParams,
-        ckpt: Option<&CheckpointConfig>,
-    ) -> io::Result<Vec<f64>> {
-        let mut adam = Adam::new(&self.model.params, p.lr);
-        let mut history = Vec::with_capacity(p.epochs);
-        let mut start_epoch = 0;
-
-        if let Some(c) = ckpt.filter(|c| c.resume) {
-            if let Some(saved) = TrainCheckpoint::load_latest(&c.dir)? {
-                let same = (saved.params.batch_size, saved.params.lr, saved.params.seed)
-                    == (p.batch_size, p.lr, p.seed);
-                if !same || saved.classifier.model.cfg != self.model.cfg {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} was trained with different \
-                             hyper-parameters or model shape; refusing to resume",
-                            saved.epoch
-                        ),
-                    ));
-                }
-                if !saved.streaming {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} came from the in-memory loop; \
-                             resume it with `fit_checkpointed` (the streaming loop \
-                             shuffles graphs in a different seeded order)",
-                            saved.epoch
-                        ),
-                    ));
-                }
-                start_epoch = saved.epoch;
-                *self = saved.classifier;
-                adam = saved.adam;
-                history = saved.history;
-                irnuma_obs::info!(
-                    "resuming streaming training at epoch {start_epoch}/{} from {}",
-                    p.epochs,
-                    c.dir.display()
-                );
-            }
-        }
-
-        let num_shards = source.num_shards();
-        let mut fused = FusedEngine::new();
-        let mut fit_span = irnuma_obs::span!(
-            "train.fit",
             shards = num_shards,
             epochs = p.epochs,
             batch_size = p.batch_size
         );
         for epoch in start_epoch..p.epochs {
             let mut epoch_span = irnuma_obs::span!("train.epoch", epoch = epoch);
-            let mut rng = ChaCha8Rng::seed_from_u64(streaming_epoch_seed(p.seed, epoch));
-            let mut shard_order: Vec<usize> = (0..num_shards).collect();
             shard_order.shuffle(&mut rng);
             source.begin_epoch(&shard_order);
 
             let mut epoch_loss = 0.0;
             let mut seen = 0usize;
+            // Gradient-norm telemetry samples the epoch's final minibatch: a
+            // full pass over every parameter per chunk would cost more than
+            // the tracing budget allows.
             let mut grad_sq = 0.0f64;
             for _ in 0..num_shards {
                 let batch = source.next_shard()?;
-                for &l in &batch.labels {
-                    assert!(l < self.model.cfg.classes, "label {l} out of range");
+                check_batch(&batch, self.model.cfg.classes)?;
+                let order =
+                    record_orders[batch.shard].get_or_insert_with(|| (0..batch.len()).collect());
+                if order.len() != batch.len() {
+                    return Err(invalid(format!(
+                        "shard {} yielded {} records where this run expects {}; \
+                         the shard layout changed",
+                        batch.shard,
+                        batch.len(),
+                        order.len()
+                    )));
                 }
-                let mut order: Vec<usize> = (0..batch.len()).collect();
                 order.shuffle(&mut rng);
                 let chunks = order.chunks(p.batch_size.max(1));
                 let last_chunk = chunks.len().saturating_sub(1);
                 for (chunk_i, chunk) in chunks.enumerate() {
+                    // Fixed graph→buffer assignment + ordered tree reduce
+                    // inside `batch_grads`: deterministic.
                     let (chunk_loss, gb) =
                         fused.batch_grads(&self.model, &batch.graphs, &batch.labels, chunk);
                     epoch_loss += chunk_loss;
                     let views = gb.views();
                     if irnuma_obs::telemetry_enabled() {
-                        // Gradient-norm telemetry samples the epoch's final
-                        // minibatch; each shard's last chunk overwrites the
-                        // previous, leaving the last shard's.
                         if chunk_i == last_chunk {
                             grad_sq = gb.squared_norm();
                         }
@@ -553,10 +366,7 @@ impl GnnClassifier {
                 source.recycle(batch);
             }
             if seen == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "streaming source yielded no training graphs",
-                ));
+                return Err(invalid("training source yielded no training graphs"));
             }
             let mean_loss = epoch_loss / seen as f64;
             if irnuma_obs::telemetry_enabled() {
@@ -576,7 +386,7 @@ impl GnnClassifier {
                         classifier: self.clone(),
                         adam: adam.clone(),
                         history: history.clone(),
-                        streaming: true,
+                        shard_sizes: record_orders.iter().flatten().map(Vec::len).collect(),
                     }
                     .save(&c.dir)?;
                     irnuma_obs::counter!("ckpt.written").inc(1);
@@ -629,12 +439,21 @@ impl GnnClassifier {
     }
 }
 
-/// The streaming loop's per-epoch RNG seed: the run seed xor-mixed with a
-/// splitmix-style odd multiplier of `epoch + 1` (so epoch 0 differs from
-/// the raw seed). Deriving per epoch — instead of advancing one sequential
-/// RNG — is what lets `--resume` start at epoch `k` with zero replay.
-fn streaming_epoch_seed(seed: u64, epoch: usize) -> u64 {
-    seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// Reject a shard this model cannot train on. Pack labels come from
+/// on-disk metadata, so a bad one is corrupt data, not a caller bug.
+fn check_batch(batch: &ShardBatch, classes: usize) -> io::Result<()> {
+    if batch.graphs.len() != batch.labels.len() {
+        return Err(invalid(format!(
+            "shard {} holds {} graphs but {} labels",
+            batch.shard,
+            batch.graphs.len(),
+            batch.labels.len()
+        )));
+    }
+    match batch.labels.iter().find(|&&l| l >= classes) {
+        Some(l) => Err(invalid(format!("label {l} out of range for {classes} classes"))),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -688,7 +507,8 @@ mod tests {
     fn training_separates_two_structural_classes() {
         let (gs, ls) = dataset();
         let mut clf = GnnClassifier::new(cfg());
-        let hist = clf.fit(&gs, &ls, TrainParams { epochs: 40, batch_size: 8, lr: 5e-3, seed: 4 });
+        let p = TrainParams { epochs: 40, batch_size: 8, lr: 5e-3, seed: 4 };
+        let hist = clf.fit(gs.clone(), ls.clone(), p);
         assert!(hist.last().unwrap() < &hist[0], "loss decreases: {hist:?}");
         let acc = clf.accuracy(&gs, &ls).expect("non-empty evaluation set");
         assert!(acc >= 0.95, "train accuracy {acc}");
@@ -702,40 +522,18 @@ mod tests {
         let (gs, ls) = dataset();
         let p = TrainParams { epochs: 5, batch_size: 4, lr: 1e-3, seed: 11 };
         let mut a = GnnClassifier::new(cfg());
-        let ha = a.fit(&gs, &ls, p);
+        let ha = a.fit(gs.clone(), ls.clone(), p);
         let mut b = GnnClassifier::new(cfg());
-        let hb = b.fit(&gs, &ls, p);
+        let hb = b.fit(gs, ls, p);
         assert_eq!(ha, hb, "loss history identical");
         assert_eq!(a.model.params, b.model.params, "weights identical");
-    }
-
-    #[test]
-    fn fused_and_tape_engines_agree() {
-        let (gs, ls) = dataset();
-        let p = TrainParams { epochs: 3, batch_size: 4, lr: 1e-3, seed: 11 };
-        let mut fused = GnnClassifier::new(cfg());
-        let hf = fused.fit_with_engine(&gs, &ls, p, None, TrainEngine::Fused).unwrap();
-        let mut tape = GnnClassifier::new(cfg());
-        let ht = tape.fit_with_engine(&gs, &ls, p, None, TrainEngine::TapeReference).unwrap();
-        // The fused forward is bit-identical to the tape, but Adam steps
-        // between chunks, so all but the first chunk of epoch 0 already see
-        // rounding-level weight drift; histories must stay numerically close.
-        assert!((hf[0] - ht[0]).abs() < 1e-6, "epoch-0 loss: {} vs {}", hf[0], ht[0]);
-        for (a, b) in hf.iter().zip(&ht) {
-            assert!((a - b).abs() < 1e-3, "histories diverged: {hf:?} vs {ht:?}");
-        }
-        for (pf, pt) in fused.model.params.iter().zip(&tape.model.params) {
-            for (a, b) in pf.data.iter().zip(&pt.data) {
-                assert!((a - b).abs() < 1e-2, "weights diverged: {a} vs {b}");
-            }
-        }
     }
 
     #[test]
     fn embeddings_cluster_by_class() {
         let (gs, ls) = dataset();
         let mut clf = GnnClassifier::new(cfg());
-        clf.fit(&gs, &ls, TrainParams { epochs: 30, batch_size: 8, lr: 5e-3, seed: 4 });
+        clf.fit(gs, ls, TrainParams { epochs: 30, batch_size: 8, lr: 5e-3, seed: 4 });
         let e0 = clf.embedding(&family(0, 50));
         let e0b = clf.embedding(&family(0, 51));
         let e1 = clf.embedding(&family(1, 50));
@@ -749,7 +547,7 @@ mod tests {
     fn saved_model_predicts_identically_after_reload() {
         let (gs, ls) = dataset();
         let mut clf = GnnClassifier::new(cfg());
-        clf.fit(&gs, &ls, TrainParams { epochs: 10, batch_size: 8, lr: 3e-3, seed: 9 });
+        clf.fit(gs.clone(), ls, TrainParams { epochs: 10, batch_size: 8, lr: 3e-3, seed: 9 });
         let dir = std::env::temp_dir().join("irnuma-nn-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
@@ -767,7 +565,7 @@ mod tests {
     fn out_of_range_labels_are_rejected() {
         let (gs, _) = dataset();
         let mut clf = GnnClassifier::new(cfg());
-        clf.fit(&gs[..1], &[5], TrainParams::default());
+        clf.fit(gs[..1].to_vec(), vec![5], TrainParams::default());
     }
 
     #[test]
@@ -788,19 +586,19 @@ mod tests {
         let p4 = TrainParams { epochs: 4, batch_size: 4, lr: 1e-3, seed: 11 };
         let dir = ckpt_dir("resume-exact");
 
-        // The reference: one uninterrupted 4-epoch run.
+        // The reference: one uninterrupted 4-epoch in-memory run.
         let mut full = GnnClassifier::new(cfg());
-        let h_full = full.fit(&gs, &ls, p4);
+        let h_full = full.fit(gs, ls, p4);
 
         // The "crash": train only 2 epochs, checkpointing every epoch.
         let mut first = GnnClassifier::new(cfg());
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        first.fit_checkpointed(&gs, &ls, TrainParams { epochs: 2, ..p4 }, Some(&cc)).unwrap();
+        first.fit_streaming(&mut sharded(24), TrainParams { epochs: 2, ..p4 }, Some(&cc)).unwrap();
 
         // The "restart": a fresh classifier resumes to 4 epochs.
         let mut resumed = GnnClassifier::new(cfg());
         let cr = CheckpointConfig { resume: true, ..cc };
-        let h_res = resumed.fit_checkpointed(&gs, &ls, p4, Some(&cr)).unwrap();
+        let h_res = resumed.fit_streaming(&mut sharded(24), p4, Some(&cr)).unwrap();
 
         assert_eq!(h_full, h_res, "loss history identical across the interruption");
         assert_eq!(full.model.params, resumed.model.params, "weights identical");
@@ -809,12 +607,11 @@ mod tests {
 
     #[test]
     fn resume_skips_torn_latest_and_corrupt_checkpoints() {
-        let (gs, ls) = dataset();
         let p = TrainParams { epochs: 3, batch_size: 4, lr: 1e-3, seed: 5 };
         let dir = ckpt_dir("resume-torn");
         let mut clf = GnnClassifier::new(cfg());
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        clf.fit_checkpointed(&gs, &ls, p, Some(&cc)).unwrap();
+        clf.fit_streaming(&mut sharded(24), p, Some(&cc)).unwrap();
 
         // Tear the `latest` pointer and corrupt the newest checkpoint: the
         // loader must fall back to epoch 2, the newest *valid* one.
@@ -840,27 +637,30 @@ mod tests {
 
     #[test]
     fn resume_with_different_hyper_parameters_is_refused() {
-        let (gs, ls) = dataset();
         let p = TrainParams { epochs: 2, batch_size: 4, lr: 1e-3, seed: 5 };
         let dir = ckpt_dir("resume-mismatch");
         let mut clf = GnnClassifier::new(cfg());
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        clf.fit_checkpointed(&gs, &ls, p, Some(&cc)).unwrap();
+        clf.fit_streaming(&mut sharded(24), p, Some(&cc)).unwrap();
 
         let mut other = GnnClassifier::new(cfg());
         let cr = CheckpointConfig { resume: true, ..cc };
         let err = other
-            .fit_checkpointed(&gs, &ls, TrainParams { lr: 9e-3, epochs: 4, ..p }, Some(&cr))
+            .fit_streaming(&mut sharded(24), TrainParams { lr: 9e-3, epochs: 4, ..p }, Some(&cr))
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The test corpus split into 3 in-memory shards.
-    fn sharded_dataset() -> MemorySource {
+    /// The 24-graph test corpus split into in-memory shards of
+    /// `per_shard` graphs (the last one takes the remainder).
+    fn sharded(per_shard: usize) -> MemorySource {
         let (gs, ls) = dataset();
-        let shards =
-            gs.chunks(8).zip(ls.chunks(8)).map(|(g, l)| (g.to_vec(), l.to_vec())).collect();
+        let shards = gs
+            .chunks(per_shard)
+            .zip(ls.chunks(per_shard))
+            .map(|(g, l)| (g.to_vec(), l.to_vec()))
+            .collect();
         MemorySource::from_shards(shards)
     }
 
@@ -868,9 +668,9 @@ mod tests {
     fn streaming_training_is_deterministic_and_learns() {
         let p = TrainParams { epochs: 25, batch_size: 4, lr: 5e-3, seed: 11 };
         let mut a = GnnClassifier::new(cfg());
-        let ha = a.fit_streaming(&mut sharded_dataset(), p, None).unwrap();
+        let ha = a.fit_streaming(&mut sharded(8), p, None).unwrap();
         let mut b = GnnClassifier::new(cfg());
-        let hb = b.fit_streaming(&mut sharded_dataset(), p, None).unwrap();
+        let hb = b.fit_streaming(&mut sharded(8), p, None).unwrap();
         assert_eq!(ha, hb, "loss history identical");
         assert_eq!(a.model.params, b.model.params, "weights identical");
         assert!(ha.last().unwrap() < &ha[0], "loss decreases: {ha:?}");
@@ -884,17 +684,15 @@ mod tests {
         let dir = ckpt_dir("stream-resume");
 
         let mut full = GnnClassifier::new(cfg());
-        let h_full = full.fit_streaming(&mut sharded_dataset(), p4, None).unwrap();
+        let h_full = full.fit_streaming(&mut sharded(8), p4, None).unwrap();
 
         let mut first = GnnClassifier::new(cfg());
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        first
-            .fit_streaming(&mut sharded_dataset(), TrainParams { epochs: 2, ..p4 }, Some(&cc))
-            .unwrap();
+        first.fit_streaming(&mut sharded(8), TrainParams { epochs: 2, ..p4 }, Some(&cc)).unwrap();
 
         let mut resumed = GnnClassifier::new(cfg());
         let cr = CheckpointConfig { resume: true, ..cc };
-        let h_res = resumed.fit_streaming(&mut sharded_dataset(), p4, Some(&cr)).unwrap();
+        let h_res = resumed.fit_streaming(&mut sharded(8), p4, Some(&cr)).unwrap();
 
         assert_eq!(h_full, h_res, "loss history identical across the interruption");
         assert_eq!(full.model.params, resumed.model.params, "weights identical");
@@ -902,33 +700,67 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_in_memory_checkpoints_are_mutually_refused() {
-        let (gs, ls) = dataset();
+    fn checkpoint_from_a_different_shard_layout_is_refused() {
         let p = TrainParams { epochs: 2, batch_size: 4, lr: 1e-3, seed: 5 };
-
-        // A streaming checkpoint must not resume under the in-memory loop.
-        let dir = ckpt_dir("stream-cross-a");
+        let dir = ckpt_dir("layout-mismatch");
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        GnnClassifier::new(cfg()).fit_streaming(&mut sharded_dataset(), p, Some(&cc)).unwrap();
+        GnnClassifier::new(cfg()).fit_streaming(&mut sharded(8), p, Some(&cc)).unwrap();
+        let cr = CheckpointConfig { resume: true, ..cc };
+        let p4 = TrainParams { epochs: 4, ..p };
+
+        // A different shard count is refused before any training.
+        let err =
+            GnnClassifier::new(cfg()).fit_streaming(&mut sharded(6), p4, Some(&cr)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard sizes"), "{err}");
+
+        // The same count with different sizes (10, 10, 4 vs 8, 8, 8) is
+        // refused when the first mismatched shard arrives.
+        let err =
+            GnnClassifier::new(cfg()).fit_streaming(&mut sharded(10), p4, Some(&cr)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard layout changed"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_without_shard_sizes_is_refused_not_replayed() {
+        // Checkpoints from before the single loop carry no shard sizes; the
+        // streaming ones among them followed per-epoch seeds, so replaying
+        // them here would silently change the trajectory.
+        let p = TrainParams { epochs: 2, batch_size: 4, lr: 1e-3, seed: 5 };
+        let dir = ckpt_dir("no-shard-sizes");
+        let cc = CheckpointConfig { dir: dir.clone(), every: 0, resume: false };
+        GnnClassifier::new(cfg()).fit_streaming(&mut sharded(24), p, Some(&cc)).unwrap();
+        let mut old = TrainCheckpoint::load_latest(&dir).unwrap().expect("checkpoint");
+        assert_eq!(old.shard_sizes, vec![24]);
+        old.shard_sizes.clear();
+        old.save(&dir).unwrap();
+
         let cr = CheckpointConfig { resume: true, ..cc };
         let err = GnnClassifier::new(cfg())
-            .fit_checkpointed(&gs, &ls, TrainParams { epochs: 4, ..p }, Some(&cr))
+            .fit_streaming(&mut sharded(24), TrainParams { epochs: 4, ..p }, Some(&cr))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("streaming"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // And an in-memory checkpoint must not resume under streaming.
-        let dir = ckpt_dir("stream-cross-b");
-        let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        GnnClassifier::new(cfg()).fit_checkpointed(&gs, &ls, p, Some(&cc)).unwrap();
-        let cr = CheckpointConfig { resume: true, ..cc };
+    #[test]
+    fn untrusted_labels_are_a_typed_error_not_a_panic() {
+        let (gs, _) = dataset();
+        let mut bad_label = MemorySource::from_shards(vec![(gs[..2].to_vec(), vec![0, 5])]);
         let err = GnnClassifier::new(cfg())
-            .fit_streaming(&mut sharded_dataset(), TrainParams { epochs: 4, ..p }, Some(&cr))
+            .fit_streaming(&mut bad_label, TrainParams::default(), None)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("in-memory"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(err.to_string().contains("label 5 out of range"), "{err}");
+
+        let mut ragged = MemorySource::from_shards(vec![(gs[..2].to_vec(), vec![0])]);
+        let err = GnnClassifier::new(cfg())
+            .fit_streaming(&mut ragged, TrainParams::default(), None)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("2 graphs but 1 labels"), "{err}");
     }
 
     #[test]
@@ -945,7 +777,7 @@ mod tests {
     fn truncated_or_flipped_model_file_is_invalid_data_not_garbage() {
         let (gs, ls) = dataset();
         let mut clf = GnnClassifier::new(cfg());
-        clf.fit(&gs, &ls, TrainParams { epochs: 2, batch_size: 8, lr: 3e-3, seed: 9 });
+        clf.fit(gs, ls, TrainParams { epochs: 2, batch_size: 8, lr: 3e-3, seed: 9 });
         let dir = ckpt_dir("model-corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");

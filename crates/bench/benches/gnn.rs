@@ -26,8 +26,12 @@ fn bench_forward_backward(c: &mut Criterion) {
         seed: 1,
     });
     let mut grp = c.benchmark_group("gnn");
-    grp.bench_function("forward_predict", |b| b.iter(|| model.predict(std::hint::black_box(&g))));
-    grp.bench_function("embedding", |b| b.iter(|| model.embedding(std::hint::black_box(&g))));
+    grp.bench_function("forward_predict", |b| {
+        b.iter(|| model.model.infer(std::hint::black_box(&g)).label())
+    });
+    grp.bench_function("embedding", |b| {
+        b.iter(|| model.model.infer(std::hint::black_box(&g)).pooled)
+    });
     grp.bench_function("loss_and_grads", |b| {
         b.iter(|| model.model.loss_and_grads(std::hint::black_box(&g), 3))
     });

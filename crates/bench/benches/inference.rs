@@ -16,7 +16,7 @@
 use criterion::{black_box, Criterion};
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
-use irnuma_nn::{set_dispatch, GnnConfig, GnnModel, GraphData, Scratch};
+use irnuma_nn::{set_dispatch, GnnConfig, GnnModel, GraphData};
 use irnuma_workloads::all_regions;
 
 fn region_graphs(vocab: &Vocab, count: usize) -> Vec<GraphData> {
@@ -95,12 +95,8 @@ fn main() {
                 })
             });
             grp.bench_function("infer_serial_loop_8_graphs_h256", |b| {
-                let mut scratch = Scratch::new();
                 b.iter(|| {
-                    graphs
-                        .iter()
-                        .map(|g| model256.infer_with(black_box(g), &mut scratch).label())
-                        .sum::<usize>()
+                    graphs.iter().map(|g| model256.infer(black_box(g)).label()).sum::<usize>()
                 })
             });
         }

@@ -1,10 +1,8 @@
-//! Step C cost: the NUMA/prefetch simulator — single calls, full-space
-//! sweeps (288/320 configurations), and the exhaustive best search.
+//! Step C cost: the NUMA/prefetch simulator — single calls and full-space
+//! sweeps (288/320 configurations).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use irnuma_sim::{
-    config_space, default_config, exhaustive_best, simulate, sweep_region, Machine, MicroArch,
-};
+use irnuma_sim::{config_space, default_config, simulate, sweep_region, Machine, MicroArch};
 use irnuma_workloads::{all_regions, InputSize};
 
 fn bench_simulate(c: &mut Criterion) {
@@ -32,16 +30,5 @@ fn bench_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_exhaustive(c: &mut Criterion) {
-    let m = Machine::new(MicroArch::Skylake);
-    let r = all_regions().into_iter().find(|r| r.name == "is.rank").unwrap();
-    let mut g = c.benchmark_group("sim_best");
-    g.sample_size(20);
-    g.bench_function("exhaustive_best_10calls", |b| {
-        b.iter(|| exhaustive_best(std::hint::black_box(&r), &m, InputSize::Size1, 10))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_simulate, bench_sweep, bench_exhaustive);
+criterion_group!(benches, bench_simulate, bench_sweep);
 criterion_main!(benches);

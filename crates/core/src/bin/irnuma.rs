@@ -22,7 +22,7 @@ use irnuma_nn::{
     CheckpointConfig, GnnClassifier, GnnConfig, MemorySource, ShardSource, TrainParams,
 };
 use irnuma_passes::{o3_sequence, run_sequence};
-use irnuma_sim::{default_config, sweep_region, Machine, MicroArch};
+use irnuma_sim::{config_space, default_config, sweep_region, Machine, MicroArch};
 use irnuma_workloads::{all_regions, InputSize, RegionSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -229,25 +229,26 @@ fn graph(rest: &[String]) -> Result<(), String> {
 fn sweep(rest: &[String]) -> Result<(), String> {
     let r = find_region(rest.first().ok_or("missing region name")?)?;
     let m = Machine::new(parse_arch(rest)?);
-    let results = sweep_region(&r, &m, InputSize::Size1, 6);
+    let space = config_space(&m);
+    let times = sweep_region(&r, &m, InputSize::Size1, 6)?;
     let def = default_config(&m);
-    let t_def = results.iter().find(|(c, _)| *c == def).unwrap().1;
-    let mut ranked: Vec<_> = results.iter().collect();
-    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let t_def = times[space.iter().position(|c| *c == def).unwrap()];
+    let mut ranked: Vec<_> = space.iter().zip(&times).collect();
+    ranked.sort_by(|a, b| a.1.total_cmp(b.1));
     println!(
         "{} on {:?}: default {} = {:.3}ms over {} configurations",
         r.name,
         m.arch,
         def.label(),
         t_def * 1e3,
-        results.len()
+        times.len()
     );
     println!("top 5:");
-    for (c, t) in ranked.iter().take(5) {
+    for &(c, t) in ranked.iter().take(5) {
         println!("  {:<28} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
     }
     println!("bottom 3:");
-    for (c, t) in ranked.iter().rev().take(3) {
+    for &(c, t) in ranked.iter().rev().take(3) {
         println!("  {:<28} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
     }
     Ok(())

@@ -12,7 +12,9 @@ use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_nn::GraphData;
 use irnuma_passes::{sample_sequences, FlagSequence, PassManager, SampleParams};
-use irnuma_sim::{config_space, default_config, simulate, Config, Machine, MicroArch};
+use irnuma_sim::{
+    config_space, default_config, simulate, sweep_region, Config, Machine, MicroArch,
+};
 use irnuma_workloads::{all_regions, InputSize, RegionSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -122,7 +124,7 @@ impl Dataset {
     /// Fraction of full-space gains the label set retains (paper: ≥99% for
     /// the 13-label set).
     pub fn label_coverage(&self) -> f64 {
-        let times: Vec<Vec<f64>> = self.regions.iter().map(|r| r.sweep.clone()).collect();
+        let times: Vec<&[f64]> = self.regions.iter().map(|r| r.sweep.as_slice()).collect();
         let base: Vec<f64> = self.regions.iter().map(|r| r.default_time).collect();
         irnuma_ml::coverage(&times, &base, &self.chosen_configs)
     }
@@ -241,6 +243,24 @@ pub fn build_dataset_report(
     params: &DatasetParams,
     opts: &BuildOptions,
 ) -> Result<DatasetBuild, DatasetError> {
+    build_grouped(arch, params, opts, usize::MAX, |_, _| Ok(()))
+}
+
+/// The one Steps A–C driver behind [`build_dataset_report`] and
+/// [`crate::dataset_pack::build_packed_dataset`]. Regions build `group` at
+/// a time, in parallel within a group, all under one `dataset.build` span.
+/// Each group's survivors go, in region order, to `emit` together with the
+/// index of the group's first survivor; `emit` may take their graphs (the
+/// packed build writes them to a shard and keeps none resident). Strict
+/// mode, skips and `NoRegionsSurvived` are handled here, and step C's label
+/// reduction runs once over every survivor's sweep.
+pub(crate) fn build_grouped(
+    arch: MicroArch,
+    params: &DatasetParams,
+    opts: &BuildOptions,
+    group: usize,
+    mut emit: impl FnMut(usize, &mut [RegionData]) -> Result<(), DatasetError>,
+) -> Result<DatasetBuild, DatasetError> {
     let machine = Machine::new(arch);
     let configs = config_space(&machine);
     let sequences = sample_sequences(params.num_sequences, params.seed, SampleParams::default());
@@ -250,38 +270,43 @@ pub fn build_dataset_report(
 
     let span = irnuma_obs::span!(
         "dataset.build",
-        regions = specs.len(),
+        regions = total,
         sequences = sequences.len(),
         configs = configs.len()
     );
     let ctx = span.ctx();
-    let results: Vec<Result<RegionData, SkipRecord>> = specs
-        .into_par_iter()
-        .map(|spec| {
-            build_region_tolerant(&spec, &machine, &configs, &sequences, &vocab, params, opts, ctx)
-        })
-        .collect();
-
-    let mut regions = Vec::with_capacity(total);
+    let mut regions: Vec<RegionData> = Vec::with_capacity(total);
     let mut skips = Vec::new();
-    for res in results {
-        match res {
-            Ok(r) => regions.push(r),
-            Err(skip) => {
-                if opts.strict {
-                    return Err(DatasetError::RegionFailed(skip));
+    for specs in specs.chunks(group.max(1)) {
+        let results: Vec<Result<RegionData, SkipRecord>> = specs
+            .par_iter()
+            .map(|spec| {
+                build_region_tolerant(
+                    spec, &machine, &configs, &sequences, &vocab, params, opts, ctx,
+                )
+            })
+            .collect();
+        let first = regions.len();
+        for res in results {
+            match res {
+                Ok(r) => regions.push(r),
+                Err(skip) => {
+                    if opts.strict {
+                        return Err(DatasetError::RegionFailed(skip));
+                    }
+                    irnuma_obs::counter!("dataset.skipped").inc(1);
+                    skips.push(skip);
                 }
-                irnuma_obs::counter!("dataset.skipped").inc(1);
-                skips.push(skip);
             }
         }
+        emit(first, &mut regions[first..])?;
     }
     if regions.is_empty() {
         return Err(DatasetError::NoRegionsSurvived { total, skips });
     }
 
     // Step C: reduce the space to `num_labels` representative configs.
-    let times: Vec<Vec<f64>> = regions.iter().map(|r| r.sweep.clone()).collect();
+    let times: Vec<&[f64]> = regions.iter().map(|r| r.sweep.as_slice()).collect();
     let base: Vec<f64> = regions.iter().map(|r| r.default_time).collect();
     let chosen_configs = irnuma_ml::reduce_labels(&times, &base, params.num_labels);
     let labels = irnuma_ml::labels::label_per_region(&times, &chosen_configs);
@@ -293,10 +318,9 @@ pub fn build_dataset_report(
 
 /// Fault-isolated build of one region: a span under `ctx`, a
 /// [`catch_unwind`] around every stage, and one retry before the failure is
-/// condensed into a [`SkipRecord`]. Shared by the in-memory build above and
-/// the sharded packed build ([`crate::dataset_pack::build_packed_dataset`]).
+/// condensed into a [`SkipRecord`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_region_tolerant(
+fn build_region_tolerant(
     spec: &RegionSpec,
     machine: &Machine,
     configs: &[Config],
@@ -391,13 +415,8 @@ fn build_region(
 
     // Step C (per-region part): the sweep with default compile flags. A
     // panicking configuration fails just this region, not the whole build.
-    let sweep: Vec<f64> = configs
-        .iter()
-        .map(|c| {
-            irnuma_sim::try_mean_time(spec, machine, c, params.size, params.calls)
-                .map_err(|e| RegionError { stage: "sweep", sequence: None, error: e })
-        })
-        .collect::<Result<_, _>>()?;
+    let sweep = sweep_region(spec, machine, params.size, params.calls)
+        .map_err(|error| RegionError { stage: "sweep", sequence: None, error })?;
 
     let def = default_config(machine);
     let def_idx = configs.iter().position(|c| *c == def).ok_or_else(|| RegionError {

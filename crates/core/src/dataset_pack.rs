@@ -19,25 +19,22 @@
 //!   not a pack, so the atomicity of the whole directory reduces to the
 //!   atomicity of one `irnuma_store` write.
 //!
-//! Sharded builds ([`build_packed_dataset`]) reuse the PR 3 fault-isolation
-//! machinery per region and keep only one region-group's graphs resident:
-//! survivors are encoded into the group's shard and dropped before the next
-//! group builds, so peak memory is bounded by the group size, not the
-//! corpus.
+//! Sharded builds ([`build_packed_dataset`]) run the in-memory build's
+//! Steps A–C driver group by group and keep only one region-group's graphs
+//! resident: survivors are encoded into the group's shard and dropped before
+//! the next group builds, so peak memory is bounded by the group size, not
+//! the corpus.
 
 use crate::dataset::{
-    build_region_tolerant, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData,
-    SkipRecord,
+    build_grouped, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData, SkipRecord,
 };
-use irnuma_graph::Vocab;
 use irnuma_nn::stream::{RecordMap, ShardStream, GRAPH_SHARD_KIND, RECORD_PREFIX};
 use irnuma_nn::{decode_graph, encode_graph, GraphData};
-use irnuma_passes::{sample_sequences, FlagSequence, SampleParams};
-use irnuma_sim::{config_space, Config, Machine, MicroArch};
+use irnuma_passes::FlagSequence;
+use irnuma_sim::{Config, Machine, MicroArch};
 use irnuma_store::shard::{parse_shard, ShardEntry, ShardManifest, ShardWriter};
 use irnuma_store::{corruption, invalid};
-use irnuma_workloads::{all_regions, InputSize};
-use rayon::prelude::*;
+use irnuma_workloads::InputSize;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -147,19 +144,53 @@ fn decode_region_tables(rec: &[u8]) -> io::Result<RegionTables> {
     Ok((sweep, dynamic, default_time))
 }
 
-/// Write `regions.bin` from per-region `(sweep, dynamic_features,
-/// default_time)` rows, returning its manifest-style entry for the meta.
-fn write_region_tables<'a, I>(dir: &Path, rows: I) -> io::Result<ShardEntry>
-where
-    I: Iterator<Item = (&'a [f64], &'a [f32], f64)>,
-{
+/// Encode one graph-shard record: `[u32 region][u32 sequence]` followed by
+/// the graph.
+fn encode_record(region: usize, sequence: usize, g: &GraphData, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&(region as u32).to_le_bytes());
+    out.extend_from_slice(&(sequence as u32).to_le_bytes());
+    encode_graph(g, out);
+}
+
+/// Write `writer` as the manifest's next `shard-NNNN.bin`.
+fn finish_shard(writer: ShardWriter, dir: &Path, manifest: &mut ShardManifest) -> io::Result<()> {
+    let file = format!("shard-{:04}.bin", manifest.entries.len());
+    manifest.entries.push(writer.finish(dir, &file)?);
+    Ok(())
+}
+
+/// Write everything of a pack but the graph shards and the manifest:
+/// `regions.bin` from the regions' float tables, then the meta, with
+/// `graph_counts` giving each region's record count.
+fn save_tables_and_meta(
+    ds: &Dataset,
+    graph_counts: impl Iterator<Item = usize>,
+    dir: &Path,
+) -> io::Result<()> {
     let mut writer = ShardWriter::new(REGION_TABLE_KIND);
     let mut rec = Vec::new();
-    for (sweep, dynamic, default_time) in rows {
-        encode_region_tables(sweep, dynamic, default_time, &mut rec);
+    for r in &ds.regions {
+        encode_region_tables(&r.sweep, &r.dynamic_features, r.default_time, &mut rec);
         writer.push(&rec);
     }
-    writer.finish(dir, REGIONS_FILE)
+    let region_tables = writer.finish(dir, REGIONS_FILE)?;
+    let meta = PackedMeta {
+        machine: ds.machine.clone(),
+        size: ds.size,
+        sequences: ds.sequences.clone(),
+        configs: ds.configs.clone(),
+        regions: ds
+            .regions
+            .iter()
+            .zip(graph_counts)
+            .map(|(r, graph_count)| PackedRegion { spec: r.spec.clone(), graph_count })
+            .collect(),
+        region_tables,
+        chosen_configs: ds.chosen_configs.clone(),
+        labels: ds.labels.clone(),
+    };
+    meta.save(dir)
 }
 
 /// Read and verify `regions.bin` against its meta entry: structural length
@@ -203,45 +234,20 @@ pub fn pack_dataset(ds: &Dataset, dir: &Path, shard_graphs: usize) -> io::Result
     let mut graphs = 0usize;
     for (ri, region) in ds.regions.iter().enumerate() {
         for (si, g) in region.graphs.iter().enumerate() {
-            rec.clear();
-            rec.extend_from_slice(&(ri as u32).to_le_bytes());
-            rec.extend_from_slice(&(si as u32).to_le_bytes());
-            encode_graph(g, &mut rec);
+            encode_record(ri, si, g, &mut rec);
             writer.push(&rec);
             graphs += 1;
             if writer.records() >= shard_graphs.max(1) {
                 let full = std::mem::replace(&mut writer, ShardWriter::new(GRAPH_SHARD_KIND));
-                let file = format!("shard-{:04}.bin", manifest.entries.len());
-                manifest.entries.push(full.finish(dir, &file)?);
+                finish_shard(full, dir, &mut manifest)?;
             }
         }
     }
     if !writer.is_empty() {
-        let file = format!("shard-{:04}.bin", manifest.entries.len());
-        manifest.entries.push(writer.finish(dir, &file)?);
+        finish_shard(writer, dir, &mut manifest)?;
     }
 
-    let region_tables = write_region_tables(
-        dir,
-        ds.regions
-            .iter()
-            .map(|r| (r.sweep.as_slice(), r.dynamic_features.as_slice(), r.default_time)),
-    )?;
-    let meta = PackedMeta {
-        machine: ds.machine.clone(),
-        size: ds.size,
-        sequences: ds.sequences.clone(),
-        configs: ds.configs.clone(),
-        regions: ds
-            .regions
-            .iter()
-            .map(|r| PackedRegion { spec: r.spec.clone(), graph_count: r.graphs.len() })
-            .collect(),
-        region_tables,
-        chosen_configs: ds.chosen_configs.clone(),
-        labels: ds.labels.clone(),
-    };
-    meta.save(dir)?;
+    save_tables_and_meta(ds, ds.regions.iter().map(|r| r.graphs.len()), dir)?;
     let bytes = manifest.total_bytes();
     manifest.save(dir)?; // the commit point: no manifest, no pack
     Ok(PackSummary { shards: manifest.entries.len(), graphs, bytes })
@@ -367,13 +373,13 @@ pub struct PackedBuild {
 }
 
 /// Build the dataset straight into a pack directory, one shard per group
-/// of `shard_regions` regions. Groups build in sequence; regions within a
-/// group build in parallel with the same fault isolation as
-/// [`crate::dataset::build_dataset_report`] (catch_unwind, one retry,
-/// [`SkipRecord`]s, `dataset.skipped`/`dataset.retried` counters). Each
-/// group's surviving graphs are encoded into its shard and dropped before
-/// the next group starts, so peak memory is one group, not the corpus. The
-/// manifest is written last — a crashed build leaves no loadable pack.
+/// of `shard_regions` regions. Groups build in sequence through the same
+/// Steps A–C driver as [`crate::dataset::build_dataset_report`], with its
+/// fault isolation (catch_unwind, one retry, [`SkipRecord`]s,
+/// `dataset.skipped`/`dataset.retried` counters). Each group's surviving
+/// graphs are encoded into its shard and dropped before the next group
+/// starts, so peak memory is one group, not the corpus. The manifest is
+/// written last — a crashed build leaves no loadable pack.
 pub fn build_packed_dataset(
     arch: MicroArch,
     params: &DatasetParams,
@@ -381,108 +387,36 @@ pub fn build_packed_dataset(
     dir: &Path,
     shard_regions: usize,
 ) -> Result<PackedBuild, DatasetError> {
-    let machine = Machine::new(arch);
-    let configs = config_space(&machine);
-    let sequences = sample_sequences(params.num_sequences, params.seed, SampleParams::default());
-    let vocab = Vocab::full();
-    let specs = all_regions();
-    let total = specs.len();
-
-    let span = irnuma_obs::span!(
-        "dataset.build",
-        regions = total,
-        sequences = sequences.len(),
-        configs = configs.len()
-    );
-    let ctx = span.ctx();
-
     let mut manifest = ShardManifest::default();
-    let mut packed_regions: Vec<PackedRegion> = Vec::with_capacity(total);
-    let mut times: Vec<Vec<f64>> = Vec::with_capacity(total);
-    let mut base: Vec<f64> = Vec::with_capacity(total);
-    let mut dyns: Vec<Vec<f32>> = Vec::with_capacity(total);
-    let mut skips = Vec::new();
-    let mut graphs_total = 0usize;
+    let mut graphs = 0usize;
     let mut rec = Vec::new();
-
-    for group in specs.chunks(shard_regions.max(1)) {
-        let results: Vec<Result<RegionData, SkipRecord>> = group
-            .par_iter()
-            .map(|spec| {
-                build_region_tolerant(
-                    spec, &machine, &configs, &sequences, &vocab, params, opts, ctx,
-                )
-            })
-            .collect();
+    let build = build_grouped(arch, params, opts, shard_regions, |first, group| {
         let mut writer = ShardWriter::new(GRAPH_SHARD_KIND);
-        for res in results {
-            match res {
-                Ok(r) => {
-                    let region_idx = packed_regions.len() as u32;
-                    for (seq, g) in r.graphs.iter().enumerate() {
-                        rec.clear();
-                        rec.extend_from_slice(&region_idx.to_le_bytes());
-                        rec.extend_from_slice(&(seq as u32).to_le_bytes());
-                        encode_graph(g, &mut rec);
-                        writer.push(&rec);
-                    }
-                    graphs_total += r.graphs.len();
-                    times.push(r.sweep);
-                    base.push(r.default_time);
-                    dyns.push(r.dynamic_features);
-                    packed_regions
-                        .push(PackedRegion { spec: r.spec, graph_count: sequences.len() });
-                    // r.graphs drop here — the group is this build's
-                    // high-water mark, not the whole corpus.
-                }
-                Err(skip) => {
-                    if opts.strict {
-                        return Err(DatasetError::RegionFailed(skip));
-                    }
-                    irnuma_obs::counter!("dataset.skipped").inc(1);
-                    skips.push(skip);
-                }
+        for (i, r) in group.iter_mut().enumerate() {
+            for (seq, g) in r.graphs.iter().enumerate() {
+                encode_record(first + i, seq, g, &mut rec);
+                writer.push(&rec);
             }
+            graphs += r.graphs.len();
+            // The group is this build's high-water mark, not the corpus.
+            r.graphs = Vec::new();
         }
         if !writer.is_empty() {
-            let file = format!("shard-{:04}.bin", manifest.entries.len());
-            manifest.entries.push(writer.finish(dir, &file)?);
+            finish_shard(writer, dir, &mut manifest)?;
         }
-    }
-    if packed_regions.is_empty() {
-        return Err(DatasetError::NoRegionsSurvived { total, skips });
-    }
+        Ok(())
+    })?;
 
-    // Step C over the retained sweeps (the graphs are already on disk).
-    let chosen_configs = irnuma_ml::reduce_labels(&times, &base, params.num_labels);
-    let labels = irnuma_ml::labels::label_per_region(&times, &chosen_configs);
-    let label_coverage = irnuma_ml::coverage(&times, &base, &chosen_configs);
-
-    let region_tables = write_region_tables(
-        dir,
-        times.iter().zip(&dyns).zip(&base).map(|((sweep, dynamic), &default_time)| {
-            (sweep.as_slice(), dynamic.as_slice(), default_time)
-        }),
-    )?;
-    let meta = PackedMeta {
-        machine,
-        size: params.size,
-        sequences,
-        configs,
-        regions: packed_regions,
-        region_tables,
-        chosen_configs,
-        labels,
-    };
-    meta.save(dir)?;
+    let ds = &build.dataset;
+    save_tables_and_meta(ds, std::iter::repeat(ds.sequences.len()), dir)?;
     let shards = manifest.entries.len();
     manifest.save(dir)?; // the commit point
     Ok(PackedBuild {
-        regions: meta.regions.len(),
-        graphs: graphs_total,
+        regions: ds.regions.len(),
+        graphs,
         shards,
-        label_coverage,
-        skips,
+        label_coverage: ds.label_coverage(),
+        skips: build.skips,
     })
 }
 

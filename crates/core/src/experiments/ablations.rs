@@ -90,7 +90,7 @@ fn run_variant(
         );
         for &r in validation {
             let g = transform(&ds.regions[r].graphs[0]);
-            let pred = clf.predict(&g);
+            let pred = clf.model.infer(&g).label();
             if pred == ds.labels[r] {
                 correct += 1;
             }

@@ -31,7 +31,7 @@ pub struct Fig6 {
 
 /// Re-label a dataset with a different number of label configurations.
 pub fn relabel(ds: &Dataset, k: usize) -> Dataset {
-    let times: Vec<Vec<f64>> = ds.regions.iter().map(|r| r.sweep.clone()).collect();
+    let times: Vec<&[f64]> = ds.regions.iter().map(|r| r.sweep.as_slice()).collect();
     let base: Vec<f64> = ds.regions.iter().map(|r| r.default_time).collect();
     let chosen = irnuma_ml::reduce_labels(&times, &base, k);
     let labels = irnuma_ml::labels::label_per_region(&times, &chosen);

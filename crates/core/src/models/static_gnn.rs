@@ -109,7 +109,7 @@ impl StaticModel {
 
     /// Predict the label class of a region using flag sequence `seq`.
     pub fn predict_with_seq(&self, ds: &Dataset, region: usize, seq: usize) -> usize {
-        self.clf.predict(&ds.regions[region].graphs[seq])
+        self.clf.model.infer(&ds.regions[region].graphs[seq]).label()
     }
 
     /// Predict with the explored deployment sequence.
@@ -120,7 +120,7 @@ impl StaticModel {
     /// The pooled embedding of a region under the explored sequence — the
     /// feature vector of the flag model.
     pub fn embedding(&self, ds: &Dataset, region: usize) -> Vec<f32> {
-        self.clf.embedding(&ds.regions[region].graphs[self.explored_seq])
+        self.clf.model.infer(&ds.regions[region].graphs[self.explored_seq]).pooled
     }
 
     /// Embedding augmented with the classifier's softmax distribution and
@@ -129,7 +129,7 @@ impl StaticModel {
     /// is a documented extension (DESIGN.md) that recovers the router
     /// accuracy real benchmark diversity gives the original.
     pub fn router_features(&self, ds: &Dataset, region: usize) -> Vec<f32> {
-        self.clf.embedding_with_confidence(&ds.regions[region].graphs[self.explored_seq])
+        self.clf.model.infer(&ds.regions[region].graphs[self.explored_seq]).router_features()
     }
 }
 

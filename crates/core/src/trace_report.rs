@@ -707,12 +707,17 @@ mod tests {
         irnuma_obs::clear_sink();
 
         let r = load(&path).unwrap();
-        r.require(&["dataset.build", "dataset.region", "graph.build", "passes.run"]).unwrap();
+        r.require(&["dataset.build", "dataset.region", "sim.sweep", "graph.build", "passes.run"])
+            .unwrap();
         assert_eq!(r.malformed_lines, 0);
         // Other tests in this binary may trace concurrently into the same
         // global sink, so counts are lower bounds.
         let regions = r.spans.iter().find(|s| s.name == "dataset.region").unwrap();
         assert!(regions.count >= 56, "got {}", regions.count);
+        // The dataset's config sweep is the traced `sim.sweep` primitive,
+        // one per region.
+        let sweeps = r.spans.iter().find(|s| s.name == "sim.sweep").unwrap();
+        assert!(sweeps.count >= 56, "got {}", sweeps.count);
         assert!(r.counters.iter().any(|(n, v)| n == "graph.builds" && *v >= 112));
         std::fs::remove_file(&path).ok();
     }

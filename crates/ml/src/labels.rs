@@ -9,13 +9,14 @@
 //! submodular-style coverage objective.
 
 /// Select `k` configuration indices from `times[region][config]`, where
-/// `baseline[region]` is the default-configuration time.
+/// `baseline[region]` is the default-configuration time. Rows are borrowed
+/// (`Vec<f64>`, `&[f64]`, …), so callers never copy their sweeps.
 ///
 /// Returns the chosen indices in selection order (most valuable first).
-pub fn reduce_labels(times: &[Vec<f64>], baseline: &[f64], k: usize) -> Vec<usize> {
+pub fn reduce_labels<R: AsRef<[f64]>>(times: &[R], baseline: &[f64], k: usize) -> Vec<usize> {
     assert!(!times.is_empty());
-    let n_cfg = times[0].len();
-    assert!(times.iter().all(|r| r.len() == n_cfg), "ragged time matrix");
+    let n_cfg = times[0].as_ref().len();
+    assert!(times.iter().all(|r| r.as_ref().len() == n_cfg), "ragged time matrix");
     assert_eq!(times.len(), baseline.len());
     assert!(k >= 1 && k <= n_cfg);
 
@@ -35,7 +36,7 @@ pub fn reduce_labels(times: &[Vec<f64>], baseline: &[f64], k: usize) -> Vec<usiz
                 .iter()
                 .zip(&best_time)
                 .zip(baseline)
-                .map(|((row, &bt), &base)| base / bt.min(row[c]))
+                .map(|((row, &bt), &base)| base / bt.min(row.as_ref()[c]))
                 .sum();
             if score > best_score {
                 best_score = score;
@@ -45,7 +46,7 @@ pub fn reduce_labels(times: &[Vec<f64>], baseline: &[f64], k: usize) -> Vec<usiz
         let c = best_cfg.expect("space has unchosen configs");
         chosen.push(c);
         for (r, row) in times.iter().enumerate() {
-            best_time[r] = best_time[r].min(row[c]);
+            best_time[r] = best_time[r].min(row.as_ref()[c]);
         }
     }
     chosen
@@ -53,10 +54,11 @@ pub fn reduce_labels(times: &[Vec<f64>], baseline: &[f64], k: usize) -> Vec<usiz
 
 /// Fraction of full-space gains retained by a label set:
 /// `mean(base/best_of_set) / mean(base/best_of_space)`.
-pub fn coverage(times: &[Vec<f64>], baseline: &[f64], chosen: &[usize]) -> f64 {
+pub fn coverage<R: AsRef<[f64]>>(times: &[R], baseline: &[f64], chosen: &[usize]) -> f64 {
     let mut got = 0.0;
     let mut full = 0.0;
     for (r, row) in times.iter().enumerate() {
+        let row = row.as_ref();
         let best_all = row.iter().cloned().fold(f64::INFINITY, f64::min);
         let best_set = chosen.iter().map(|&c| row[c]).fold(f64::INFINITY, f64::min);
         got += baseline[r] / best_set;
@@ -67,10 +69,11 @@ pub fn coverage(times: &[Vec<f64>], baseline: &[f64], chosen: &[usize]) -> f64 {
 
 /// For each region, the index (within `chosen`) of its best configuration —
 /// the training label of the static model.
-pub fn label_per_region(times: &[Vec<f64>], chosen: &[usize]) -> Vec<usize> {
+pub fn label_per_region<R: AsRef<[f64]>>(times: &[R], chosen: &[usize]) -> Vec<usize> {
     times
         .iter()
         .map(|row| {
+            let row = row.as_ref();
             // First strict minimum: ties resolve to the earliest-selected
             // (most valuable) configuration, deterministically.
             let mut best = 0usize;

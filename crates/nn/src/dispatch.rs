@@ -1468,7 +1468,6 @@ mod tests {
 
     #[test]
     fn shared_plans_are_keyed_by_weights_not_shape() {
-        use crate::infer::Scratch;
         use crate::model::GnnConfig;
         let _serial = cache_test_guard();
         let cfg = GnnConfig {
@@ -1493,9 +1492,9 @@ mod tests {
             vec![1, 3, 5, 7],
             [vec![(0, 1), (1, 2), (2, 3)], vec![(3, 0)], vec![]],
         );
-        let mut s = Scratch::new();
-        assert_eq!(a.infer_planned(&pa, &g, &mut s).logits, a.infer(&g).logits);
-        assert_eq!(b.infer_planned(&pb, &g, &mut s).logits, b.infer(&g).logits);
+        let one = std::slice::from_ref(&g);
+        assert_eq!(a.infer_batch_planned(&pa, one)[0].logits, a.infer(&g).logits);
+        assert_eq!(b.infer_batch_planned(&pb, one)[0].logits, b.infer(&g).logits);
         // Repeat lookups hit, returning the identical Arc.
         let (h0, _) = model_plan_cache_stats();
         assert!(Arc::ptr_eq(&shared_plan(&a), &pa));

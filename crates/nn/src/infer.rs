@@ -4,13 +4,15 @@
 //! the same forward computation as [`GnnModel::forward`] without recording
 //! ops, without cloning a single parameter tensor (weights are borrowed from
 //! the model), and with all activation buffers held in a reusable
-//! [`Scratch`] workspace so repeated calls allocate nothing once the
+//! per-thread `Scratch` workspace so repeated calls allocate nothing once the
 //! high-water graph size has been seen.
 //!
 //! One pass produces everything the downstream models consume — logits,
-//! pooled embedding, softmax distribution, and top-1 margin — collapsing the
-//! old `predict` / `embedding` / `embedding_with_confidence` triple-forward
-//! into a single [`InferOutput`].
+//! pooled embedding, softmax distribution, and top-1 margin — in a single
+//! [`InferOutput`]: callers take `.label()`, `.pooled` or
+//! `.router_features()`. [`GnnModel::infer`] serves one graph;
+//! [`infer_batch`](GnnModel::infer_batch) and
+//! [`infer_batch_planned`](GnnModel::infer_batch_planned) serve batches.
 //!
 //! Numerical equivalence with the tape is exact, not approximate: the dense
 //! kernels are shared ([`matmul_accumulate`]), message passing walks each
@@ -65,10 +67,11 @@ impl InferOutput {
     }
 }
 
-/// Reusable activation workspace. Buffers grow to the largest graph seen and
-/// are recycled across calls; a fresh `Scratch` is all-empty and valid.
+/// Reusable activation workspace, one per thread. Buffers grow to the
+/// largest graph seen and are recycled across calls; a fresh `Scratch` is
+/// all-empty and valid.
 #[derive(Default)]
-pub struct Scratch {
+struct Scratch {
     /// Current node activations (`n×d`).
     h: Vec<f32>,
     /// Layer accumulator: self-term plus per-relation message terms.
@@ -82,10 +85,6 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    pub fn new() -> Scratch {
-        Scratch::default()
-    }
-
     fn reserve(&mut self, n: usize, d: usize, stats: bool) {
         let len = n * d;
         if stats {
@@ -105,7 +104,7 @@ impl Scratch {
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 impl GnnModel {
@@ -114,33 +113,9 @@ impl GnnModel {
     /// than it saves) but still go through the shape-dispatched kernels;
     /// batched calls prepack once via [`GnnModel::plan`].
     pub fn infer(&self, g: &GraphData) -> InferOutput {
-        SCRATCH.with(|s| self.infer_with(g, &mut s.borrow_mut()))
-    }
-
-    /// Tape-free forward pass into a caller-provided workspace.
-    pub fn infer_with(&self, g: &GraphData, scratch: &mut Scratch) -> InferOutput {
         let stats = irnuma_obs::telemetry_enabled();
         let t0 = stats.then(std::time::Instant::now);
-        let out = self.infer_impl(g, scratch, None, stats);
-        if let Some(t0) = t0 {
-            irnuma_obs::histogram!("infer.graph_ns").record_duration(t0.elapsed());
-            irnuma_obs::counter!("infer.graphs").inc(1);
-        }
-        out
-    }
-
-    /// Forward pass through a prebuilt kernel plan (prepacked weights).
-    /// Bit-identical to [`GnnModel::infer_with`]; `plan` must have been
-    /// built from this model's current parameters.
-    pub fn infer_planned(
-        &self,
-        plan: &ModelPlan,
-        g: &GraphData,
-        scratch: &mut Scratch,
-    ) -> InferOutput {
-        let stats = irnuma_obs::telemetry_enabled();
-        let t0 = stats.then(std::time::Instant::now);
-        let out = self.infer_impl(g, scratch, Some(plan), stats);
+        let out = SCRATCH.with(|s| self.infer_impl(g, &mut s.borrow_mut(), None, stats));
         if let Some(t0) = t0 {
             irnuma_obs::histogram!("infer.graph_ns").record_duration(t0.elapsed());
             irnuma_obs::counter!("infer.graphs").inc(1);
@@ -360,15 +335,18 @@ mod tests {
     #[test]
     fn scratch_recycles_across_different_sizes() {
         let m = model();
-        let mut s = Scratch::new();
         let big = toy_graph(3); // 8 nodes
         let small = toy_graph(0); // 5 nodes
-        let fresh_big = m.infer_with(&big, &mut Scratch::new());
-        let fresh_small = m.infer_with(&small, &mut Scratch::new());
-        // big → small → big through one workspace must not leak state.
-        assert_eq!(m.infer_with(&big, &mut s).logits, fresh_big.logits);
-        assert_eq!(m.infer_with(&small, &mut s).logits, fresh_small.logits);
-        assert_eq!(m.infer_with(&big, &mut s).logits, fresh_big.logits);
+        let tape = |g: &GraphData| {
+            let f = m.forward(g);
+            f.tape.value(f.logits).data.clone()
+        };
+        let (tape_big, tape_small) = (tape(&big), tape(&small));
+        // big → small → big through this thread's one workspace must not
+        // leak state.
+        assert_eq!(m.infer(&big).logits, tape_big);
+        assert_eq!(m.infer(&small).logits, tape_small);
+        assert_eq!(m.infer(&big).logits, tape_big);
     }
 
     #[test]
@@ -377,7 +355,7 @@ mod tests {
         let graphs: Vec<GraphData> = (0..17).map(toy_graph).collect();
         let batch = m.infer_batch(&graphs);
         for (g, out) in graphs.iter().zip(&batch) {
-            let serial = m.infer_with(g, &mut Scratch::new());
+            let serial = m.infer(g);
             assert_eq!(out.logits, serial.logits);
             assert_eq!(out.pooled, serial.pooled);
         }

@@ -42,7 +42,7 @@ pub use dispatch::{
     GraphPlan, ModelPlan, SpmmStrategy,
 };
 pub use graphdata::{Csr, GraphData, GraphError};
-pub use infer::{InferOutput, Scratch};
+pub use infer::InferOutput;
 pub use model::{GnnConfig, GnnModel};
 pub use stream::{MemorySource, RecordMap, ShardBatch, ShardSource, ShardStream, GRAPH_SHARD_KIND};
 pub use tensor::Tensor;

@@ -184,23 +184,6 @@ impl GnnModel {
         Forward { tape, param_vars, pooled, logits }
     }
 
-    /// Class prediction for one graph (tape-free, via [`GnnModel::infer`]).
-    pub fn predict(&self, g: &GraphData) -> usize {
-        self.infer(g).label()
-    }
-
-    /// The pooled graph embedding (paper's 256-d "vector").
-    pub fn embedding(&self, g: &GraphData) -> Vec<f32> {
-        self.infer(g).pooled
-    }
-
-    /// Embedding concatenated with the softmax class distribution and the
-    /// top-1 margin — the feature vector of the hybrid router (the model's
-    /// own confidence is the strongest "will I be wrong?" signal).
-    pub fn embedding_with_confidence(&self, g: &GraphData) -> Vec<f32> {
-        self.infer(g).router_features()
-    }
-
     /// Loss and parameter gradients for one labeled graph.
     pub fn loss_and_grads(&self, g: &GraphData, label: usize) -> (f64, Vec<Tensor>) {
         let mut f = self.forward(g);
@@ -275,14 +258,14 @@ mod tests {
     fn forward_is_deterministic() {
         let m = GnnModel::new(cfg());
         let g = toy_graph(1);
-        assert_eq!(m.embedding(&g), m.embedding(&g));
-        assert_eq!(m.predict(&g), m.predict(&g));
+        assert_eq!(m.infer(&g).pooled, m.infer(&g).pooled);
+        assert_eq!(m.infer(&g).label(), m.infer(&g).label());
     }
 
     #[test]
     fn different_graphs_embed_differently() {
         let m = GnnModel::new(cfg());
-        assert_ne!(m.embedding(&toy_graph(0)), m.embedding(&toy_graph(7)));
+        assert_ne!(m.infer(&toy_graph(0)).pooled, m.infer(&toy_graph(7)).pooled);
     }
 
     #[test]

@@ -399,20 +399,6 @@ impl GnnClassifier {
         Ok(history)
     }
 
-    pub fn predict(&self, g: &GraphData) -> usize {
-        self.model.predict(g)
-    }
-
-    /// The pooled embedding vector (input of the hybrid and flag models).
-    pub fn embedding(&self, g: &GraphData) -> Vec<f32> {
-        self.model.embedding(g)
-    }
-
-    /// Embedding + softmax confidence (router features).
-    pub fn embedding_with_confidence(&self, g: &GraphData) -> Vec<f32> {
-        self.model.embedding_with_confidence(g)
-    }
-
     /// Persist the trained classifier (weights + config): atomic write,
     /// versioned header, checksum — a crash mid-save or a torn file can
     /// never produce a silently-wrong model.
@@ -513,8 +499,8 @@ mod tests {
         let acc = clf.accuracy(&gs, &ls).expect("non-empty evaluation set");
         assert!(acc >= 0.95, "train accuracy {acc}");
         // Held-out variants of each family classify correctly too.
-        assert_eq!(clf.predict(&family(0, 99)), 0);
-        assert_eq!(clf.predict(&family(1, 99)), 1);
+        assert_eq!(clf.model.infer(&family(0, 99)).label(), 0);
+        assert_eq!(clf.model.infer(&family(1, 99)).label(), 1);
     }
 
     #[test]
@@ -534,9 +520,9 @@ mod tests {
         let (gs, ls) = dataset();
         let mut clf = GnnClassifier::new(cfg());
         clf.fit(gs, ls, TrainParams { epochs: 30, batch_size: 8, lr: 5e-3, seed: 4 });
-        let e0 = clf.embedding(&family(0, 50));
-        let e0b = clf.embedding(&family(0, 51));
-        let e1 = clf.embedding(&family(1, 50));
+        let e0 = clf.model.infer(&family(0, 50)).pooled;
+        let e0b = clf.model.infer(&family(0, 51)).pooled;
+        let e1 = clf.model.infer(&family(1, 50)).pooled;
         let dist = |a: &[f32], b: &[f32]| -> f32 {
             a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>().sqrt()
         };
@@ -554,8 +540,8 @@ mod tests {
         clf.save_json(&path).unwrap();
         let loaded = GnnClassifier::load_json(&path).unwrap();
         for g in &gs {
-            assert_eq!(clf.predict(g), loaded.predict(g));
-            assert_eq!(clf.embedding(g), loaded.embedding(g));
+            assert_eq!(clf.model.infer(g).label(), loaded.model.infer(g).label());
+            assert_eq!(clf.model.infer(g).pooled, loaded.model.infer(g).pooled);
         }
         std::fs::remove_file(&path).ok();
     }

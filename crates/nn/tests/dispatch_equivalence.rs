@@ -12,7 +12,7 @@ use irnuma_nn::dispatch::{
 };
 use irnuma_nn::graphdata::NUM_RELATIONS;
 use irnuma_nn::tensor::matmul_accumulate;
-use irnuma_nn::{Csr, FusedEngine, GnnConfig, GnnModel, GraphData, Scratch};
+use irnuma_nn::{Csr, FusedEngine, GnnConfig, GnnModel, GraphData};
 use proptest::prelude::*;
 
 const VOCAB: usize = 20;
@@ -129,9 +129,9 @@ proptest! {
             seed,
         });
 
-        let planless = m.infer_with(&g, &mut Scratch::new());
+        let planless = m.infer(&g);
         let plan = m.plan();
-        let planned = m.infer_planned(&plan, &g, &mut Scratch::new());
+        let planned = m.infer_batch_planned(&plan, std::slice::from_ref(&g)).remove(0);
         prop_assert_eq!(planned.logits, planless.logits);
         prop_assert_eq!(planned.pooled, planless.pooled);
 
@@ -179,7 +179,7 @@ fn batched_prepacked_inference_matches_serial_planless() {
         .collect();
     let batch = m.infer_batch(&graphs);
     for (g, out) in graphs.iter().zip(&batch) {
-        let serial = m.infer_with(g, &mut Scratch::new());
+        let serial = m.infer(g);
         assert_eq!(out.logits, serial.logits);
         assert_eq!(out.pooled, serial.pooled);
         assert_eq!(out.probs, serial.probs);

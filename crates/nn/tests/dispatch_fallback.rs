@@ -8,7 +8,7 @@
 use irnuma_nn::backprop::{fused_loss_grads_threadlocal, GradBuffer};
 use irnuma_nn::dispatch::{dispatch_enabled, plan_for, set_dispatch, GraphPlan};
 use irnuma_nn::graphdata::NUM_RELATIONS;
-use irnuma_nn::{GnnConfig, GnnModel, GraphData, Scratch, SpmmStrategy};
+use irnuma_nn::{GnnConfig, GnnModel, GraphData, SpmmStrategy};
 
 fn toy_graph(n: u32) -> GraphData {
     let node_text: Vec<u32> = (0..n).map(|i| (i * 5 + 2) % 20).collect();
@@ -38,7 +38,7 @@ fn disabling_dispatch_keeps_outputs_bitwise_and_falls_back_everywhere() {
     set_dispatch(true);
     assert!(dispatch_enabled());
     assert!(m.plan().is_packed(), "enabled plan must prepack weights");
-    let specialized: Vec<_> = graphs.iter().map(|g| m.infer_with(g, &mut Scratch::new())).collect();
+    let specialized: Vec<_> = graphs.iter().map(|g| m.infer(g)).collect();
     let spec_batch = m.infer_batch(&graphs);
     let mut spec_grads = GradBuffer::for_model(&m);
     let spec_loss = fused_loss_grads_threadlocal(&m, &graphs[0], 3, &mut spec_grads);
@@ -53,7 +53,7 @@ fn disabling_dispatch_keeps_outputs_bitwise_and_falls_back_everywhere() {
     assert_eq!(gplan.spmm, [SpmmStrategy::CsrGather; NUM_RELATIONS]);
 
     for (g, spec) in graphs.iter().zip(&specialized) {
-        let generic = m.infer_with(g, &mut Scratch::new());
+        let generic = m.infer(g);
         assert_eq!(generic.logits, spec.logits, "logits drifted with dispatch off");
         assert_eq!(generic.pooled, spec.pooled, "pooled drifted with dispatch off");
     }

@@ -4,7 +4,7 @@
 //! edge list.
 
 use irnuma_nn::graphdata::{Csr, NUM_RELATIONS};
-use irnuma_nn::{GnnConfig, GnnModel, GraphData, Scratch};
+use irnuma_nn::{GnnConfig, GnnModel, GraphData};
 use proptest::prelude::*;
 
 const VOCAB: usize = 32;
@@ -41,7 +41,7 @@ proptest! {
         let f = m.forward(&g);
         let tape_logits = &f.tape.value(f.logits).data;
         let tape_pooled = &f.tape.value(f.pooled).data;
-        let out = m.infer_with(&g, &mut Scratch::new());
+        let out = m.infer(&g);
 
         prop_assert_eq!(out.logits.len(), tape_logits.len());
         prop_assert_eq!(out.pooled.len(), tape_pooled.len());

@@ -160,7 +160,6 @@ pub fn metric_help(name: &str) -> &'static str {
         "dataset.decode_ns" => "Time spent decoding dataset shards into graphs (ns).",
         "loader.prefetch_stall_ns" => "Time the trainer blocked waiting on shard prefetch (ns).",
         "graph.builds" => "ProGraML-style region graphs constructed.",
-        "sim.config.skipped" => "Simulated configurations skipped after a panic.",
         "store.write_bytes" => "Bytes durably written through the artifact store.",
         "store.fsync_ns" => "Latency of artifact-store fsync calls (ns).",
         "store.corruption_detected" => "Artifact reads rejected by checksum verification.",

@@ -11,13 +11,18 @@ fn main() {
     let _obs = irnuma_obs::init(irnuma_obs::Level::Info);
     for arch in [MicroArch::Skylake, MicroArch::SandyBridge] {
         let m = Machine::new(arch);
-        info!("==== {arch:?} (space={}) ====", config_space(&m).len());
+        let space = config_space(&m);
+        info!("==== {arch:?} (space={}) ====", space.len());
         let mut speedups = Vec::new();
         for r in all_regions() {
-            let sweep = sweep_region(&r, &m, InputSize::Size1, 3);
-            let t_def = sweep.iter().find(|(c, _)| *c == default_config(&m)).map(|x| x.1).unwrap();
-            let (best, t_best) =
-                sweep.iter().min_by(|a, b| a.1.total_cmp(&b.1)).map(|(c, t)| (*c, *t)).unwrap();
+            let sweep = sweep_region(&r, &m, InputSize::Size1, 3).expect("sweep");
+            let t_def = sweep[space.iter().position(|c| *c == default_config(&m)).unwrap()];
+            let (best, t_best) = space
+                .iter()
+                .zip(&sweep)
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(c, t)| (*c, *t))
+                .unwrap();
             let s = t_def / t_best;
             speedups.push(s);
             let eff = irnuma_sim::cost::effective_profile(&r.name, &r.profile);

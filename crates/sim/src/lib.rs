@@ -22,8 +22,8 @@
 //!   and link queueing, atomic contention, Amdahl, and deterministic
 //!   measurement noise. Produces execution time *and* the performance
 //!   counters the dynamic baseline trains on (package power, L3 miss ratio);
-//! * [`search`] — exhaustive exploration (paper step C) and per-call traces
-//!   (Fig. 12);
+//! * [`search`] — the one configuration sweep (paper step C) and per-call
+//!   traces (Fig. 12);
 //! * [`translate`] — cross-architecture configuration translation (§IV-D).
 //!
 //! Determinism: every stochastic term is a hash of (region, config, call).
@@ -41,5 +41,5 @@ pub use config::{config_space, default_config, Config, PageMapping, ThreadMappin
 pub use cost::{simulate, Counters, Measurement};
 pub use machine::{Machine, MicroArch};
 pub use prefetch::PrefetchMask;
-pub use search::{exhaustive_best, per_call_trace, sweep_region, try_mean_time, SearchError};
+pub use search::{per_call_trace, sweep_region};
 pub use translate::translate_config;

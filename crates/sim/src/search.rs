@@ -5,32 +5,7 @@ use crate::cost::simulate;
 use crate::machine::Machine;
 use irnuma_workloads::{InputSize, RegionSpec};
 use rayon::prelude::*;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Why a configuration search produced no answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SearchError {
-    /// The machine's configuration space is empty — nothing to explore.
-    EmptyConfigSpace,
-    /// Every configuration of the sweep failed to simulate.
-    AllConfigsFailed { configs: usize },
-}
-
-impl fmt::Display for SearchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SearchError::EmptyConfigSpace => {
-                write!(f, "the machine's NUMA x prefetcher configuration space is empty")
-            }
-            SearchError::AllConfigsFailed { configs } => {
-                write!(f, "all {configs} configurations failed to simulate")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SearchError {}
 
 /// Mean execution time of a region under one configuration, sampling
 /// `calls` invocations (the paper's sampled exploration uses 10 calls).
@@ -44,9 +19,9 @@ pub fn mean_time(r: &RegionSpec, m: &Machine, c: &Config, size: InputSize, calls
 }
 
 /// [`mean_time`] with per-config failure isolation: a panic inside the cost
-/// model for one configuration is caught and surfaced as an error instead
-/// of unwinding through the whole sweep.
-pub fn try_mean_time(
+/// model for one configuration is caught and surfaced as an error naming
+/// the configuration, instead of unwinding through the whole sweep.
+fn try_mean_time(
     r: &RegionSpec,
     m: &Machine,
     c: &Config,
@@ -54,27 +29,29 @@ pub fn try_mean_time(
     calls: u32,
 ) -> Result<f64, String> {
     catch_unwind(AssertUnwindSafe(|| mean_time(r, m, c, size, calls))).map_err(|payload| {
-        payload
+        let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "simulation panicked".to_string())
+            .unwrap_or_else(|| "simulation panicked".to_string());
+        format!("config {} failed: {msg}", c.label())
     })
 }
 
-/// Sweep the full configuration space of a machine for one region.
-/// Returns `(config, mean_seconds)` in the space's canonical order.
-/// Parallelized with rayon (the sweep is the hot path of step C).
+/// Sweep the full configuration space of a machine for one region: the
+/// mean time of every configuration, in [`config_space`] order. This is the
+/// only loop that runs the simulator over a space (the hot path of step C),
+/// parallel over configurations under one `sim.sweep` span.
 ///
-/// Fault-isolated: a configuration whose simulation panics is recorded as
-/// `f64::INFINITY` (never the minimum, so it can't be chosen as "best") and
-/// counted under `sim.config.skipped` rather than aborting the sweep.
+/// Each configuration is fault-isolated. If any fails, the sweep fails with
+/// the first failing configuration in canonical order, named together with
+/// its panic message.
 pub fn sweep_region(
     r: &RegionSpec,
     m: &Machine,
     size: InputSize,
     calls: u32,
-) -> Vec<(Config, f64)> {
+) -> Result<Vec<f64>, String> {
     let space = config_space(m);
     let span = irnuma_obs::span!(
         "sim.sweep",
@@ -83,72 +60,15 @@ pub fn sweep_region(
         calls = calls
     );
     let ctx = span.ctx();
-    space
-        .into_par_iter()
+    let times: Vec<Result<f64, String>> = space
+        .par_iter()
         .map(|c| {
             let _g = irnuma_obs::span_fanout!(ctx, "sim.config", config = c.label());
-            let t = match try_mean_time(r, m, &c, size, calls) {
-                Ok(t) => t,
-                Err(e) => {
-                    irnuma_obs::warn!("{}: config {} failed ({e}); skipping", r.name, c.label());
-                    irnuma_obs::counter!("sim.config.skipped").inc(1);
-                    f64::INFINITY
-                }
-            };
-            (c, t)
+            try_mean_time(r, m, c, size, calls)
         })
-        .collect()
-}
-
-/// The best configuration of the full space (step C's oracle label source).
-///
-/// A fused parallel min-reduce over the space: each configuration is
-/// simulated (with the same per-config fault isolation as
-/// [`sweep_region`]) and only the running minimum is kept — the full
-/// `(config, time)` sweep vector is never materialized. Ties on time break
-/// toward the smaller canonical-space index, so the winner is deterministic
-/// regardless of how the parallel evaluation interleaves.
-pub fn exhaustive_best(
-    r: &RegionSpec,
-    m: &Machine,
-    size: InputSize,
-    calls: u32,
-) -> Result<(Config, f64), SearchError> {
-    let space = config_space(m);
-    let configs = space.len();
-    if configs == 0 {
-        return Err(SearchError::EmptyConfigSpace);
-    }
-    let span = irnuma_obs::span!(
-        "sim.exhaustive_best",
-        region = r.name.as_str(),
-        configs = configs,
-        calls = calls
-    );
-    let ctx = span.ctx();
-    let (idx, best, t) = space
-        .into_par_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let _g = irnuma_obs::span_fanout!(ctx, "sim.config", config = c.label());
-            let t = match try_mean_time(r, m, &c, size, calls) {
-                Ok(t) => t,
-                Err(e) => {
-                    irnuma_obs::warn!("{}: config {} failed ({e}); skipping", r.name, c.label());
-                    irnuma_obs::counter!("sim.config.skipped").inc(1);
-                    f64::INFINITY
-                }
-            };
-            (i, c, t)
-        })
-        .min_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)))
-        .expect("non-empty configuration space");
-    let _ = idx;
-    if t.is_finite() {
-        Ok((best, t))
-    } else {
-        Err(SearchError::AllConfigsFailed { configs })
-    }
+        .collect();
+    // A serial collect keeps the first error in canonical order.
+    times.into_iter().collect()
 }
 
 /// Per-call execution-time trace (paper Fig. 12): `calls` invocations under
@@ -171,12 +91,20 @@ mod tests {
     use crate::machine::MicroArch;
     use irnuma_workloads::all_regions;
 
+    /// The best `(config, time)` of a sweep: the first minimum in canonical
+    /// order.
+    fn sweep_best(r: &RegionSpec, m: &Machine, calls: u32) -> (Config, f64) {
+        let sweep = sweep_region(r, m, InputSize::Size1, calls).unwrap();
+        let (i, t) = sweep.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).unwrap();
+        (config_space(m)[i], *t)
+    }
+
     #[test]
     fn best_config_beats_or_matches_default() {
         let m = Machine::new(MicroArch::Skylake);
         let regions = all_regions();
         for r in regions.iter().step_by(7) {
-            let (best, t_best) = exhaustive_best(r, &m, InputSize::Size1, 3).unwrap();
+            let (best, t_best) = sweep_best(r, &m, 3);
             let t_def = mean_time(r, &m, &default_config(&m), InputSize::Size1, 3);
             assert!(
                 t_best <= t_def * 1.0001,
@@ -191,33 +119,24 @@ mod tests {
     fn sweep_covers_the_whole_space() {
         let m = Machine::new(MicroArch::SandyBridge);
         let r = &all_regions()[0];
-        let sweep = sweep_region(r, &m, InputSize::Size1, 2);
+        let sweep = sweep_region(r, &m, InputSize::Size1, 2).unwrap();
         assert_eq!(sweep.len(), 320);
         // Times vary across the space — tuning exists.
-        let min = sweep.iter().map(|x| x.1).fold(f64::MAX, f64::min);
-        let max = sweep.iter().map(|x| x.1).fold(0.0, f64::max);
+        let min = sweep.iter().cloned().fold(f64::MAX, f64::min);
+        let max = sweep.iter().cloned().fold(0.0, f64::max);
         assert!(max > min * 1.2, "space must matter: {min}..{max}");
     }
 
     #[test]
-    fn exhaustive_best_matches_the_sweeps_canonical_minimum() {
-        // The fused min-reduce must pick exactly what a sequential min over
-        // the materialized sweep picks (first minimal element in canonical
-        // space order).
+    fn sweep_times_follow_the_canonical_config_order() {
+        // The parallel sweep must return exactly what a serial walk over
+        // `config_space` computes, slot for slot.
         let m = Machine::new(MicroArch::Skylake);
         let r = &all_regions()[2];
-        let sweep = sweep_region(r, &m, InputSize::Size1, 2);
-        let (bc, bt) = exhaustive_best(r, &m, InputSize::Size1, 2).unwrap();
-        let seq = sweep.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
-        assert_eq!(bt, seq.1);
-        assert_eq!(bc, seq.0);
-    }
-
-    #[test]
-    fn search_errors_are_typed_and_descriptive() {
-        assert!(SearchError::EmptyConfigSpace.to_string().contains("configuration space"));
-        let e = SearchError::AllConfigsFailed { configs: 288 };
-        assert!(e.to_string().contains("288"), "{e}");
+        let sweep = sweep_region(r, &m, InputSize::Size1, 2).unwrap();
+        let serial: Vec<f64> =
+            config_space(&m).iter().map(|c| mean_time(r, &m, c, InputSize::Size1, 2)).collect();
+        assert_eq!(sweep, serial);
     }
 
     #[test]
@@ -253,7 +172,7 @@ mod tests {
                 .iter()
                 .map(|r| {
                     let t_def = mean_time(r, &m, &default_config(&m), InputSize::Size1, 3);
-                    let (_, t_best) = exhaustive_best(r, &m, InputSize::Size1, 3).unwrap();
+                    let (_, t_best) = sweep_best(r, &m, 3);
                     t_def / t_best
                 })
                 .collect();

@@ -31,30 +31,31 @@ fn main() {
 
     for arch in [MicroArch::Skylake, MicroArch::SandyBridge] {
         let m = Machine::new(arch);
-        let sweep = sweep_region(&region, &m, InputSize::Size1, 6);
+        let space = config_space(&m);
+        let sweep = sweep_region(&region, &m, InputSize::Size1, 6).expect("sweep");
         let def = default_config(&m);
-        let t_def = sweep.iter().find(|(c, _)| *c == def).unwrap().1;
+        let t_def = sweep[space.iter().position(|c| *c == def).unwrap()];
 
-        let mut ranked: Vec<_> = sweep.iter().collect();
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let mut ranked: Vec<_> = space.iter().zip(&sweep).collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(b.1));
 
         println!(
             "--- {arch:?}: {} configurations, default {} = {:.3}ms ---",
-            config_space(&m).len(),
+            space.len(),
             def.label(),
             t_def * 1e3
         );
         println!("top 5:");
-        for (c, t) in ranked.iter().take(5) {
+        for &(c, t) in ranked.iter().take(5) {
             println!("  {:<26} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
         }
         println!("bottom 3:");
-        for (c, t) in ranked.iter().rev().take(3) {
+        for &(c, t) in ranked.iter().rev().take(3) {
             println!("  {:<26} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
         }
 
         // Counters under default vs best: the dynamic model's view.
-        let best = ranked[0].0;
+        let best = *ranked[0].0;
         let m_def = simulate(&region.name, &region.profile, &m, &def, InputSize::Size1, 0);
         let m_best = simulate(&region.name, &region.profile, &m, &best, InputSize::Size1, 0);
         println!(

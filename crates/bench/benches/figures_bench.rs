@@ -1,12 +1,16 @@
 //! Wall-time of the experiment harness itself: dataset construction
 //! (steps A–C over all 56 regions) and one cross-validation fold of model
-//! training — the units every figure is built from.
+//! training — the units every figure is built from. The hybrid router and
+//! flag model cases time their GA feature selection, whose fitness is a
+//! leave-one-out decision tree per candidate subset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use irnuma_core::dataset::{build_dataset, DatasetParams};
+use irnuma_core::models::flags::FlagParams;
+use irnuma_core::models::hybrid::HybridParams;
 use irnuma_core::models::static_gnn::{StaticModel, StaticParams};
-use irnuma_core::models::DynamicModel;
-use irnuma_ml::kfold;
+use irnuma_core::models::{DynamicModel, FlagModel, HybridModel};
+use irnuma_ml::{kfold, GaParams};
 use irnuma_sim::MicroArch;
 
 fn bench_dataset(c: &mut Criterion) {
@@ -30,18 +34,27 @@ fn bench_fold(c: &mut Criterion) {
     );
     let folds = kfold(ds.regions.len(), 10, 1).expect("10 folds fit the region suite");
     let train: Vec<usize> = irnuma_ml::cv::train_indices(&folds, 0);
+    let sp = StaticParams { hidden: 16, epochs: 5, train_sequences: 2, ..Default::default() };
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
     g.bench_function("train_static_one_fold_h16_e5", |b| {
-        b.iter(|| {
-            StaticModel::train(
-                &ds,
-                &train,
-                StaticParams { hidden: 16, epochs: 5, train_sequences: 2, ..Default::default() },
-            )
-        })
+        b.iter(|| StaticModel::train(&ds, &train, sp))
     });
     g.bench_function("train_dynamic_one_fold", |b| b.iter(|| DynamicModel::train(&ds, &train)));
+
+    // The GA stages run on top of one fold's static model.
+    let sm = StaticModel::train(&ds, &train, sp);
+    let hp = HybridParams {
+        inner_folds: 3,
+        ga: GaParams { population: 48, generations: 8, ..Default::default() },
+        ..Default::default()
+    };
+    g.bench_function("train_hybrid_router_one_fold", |b| {
+        b.iter(|| HybridModel::train(&ds, &sm, &train, hp, sp))
+    });
+    g.bench_function("train_flags_one_fold", |b| {
+        b.iter(|| FlagModel::train(&ds, &sm, &train, FlagParams::default()))
+    });
     g.finish();
 }
 

@@ -7,7 +7,7 @@
 
 use crate::dataset::Dataset;
 use crate::models::static_gnn::StaticModel;
-use irnuma_ml::{DecisionTree, Ga, GaParams, TreeParams};
+use irnuma_ml::{loo_predictions, DecisionTree, Ga, GaParams, Presorted, TreeParams};
 use irnuma_nn::GraphData;
 use serde::{Deserialize, Serialize};
 
@@ -121,31 +121,17 @@ impl FlagModel {
         let dim = embeddings[0].len();
         let k = p.feature_subset.min(dim);
 
+        let x = Presorted::new(&embeddings);
+
+        // GA fitness: leave-one-out accuracy of the tree on the selected dims.
         let fitness = |sel: &[usize]| -> f64 {
-            let xs: Vec<Vec<f32>> =
-                embeddings.iter().map(|e| sel.iter().map(|&d| e[d]).collect()).collect();
-            let mut correct = 0usize;
-            for hold in 0..xs.len() {
-                let tx: Vec<Vec<f32>> = xs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != hold)
-                    .map(|(_, v)| v.clone())
-                    .collect();
-                let ty: Vec<usize> =
-                    y.iter().enumerate().filter(|&(i, _)| i != hold).map(|(_, &v)| v).collect();
-                let t = DecisionTree::fit(&tx, &ty, TreeParams::default());
-                if t.predict(&xs[hold]) == y[hold] {
-                    correct += 1;
-                }
-            }
-            correct as f64 / xs.len() as f64
+            let preds = loo_predictions(&x, sel, &y, TreeParams::default());
+            let correct = preds.iter().zip(&y).filter(|(p, t)| p == t).count();
+            correct as f64 / y.len() as f64
         };
         let (selected_dims, _) = Ga::new(p.ga).select_features(dim, k, fitness);
 
-        let xs: Vec<Vec<f32>> =
-            embeddings.iter().map(|e| selected_dims.iter().map(|&d| e[d]).collect()).collect();
-        let tree = DecisionTree::fit(&xs, &y, TreeParams::default());
+        let tree = DecisionTree::fit_presorted(&x, &selected_dims, &y, None, TreeParams::default());
         FlagModel { tree, selected_dims, candidates }
     }
 

@@ -5,7 +5,9 @@
 
 use crate::dataset::Dataset;
 use crate::models::static_gnn::StaticModel;
-use irnuma_ml::{relative_difference, DecisionTree, Ga, GaParams, TreeParams};
+use irnuma_ml::{
+    loo_predictions, relative_difference, DecisionTree, Ga, GaParams, Presorted, TreeParams,
+};
 use serde::{Deserialize, Serialize};
 
 /// Hybrid-model hyper-parameters.
@@ -69,15 +71,14 @@ pub fn inner_cv_needs_labels(
     let mut needs = vec![0usize; train_idx.len()];
     let mut feats: Vec<Vec<f32>> = vec![Vec::new(); train_idx.len()];
     for f in 0..inner_folds {
-        let holdout: Vec<usize> = (f..train_idx.len()).step_by(inner_folds).collect();
         let sub_train: Vec<usize> = train_idx
             .iter()
             .enumerate()
-            .filter(|(i, _)| !holdout.contains(i))
+            .filter(|(i, _)| i % inner_folds != f)
             .map(|(_, &r)| r)
             .collect();
         let sub_model = StaticModel::train(ds, &sub_train, static_params);
-        for &i in &holdout {
+        for i in (f..train_idx.len()).step_by(inner_folds) {
             let r = train_idx[i];
             needs[i] = static_needs_profiling(ds, &sub_model, r, threshold) as usize;
             feats[i] = sub_model.router_features(ds, r);
@@ -101,9 +102,10 @@ impl HybridModel {
             regions = train_idx.len(),
             inner_folds = p.inner_folds
         );
-        let _ = sm; // features come from the inner models, see below
-                    // Inner sub-models use two-thirds of the epochs: enough fidelity
-                    // for honest labels at 40% less cost.
+        // Router features come from the inner sub-models, not from `sm`.
+        let _ = sm;
+        // Inner sub-models use two-thirds of the epochs: enough fidelity
+        // for honest labels at 40% less cost.
         let inner = crate::models::static_gnn::StaticParams {
             epochs: (static_params.epochs * 2 / 3).max(3),
             ..static_params
@@ -112,6 +114,8 @@ impl HybridModel {
             inner_cv_needs_labels(ds, train_idx, p.error_threshold, p.inner_folds, inner);
         let dim = embeddings[0].len();
         let k = p.feature_subset.min(dim);
+        // The embeddings are fixed for the whole GA: sort each column once.
+        let x = Presorted::new(&embeddings);
 
         // The router tree is depth-limited: the training set is ~50 regions
         // and the full-depth CART memorizes it without transferring.
@@ -122,24 +126,11 @@ impl HybridModel {
         // pyeasyga; balancing matters because "needs profiling" is the
         // minority class).
         let fitness = |sel: &[usize]| -> f64 {
-            let xs: Vec<Vec<f32>> =
-                embeddings.iter().map(|e| sel.iter().map(|&d| e[d]).collect()).collect();
             let mut hit = [0usize; 2];
             let mut tot = [0usize; 2];
-            for hold in 0..xs.len() {
-                let tx: Vec<Vec<f32>> = xs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != hold)
-                    .map(|(_, v)| v.clone())
-                    .collect();
-                let ty: Vec<usize> =
-                    y.iter().enumerate().filter(|&(i, _)| i != hold).map(|(_, &v)| v).collect();
-                let t = DecisionTree::fit(&tx, &ty, tree_params);
-                tot[y[hold]] += 1;
-                if t.predict(&xs[hold]) == y[hold] {
-                    hit[y[hold]] += 1;
-                }
+            for (pred, &truth) in loo_predictions(&x, sel, &y, tree_params).into_iter().zip(&y) {
+                tot[truth] += 1;
+                hit[truth] += usize::from(pred == truth);
             }
             let recall = |c: usize| {
                 if tot[c] == 0 {
@@ -152,9 +143,7 @@ impl HybridModel {
         };
         let (selected_dims, _) = Ga::new(p.ga).select_features(dim, k, fitness);
 
-        let xs: Vec<Vec<f32>> =
-            embeddings.iter().map(|e| selected_dims.iter().map(|&d| e[d]).collect()).collect();
-        let tree = DecisionTree::fit(&xs, &y, tree_params);
+        let tree = DecisionTree::fit_presorted(&x, &selected_dims, &y, None, tree_params);
         HybridModel { tree, selected_dims, params: p }
     }
 

@@ -75,6 +75,9 @@ impl Ga {
     }
 
     fn mutate(ind: &mut Individual, n: usize, rng: &mut ChaCha8Rng, rate: f64) {
+        if ind.len() >= n {
+            return; // every feature is selected: nothing to swap in
+        }
         for slot in 0..ind.len() {
             if rng.gen_bool(rate) {
                 loop {
@@ -206,6 +209,12 @@ mod tests {
             sel.iter().filter(|f| planted.contains(f)).count() as f64
         });
         assert!(score >= 4.0, "found {best:?} (score {score})");
+    }
+
+    #[test]
+    fn selecting_every_feature_terminates() {
+        let (best, _) = Ga::new(small()).select_features(6, 6, |sel| sel.len() as f64);
+        assert_eq!(best, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

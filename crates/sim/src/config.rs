@@ -58,8 +58,15 @@ pub struct Config {
 }
 
 impl Config {
-    /// Short stable identifier, e.g. `t32n4-rr-il-pf0b0011`.
+    /// Short stable identifier, e.g. `t32n4-rr-il-pf0b0011` (the
+    /// [`Display`](std::fmt::Display) form).
     pub fn label(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl std::fmt::Display for Config {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let tm = match self.thread_map {
             ThreadMapping::Contiguous => "ct",
             ThreadMapping::RoundRobin => "rr",
@@ -70,7 +77,7 @@ impl Config {
             PageMapping::Interleave => "il",
             PageMapping::Balance => "ba",
         };
-        format!("t{}n{}-{}-{}-pf{:04b}", self.threads, self.nodes, tm, pm, self.prefetch.0)
+        write!(f, "t{}n{}-{}-{}-pf{:04b}", self.threads, self.nodes, tm, pm, self.prefetch.0)
     }
 }
 

@@ -26,6 +26,7 @@ use crate::config::{Config, PageMapping, ThreadMapping};
 use crate::machine::Machine;
 use irnuma_workloads::{AccessPattern, DynamicProfile, InputSize};
 use serde::{Deserialize, Serialize};
+use std::fmt::{self, Write as _};
 
 /// Simulated performance counters — the dynamic features of the paper
 /// (Sánchez Barrera's best model uses package power + L3 miss ratio).
@@ -50,14 +51,30 @@ pub struct Measurement {
     pub counters: Counters,
 }
 
-/// FNV-1a, the deterministic seed for all hidden/noise terms.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// FNV-1a, the deterministic seed for all hidden/noise terms. As a
+/// [`fmt::Write`] sink it hashes formatted text without building a `String`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf29ce484222325)
     }
-    h
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+        Ok(())
+    }
+}
+
+fn fnv(s: &str) -> u64 {
+    let mut h = Fnv::new();
+    let _ = h.write_str(s);
+    h.0
 }
 
 /// A uniform in [0, 1) from a hash and a stream index.
@@ -88,7 +105,11 @@ fn pattern_constants(p: AccessPattern) -> (f64, f64, f64) {
 /// Consistent across configurations (it is a property of the region), and
 /// invisible to any model that only sees the IR.
 pub fn effective_profile(region_name: &str, p: &DynamicProfile) -> DynamicProfile {
-    let h = fnv(region_name);
+    perturb(fnv(region_name), p)
+}
+
+/// [`effective_profile`] for the region whose name hashes to `h`.
+fn perturb(h: u64, p: &DynamicProfile) -> DynamicProfile {
     let d = p.dynamic_sensitivity;
     let mut q = p.clone();
     // Working set swells or shrinks at runtime (allocation/input dependent).
@@ -126,7 +147,8 @@ pub fn simulate(
     size: InputSize,
     call: u32,
 ) -> Measurement {
-    let p = effective_profile(region_name, profile);
+    let h = fnv(region_name);
+    let p = perturb(h, profile);
     let (traffic_factor, lat_frac, mlp) = pattern_constants(p.pattern);
     let pf = c.prefetch.aggregate(p.pattern);
 
@@ -236,7 +258,6 @@ pub fn simulate(
 
     // Phase behaviour across calls (visible in Fig. 12 traces): dynamically
     // sensitive regions oscillate between a fast and a slow phase.
-    let h = fnv(region_name);
     let period = 2 + (uniform(h, 6) * 4.0) as u32;
     let phase_mul = if p.dynamic_sensitivity > 0.25 && (call / period) % 2 == 1 {
         1.0 + 0.8 * p.dynamic_sensitivity
@@ -245,8 +266,9 @@ pub fn simulate(
     };
 
     // Deterministic ±2% measurement noise.
-    let nh = fnv(&format!("{region_name}|{}|{call}", c.label()));
-    let noise = 0.98 + 0.04 * uniform(nh, 7);
+    let mut nh = Fnv::new();
+    let _ = write!(nh, "{region_name}|{c}|{call}");
+    let noise = 0.98 + 0.04 * uniform(nh.0, 7);
 
     let seconds = (t_parallel + t_serial) * phase_mul * noise;
 

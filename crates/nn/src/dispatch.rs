@@ -1,26 +1,27 @@
-//! Shape-specialized kernel dispatch with prepacked weights ("JIT-lite").
+//! Kernel dispatch with prepacked weights ("JIT-lite").
 //!
 //! The blocked kernels in [`crate::tensor`] are fully generic over matrix
-//! shape, but the paper's workload hits a handful of hot shapes (hidden
-//! 64/256, 13 labels, per-relation degree skew). This module closes the gap
-//! between generic and shape-tuned kernels without changing a single bit of
-//! output:
+//! shape and compiled for the portable baseline ISA. This module runs the
+//! same arithmetic faster without changing a single bit of output:
 //!
-//! * **Monomorphized matmul kernels** ([`matmul_accumulate_auto`]) — const
-//!   generic column-width variants of the blocked kernel for the common
-//!   shapes. Knowing the width at compile time lets the inner loops hold a
-//!   4-row × 8-column accumulator block entirely in registers across the
-//!   whole `k` sweep (the generic kernel re-loads and re-stores four output
-//!   rows on every `k`), which is where the speedup comes from. Every output
-//!   element still accumulates its terms in exactly the generic kernel's
-//!   order — same zero-skip condition, ascending `k` — so results are
-//!   bit-identical and the dynamic kernel remains a drop-in fallback.
+//! * **Strip kernels per ISA tier** ([`matmul_accumulate_auto`]) — one
+//!   width-agnostic matmul body per operand layout (row-major or packed),
+//!   instantiated once per ISA tier the host may have (baseline, AVX2,
+//!   AVX-512F). `cols` is a runtime stride; the register strips are
+//!   compile-time: 4-row × `JB`-column accumulator blocks (`JB` = 64, 32
+//!   or 16 by tier), then one strip for the remaining multiple of 8
+//!   columns, then a sub-8 tail, each held in registers across the whole
+//!   `k` sweep (the generic kernel re-loads and re-stores four output rows
+//!   on every `k`).
+//!   Every output element still accumulates its terms in exactly the
+//!   generic kernel's order — same zero-skip conditions, ascending `k` — so
+//!   results are bit-identical at every width and every tier.
 //! * **Prepacked weights** ([`ModelPlan`]) — at model load (or once per
-//!   optimizer step in training), each matmul weight is packed into an
-//!   8-wide column-panel layout ([`PackedMatrix`]) so the specialized
-//!   kernels stream it sequentially, and each RGCN layer weight's transpose
-//!   is materialized once for the backward pass — inference and training
-//!   stop re-striding weights per call.
+//!   optimizer step in training), each FC head weight is packed into a
+//!   16-wide column-panel layout ([`PackedMatrix`]) so the strip kernels
+//!   stream it sequentially, and each RGCN layer weight's transpose is
+//!   materialized once for the backward pass — inference and training stop
+//!   re-striding weights per call.
 //! * **Per-relation SpMM strategy** ([`SpmmStrategy`]) — picked from cheap
 //!   degree statistics cached on [`GraphData`]: the CSR row-major gather for
 //!   relations with real fan-in, an edge-major sweep for sparse/tiny
@@ -28,7 +29,9 @@
 //!   edges. Both visit each destination's incoming edges in original
 //!   edge-list order, so they are bit-identical. (A dense-matmul fallback
 //!   and a CSC-staged forward were evaluated and rejected: both reorder
-//!   per-destination sums and would break the bit-identity contract.)
+//!   per-destination sums and would break the bit-identity contract.) The
+//!   per-edge axpy runs in 8-lane chunks plus a scalar tail at the host's
+//!   tier.
 //! * **Plan cache** ([`plan_for`]) — the chosen strategies are memoized per
 //!   graph-shape signature (hidden, classes, layers, per-relation degree
 //!   buckets) with hit/miss counters exposed through `irnuma-obs` and
@@ -75,411 +78,210 @@ pub fn set_dispatch(enabled: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Monomorphized matmul kernels
+// Width-agnostic strip kernels
 // ---------------------------------------------------------------------------
 
 /// Column-panel width of the packed weight layout: 16 f32 lanes — one
 /// 512-bit vector register, or two 256-bit ones.
 const PANEL: usize = 16;
 
-/// The column widths with a monomorphized kernel: the paper's label count
-/// (13), its hidden sizes (64, 256), and the reduced widths the test suite
-/// and smoke configurations run at.
-pub const SPEC_COLS: [usize; 7] = [8, 13, 16, 32, 64, 128, 256];
-
-/// Offset of packed element `b[k][j]` in the layout of [`PackedMatrix`]:
-/// `PANEL`-column panels, `k`-major inside each panel. `j` must be 8-aligned
-/// so an 8-float read never crosses a panel row.
-#[inline(always)]
-fn pack_off(inner: usize, k: usize, j: usize) -> usize {
-    (j / PANEL) * (inner * PANEL) + k * PANEL + (j % PANEL)
+/// Where the `b` operand's row `k`, columns `j..`, live. Both layouts hand
+/// out contiguous runs of `RUN` floats (`RUN = 0` means the whole strip is
+/// one run), so one strip kernel serves both.
+trait Layout {
+    const RUN: usize;
+    fn offset(inner: usize, cols: usize, k: usize, j: usize) -> usize;
 }
 
-/// One 4-row × `W`-column accumulator block over packed `b` (`W` a multiple
-/// of 8, known at compile time so the column loops fully unroll into vector
-/// code), registers-resident across the whole `k` sweep. Per output element
-/// the accumulation order is exactly the generic kernel's: existing output
-/// value first, then ascending `k`, skipping `k` only when all four `a`
-/// values are zero.
-#[inline(always)]
-fn mm_block4<const COLS: usize, const W: usize>(
-    a: &[f32],
-    i: usize,
-    inner: usize,
-    b: &[f32],
-    out: &mut [f32],
-    j0: usize,
-) {
-    let mut acc = [[0.0f32; W]; 4];
-    for (rb, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[(i + rb) * COLS + j0..][..W]);
+/// Plain row-major `inner × cols`: a strip of any width is one run.
+struct RowMajor;
+
+impl Layout for RowMajor {
+    const RUN: usize = 0;
+    #[inline(always)]
+    fn offset(_inner: usize, cols: usize, k: usize, j: usize) -> usize {
+        k * cols + j
     }
-    for k in 0..inner {
-        let a0 = a[i * inner + k];
-        let a1 = a[(i + 1) * inner + k];
-        let a2 = a[(i + 2) * inner + k];
-        let a3 = a[(i + 3) * inner + k];
-        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-            continue; // post-relu activations are often zero
+}
+
+/// [`PackedMatrix`] panels: `PANEL`-column panels, `k`-major inside each.
+/// Runs are 8 floats, so `j` must be 8-aligned and a run never crosses a
+/// panel row.
+struct Panels;
+
+impl Layout for Panels {
+    const RUN: usize = 8;
+    #[inline(always)]
+    fn offset(inner: usize, _cols: usize, k: usize, j: usize) -> usize {
+        (j / PANEL) * (inner * PANEL) + k * PANEL + (j % PANEL)
+    }
+}
+
+/// One operand set of `out += a @ b`: `a` is `rows × inner` row-major, `b`
+/// is `inner × cols` in layout `L`, `out` is `rows × cols` row-major.
+struct Mm<'a> {
+    a: &'a [f32],
+    inner: usize,
+    b: &'a [f32],
+    cols: usize,
+}
+
+impl Mm<'_> {
+    /// The `R` values of `a`'s column `k` for rows `i..i + R`.
+    #[inline(always)]
+    fn a_col<const R: usize>(&self, i: usize, k: usize) -> [f32; R] {
+        std::array::from_fn(|r| self.a[(i + r) * self.inner + k])
+    }
+
+    /// `R` rows × `W` columns (a compile-time strip: a multiple of 8, or
+    /// under 8 for the tail) at column `j0`, accumulated in registers across
+    /// the whole `k` sweep and written back once. Per output element the
+    /// arithmetic is exactly [`matmul_accumulate`]'s: the existing value
+    /// first, then separate multiply and add in ascending `k`, skipping `k`
+    /// only when all `R` values of `a` are zero (its 4-row and 1-row tests).
+    #[inline(always)]
+    fn strip<L: Layout, const R: usize, const W: usize>(
+        &self,
+        i: usize,
+        out: &mut [f32],
+        j0: usize,
+    ) {
+        let run = if L::RUN == 0 { W } else { L::RUN.min(W) };
+        let mut acc = [[0.0f32; W]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&out[(i + r) * self.cols + j0..][..W]);
         }
-        for p in 0..W / 8 {
-            let off = pack_off(inner, k, j0 + p * 8);
-            let brow = &b[off..off + 8];
-            for jj in 0..8 {
-                let bv = brow[jj];
-                acc[0][p * 8 + jj] += a0 * bv;
-                acc[1][p * 8 + jj] += a1 * bv;
-                acc[2][p * 8 + jj] += a2 * bv;
-                acc[3][p * 8 + jj] += a3 * bv;
+        for k in 0..self.inner {
+            let av = self.a_col::<R>(i, k);
+            if av.iter().all(|&v| v == 0.0) {
+                continue; // post-relu activations are often zero
+            }
+            for p in (0..W).step_by(run) {
+                let off = L::offset(self.inner, self.cols, k, j0 + p);
+                for (j, &bv) in self.b[off..off + run].iter().enumerate() {
+                    for (row, &x) in acc.iter_mut().zip(&av) {
+                        row[p + j] += x * bv;
+                    }
+                }
             }
         }
+        for (r, row) in acc.iter().enumerate() {
+            out[(i + r) * self.cols + j0..][..W].copy_from_slice(row);
+        }
     }
-    for (rb, row) in acc.iter().enumerate() {
-        out[(i + rb) * COLS + j0..][..W].copy_from_slice(row);
+
+    /// Rows `i..i + R` across every column: `JB`-wide strips, then one
+    /// strip of the remaining multiple of 8 (8 to `JB − 8` wide), then the
+    /// sub-8 tail as one strip of its exact width.
+    #[inline(always)]
+    fn rows<L: Layout, const R: usize, const JB: usize>(&self, i: usize, out: &mut [f32]) {
+        let mut j0 = 0;
+        while j0 + JB <= self.cols {
+            self.strip::<L, R, JB>(i, out, j0);
+            j0 += JB;
+        }
+        // What is left is narrower than `JB`: its multiple-of-8 part in one
+        // strip (one `k` sweep, not one per power of two), then the rest.
+        match (self.cols - j0) / 8 {
+            0 => {}
+            1 => self.strip::<L, R, 8>(i, out, j0),
+            2 => self.strip::<L, R, 16>(i, out, j0),
+            3 => self.strip::<L, R, 24>(i, out, j0),
+            4 => self.strip::<L, R, 32>(i, out, j0),
+            5 => self.strip::<L, R, 40>(i, out, j0),
+            6 => self.strip::<L, R, 48>(i, out, j0),
+            _ => self.strip::<L, R, 56>(i, out, j0),
+        }
+        j0 += (self.cols - j0) / 8 * 8;
+        match self.cols - j0 {
+            0 => {}
+            1 => self.strip::<L, R, 1>(i, out, j0),
+            2 => self.strip::<L, R, 2>(i, out, j0),
+            3 => self.strip::<L, R, 3>(i, out, j0),
+            4 => self.strip::<L, R, 4>(i, out, j0),
+            5 => self.strip::<L, R, 5>(i, out, j0),
+            6 => self.strip::<L, R, 6>(i, out, j0),
+            7 => self.strip::<L, R, 7>(i, out, j0),
+            _ => unreachable!("strips leave fewer than 8 columns"),
+        }
     }
 }
 
-/// 4-row sub-panel tail (`w < 8` at runtime): same skip rule as
-/// [`mm_block4`].
+/// The one matmul body: 4-row blocks, then single rows, each swept in
+/// register strips. `JB` is the widest strip whose 4 × `JB` accumulator
+/// fits the tier's vector register file (AVX-512: 4 × 64 floats in 16 of 32
+/// zmm; AVX2: 4 × 32 in all 16 ymm, `b` reloads from L1; baseline: 16).
+/// `inline(always)` so the ISA wrappers below recompile it at their vector
+/// width; LLVM only widens the independent column lanes and never contracts
+/// to FMA, so every tier is bit-identical to [`matmul_accumulate`].
 #[inline(always)]
-fn mm_tail4<const COLS: usize>(
-    a: &[f32],
-    i: usize,
-    inner: usize,
-    b: &[f32],
-    out: &mut [f32],
-    j0: usize,
-    w: usize,
-) {
-    let mut acc = [[0.0f32; 8]; 4];
-    for (rb, row) in acc.iter_mut().enumerate() {
-        row[..w].copy_from_slice(&out[(i + rb) * COLS + j0..][..w]);
-    }
-    for k in 0..inner {
-        let a0 = a[i * inner + k];
-        let a1 = a[(i + 1) * inner + k];
-        let a2 = a[(i + 2) * inner + k];
-        let a3 = a[(i + 3) * inner + k];
-        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-            continue;
-        }
-        let off = pack_off(inner, k, j0);
-        for (jj, &bv) in b[off..off + w].iter().enumerate() {
-            acc[0][jj] += a0 * bv;
-            acc[1][jj] += a1 * bv;
-            acc[2][jj] += a2 * bv;
-            acc[3][jj] += a3 * bv;
-        }
-    }
-    for (rb, row) in acc.iter().enumerate() {
-        out[(i + rb) * COLS + j0..][..w].copy_from_slice(&row[..w]);
-    }
-}
-
-/// Single-row `W`-column block over packed `b`: same per-row zero-skip as
-/// the generic kernel's tail.
-#[inline(always)]
-fn mm_row1<const COLS: usize, const W: usize>(
-    arow: &[f32],
-    inner: usize,
-    b: &[f32],
-    dst: &mut [f32],
-    j0: usize,
-) {
-    let mut acc = [0.0f32; W];
-    acc.copy_from_slice(&dst[j0..j0 + W]);
-    for (k, &av) in arow.iter().enumerate() {
-        if av == 0.0 {
-            continue;
-        }
-        for p in 0..W / 8 {
-            let off = pack_off(inner, k, j0 + p * 8);
-            for (jj, &bv) in b[off..off + 8].iter().enumerate() {
-                acc[p * 8 + jj] += av * bv;
-            }
-        }
-    }
-    dst[j0..j0 + W].copy_from_slice(&acc);
-}
-
-/// Single-row sub-panel tail (`w < 8` at runtime).
-#[inline(always)]
-fn mm_tail1<const COLS: usize>(
-    arow: &[f32],
-    inner: usize,
-    b: &[f32],
-    dst: &mut [f32],
-    j0: usize,
-    w: usize,
-) {
-    let mut acc = [0.0f32; 8];
-    acc[..w].copy_from_slice(&dst[j0..j0 + w]);
-    for (k, &av) in arow.iter().enumerate() {
-        if av == 0.0 {
-            continue;
-        }
-        let off = pack_off(inner, k, j0);
-        for (jj, &bv) in b[off..off + w].iter().enumerate() {
-            acc[jj] += av * bv;
-        }
-    }
-    dst[j0..j0 + w].copy_from_slice(&acc[..w]);
-}
-
-/// `out += a @ b` over a [`PackedMatrix`] with `COLS` known at compile time.
-/// Bit-identical to [`matmul_accumulate`] (proven by
-/// `tests/dispatch_equivalence.rs`). `WIDE` turns on 32-column blocks (8
-/// 512-bit accumulators) — profitable only on the AVX-512 instantiation;
-/// narrower ISAs would spill. `inline(always)` so the ISA wrappers below
-/// recompile this body under their wider vector features.
-#[inline(always)]
-fn mm_pack_body<const COLS: usize, const WIDE: bool>(
+fn mm_body<L: Layout, const JB: usize>(
     a: &[f32],
     rows: usize,
     inner: usize,
     b: &[f32],
+    cols: usize,
     out: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), rows * inner);
-    debug_assert_eq!(out.len(), rows * COLS);
-    // Column split, const-folded per COLS: 64- then 32-wide blocks (if
-    // WIDE), then at most one 16-wide, one 8-wide, and a <8 sub-panel tail.
-    // Wider blocks amortize the per-`k` loads of `a` and the zero test over
-    // more vector work, and re-stream `a` fewer times.
-    let w64 = if WIDE { COLS / 64 * 64 } else { 0 };
-    let w32 = w64 + if WIDE { (COLS - w64) / 32 * 32 } else { 0 };
-    let w16 = w32 + (COLS - w32) / 16 * 16;
-    let w8 = w16 + (COLS - w16) / 8 * 8;
-
-    let full_rows = rows / 4 * 4;
-    let mut i = 0;
-    while i < full_rows {
-        let mut j0 = 0;
-        while j0 < w64 {
-            mm_block4::<COLS, 64>(a, i, inner, b, out, j0);
-            j0 += 64;
-        }
-        while j0 < w32 {
-            mm_block4::<COLS, 32>(a, i, inner, b, out, j0);
-            j0 += 32;
-        }
-        while j0 < w16 {
-            mm_block4::<COLS, 16>(a, i, inner, b, out, j0);
-            j0 += 16;
-        }
-        while j0 < w8 {
-            mm_block4::<COLS, 8>(a, i, inner, b, out, j0);
-            j0 += 8;
-        }
-        if j0 < COLS {
-            mm_tail4::<COLS>(a, i, inner, b, out, j0, COLS - j0);
-        }
-        i += 4;
-    }
-    for i in full_rows..rows {
-        let arow = &a[i * inner..(i + 1) * inner];
-        let dst = &mut out[i * COLS..(i + 1) * COLS];
-        let mut j0 = 0;
-        while j0 < w64 {
-            mm_row1::<COLS, 64>(arow, inner, b, dst, j0);
-            j0 += 64;
-        }
-        while j0 < w32 {
-            mm_row1::<COLS, 32>(arow, inner, b, dst, j0);
-            j0 += 32;
-        }
-        while j0 < w16 {
-            mm_row1::<COLS, 16>(arow, inner, b, dst, j0);
-            j0 += 16;
-        }
-        while j0 < w8 {
-            mm_row1::<COLS, 8>(arow, inner, b, dst, j0);
-            j0 += 8;
-        }
-        if j0 < COLS {
-            mm_tail1::<COLS>(arow, inner, b, dst, j0, COLS - j0);
-        }
-    }
-}
-
-/// Row-major monomorphized body: the generic blocked kernel with `cols`
-/// promoted to a compile-time constant, so LLVM can fully unroll the column
-/// loop (and, in the ISA wrappers, widen it). The generic kernel's
-/// b-row-streaming shape is the right one for row-major operands; the panel
-/// kernels above exist for the packed layout.
-#[inline(always)]
-fn mm_rm_body<const COLS: usize>(a: &[f32], rows: usize, inner: usize, b: &[f32], out: &mut [f32]) {
-    crate::tensor::matmul_accumulate_body(a, rows, inner, b, COLS, out)
-}
-
-/// Column-blocked row-major body for wide outputs. At `COLS ≤ 64` LLVM
-/// register-promotes the streaming kernel's output rows across the whole
-/// `k` loop (the `&mut` slice is `noalias`), but a 4×128+ strip exceeds the
-/// register file and every `k` iteration re-loads and re-stores it — output
-/// traffic grows with `inner`. This variant makes the promotion explicit:
-/// `JB`-column strips of the output are accumulated in locals across all of
-/// `k` and written back once. Per output element the arithmetic — separate
-/// multiply and add, ascending `k`, the streaming kernel's exact 4-row /
-/// 1-row zero-skip tests — is unchanged, so it is bit-identical to
-/// [`mm_rm_body`] at every `JB`. Requires `COLS % JB == 0`.
-#[inline(always)]
-fn mm_rm_wide_body<const COLS: usize, const JB: usize>(
-    a: &[f32],
-    rows: usize,
-    inner: usize,
-    b: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert_eq!(COLS % JB, 0);
-    debug_assert_eq!(a.len(), rows * inner);
-    debug_assert_eq!(b.len(), inner * COLS);
-    debug_assert_eq!(out.len(), rows * COLS);
-
+    debug_assert_eq!(out.len(), rows * cols);
+    let mm = Mm { a, inner, b, cols };
     let full = rows / 4 * 4;
-    let mut i = 0;
-    while i < full {
-        let mut jb = 0;
-        while jb < COLS {
-            let mut acc = [[0.0f32; JB]; 4];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                accr.copy_from_slice(&out[(i + r) * COLS + jb..][..JB]);
-            }
-            for k in 0..inner {
-                let a0 = a[i * inner + k];
-                let a1 = a[(i + 1) * inner + k];
-                let a2 = a[(i + 2) * inner + k];
-                let a3 = a[(i + 3) * inner + k];
-                if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                    continue; // same skip as the streaming kernel
-                }
-                let brow: &[f32; JB] = b[k * COLS + jb..][..JB].try_into().expect("strip");
-                for (j, &bv) in brow.iter().enumerate() {
-                    acc[0][j] += a0 * bv;
-                    acc[1][j] += a1 * bv;
-                    acc[2][j] += a2 * bv;
-                    acc[3][j] += a3 * bv;
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                out[(i + r) * COLS + jb..][..JB].copy_from_slice(accr);
-            }
-            jb += JB;
-        }
-        i += 4;
+    for i in (0..full).step_by(4) {
+        mm.rows::<L, 4, JB>(i, out);
     }
-
     for i in full..rows {
-        let mut jb = 0;
-        while jb < COLS {
-            let mut acc = [0.0f32; JB];
-            acc.copy_from_slice(&out[i * COLS + jb..][..JB]);
-            for k in 0..inner {
-                let av = a[i * inner + k];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow: &[f32; JB] = b[k * COLS + jb..][..JB].try_into().expect("strip");
-                for (j, &bv) in brow.iter().enumerate() {
-                    acc[j] += av * bv;
-                }
-            }
-            out[i * COLS + jb..][..JB].copy_from_slice(&acc);
-            jb += JB;
-        }
+        mm.rows::<L, 1, JB>(i, out);
     }
 }
 
-/// Strip width per ISA: 4 rows × `JB` floats of accumulator must fit the
-/// vector register file (AVX-512: 4×64 = 16 of 32 zmm; AVX2: 4×32 = 16 of
-/// 16 ymm, brow reloads from L1). Widths the preferred strip doesn't divide
-/// drop to a 32-wide strip, then to the streaming kernel — all bit-identical,
-/// so the cascade is purely a speed choice.
-#[inline(always)]
-fn mm_rm_isa_body<const COLS: usize, const JB: usize>(
+fn mm_base<L: Layout>(
     a: &[f32],
     rows: usize,
     inner: usize,
     b: &[f32],
+    cols: usize,
     out: &mut [f32],
 ) {
-    if COLS % JB == 0 {
-        mm_rm_wide_body::<COLS, JB>(a, rows, inner, b, out)
-    } else if COLS % 32 == 0 {
-        mm_rm_wide_body::<COLS, 32>(a, rows, inner, b, out)
-    } else {
-        mm_rm_body::<COLS>(a, rows, inner, b, out)
-    }
+    mm_body::<L, 16>(a, rows, inner, b, cols, out)
 }
 
-/// Baseline-ISA instantiations (whatever vector width the crate was
-/// compiled for — plain x86-64 means SSE2).
-fn mm_rm<const COLS: usize>(a: &[f32], rows: usize, inner: usize, b: &[f32], out: &mut [f32]) {
-    mm_rm_body::<COLS>(a, rows, inner, b, out)
-}
-
-fn mm_pack<const COLS: usize>(a: &[f32], rows: usize, inner: usize, b: &[f32], out: &mut [f32]) {
-    mm_pack_body::<COLS, false>(a, rows, inner, b, out)
-}
-
-/// The same bodies recompiled with 256-bit vectors. The scalar accumulation
-/// per output element is unchanged (separate multiply and add, ascending
-/// `k`) — LLVM only widens the independent column lanes, and never
-/// introduces FMA contraction — so results stay bit-identical. Callers must
-/// have verified `avx2` is available.
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn mm_rm_avx2<const COLS: usize>(
+unsafe fn mm_avx2<L: Layout>(
     a: &[f32],
     rows: usize,
     inner: usize,
     b: &[f32],
+    cols: usize,
     out: &mut [f32],
 ) {
-    mm_rm_isa_body::<COLS, 32>(a, rows, inner, b, out)
+    mm_body::<L, 32>(a, rows, inner, b, cols, out)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mm_pack_avx2<const COLS: usize>(
-    a: &[f32],
-    rows: usize,
-    inner: usize,
-    b: &[f32],
-    out: &mut [f32],
-) {
-    mm_pack_body::<COLS, false>(a, rows, inner, b, out)
-}
-
-/// 512-bit vector instantiations; same bit-identity argument as the AVX2
-/// wrappers. Callers must have verified `avx512f` is available.
+/// # Safety
+///
+/// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn mm_rm_avx512<const COLS: usize>(
+unsafe fn mm_avx512<L: Layout>(
     a: &[f32],
     rows: usize,
     inner: usize,
     b: &[f32],
+    cols: usize,
     out: &mut [f32],
 ) {
-    mm_rm_isa_body::<COLS, 64>(a, rows, inner, b, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn mm_pack_avx512<const COLS: usize>(
-    a: &[f32],
-    rows: usize,
-    inner: usize,
-    b: &[f32],
-    out: &mut [f32],
-) {
-    mm_pack_body::<COLS, true>(a, rows, inner, b, out)
+    mm_body::<L, 64>(a, rows, inner, b, cols, out)
 }
 
 /// Vector ISA detected at runtime, cached: 1 = crate baseline, 2 = AVX2,
 /// 3 = AVX-512F (0 = not probed yet). This is the "JIT" half of JIT-lite:
-/// the binary is compiled for a portable baseline, but the dispatch table
-/// hands out kernels recompiled for whatever the host actually has.
+/// the binary is compiled for a portable baseline, but dispatch hands out
+/// kernels recompiled for whatever the host actually has.
 static ISA: AtomicU8 = AtomicU8::new(0);
 
 fn isa_level() -> u8 {
@@ -502,49 +304,27 @@ fn isa_level() -> u8 {
     }
 }
 
-type MmFn = fn(&[f32], usize, usize, &[f32], &mut [f32]);
+type MmFn = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
 
-/// Kernel for one (width, layout) pair at the detected ISA level. The
-/// non-capturing closures around the `unsafe` wrappers are sound because
-/// they are only ever handed out after [`isa_level`] has verified the
-/// feature.
-fn pick_mm<const COLS: usize, const PACKED: bool>() -> MmFn {
+/// The layout-`L` kernel at ISA tier `tier`, which must not exceed the
+/// host's [`isa_level`]: callers pass `isa_level()` itself or a
+/// [`KernelTier`], whose private tier only [`host_kernel_tiers`] creates.
+fn mm_at<L: Layout>(tier: u8) -> MmFn {
+    debug_assert!(tier <= isa_level());
+    // SAFETY (both arms): `tier <= isa_level()`, and `isa_level` returned
+    // 3 or 2 only after detecting AVX-512F or AVX2 on this CPU.
     #[cfg(target_arch = "x86_64")]
-    {
-        match (isa_level(), PACKED) {
-            (3, true) => return |a, r, i, b, o| unsafe { mm_pack_avx512::<COLS>(a, r, i, b, o) },
-            (3, false) => return |a, r, i, b, o| unsafe { mm_rm_avx512::<COLS>(a, r, i, b, o) },
-            (2, true) => return |a, r, i, b, o| unsafe { mm_pack_avx2::<COLS>(a, r, i, b, o) },
-            (2, false) => return |a, r, i, b, o| unsafe { mm_rm_avx2::<COLS>(a, r, i, b, o) },
-            _ => {}
-        }
+    match tier {
+        3 => return |a, r, i, b, c, o| unsafe { mm_avx512::<L>(a, r, i, b, c, o) },
+        2 => return |a, r, i, b, c, o| unsafe { mm_avx2::<L>(a, r, i, b, c, o) },
+        _ => {}
     }
-    if PACKED {
-        mm_pack::<COLS>
-    } else {
-        mm_rm::<COLS>
-    }
+    mm_base::<L>
 }
 
-/// The dispatch table: a monomorphized kernel for each supported column
-/// width (`PACKED` selects the operand layout), at the best ISA the host
-/// supports.
-fn spec_mm<const PACKED: bool>(cols: usize) -> Option<MmFn> {
-    Some(match cols {
-        8 => pick_mm::<8, PACKED>(),
-        13 => pick_mm::<13, PACKED>(),
-        16 => pick_mm::<16, PACKED>(),
-        32 => pick_mm::<32, PACKED>(),
-        64 => pick_mm::<64, PACKED>(),
-        128 => pick_mm::<128, PACKED>(),
-        256 => pick_mm::<256, PACKED>(),
-        _ => return None,
-    })
-}
-
-/// `out += a @ b` (row-major `b`), routed through the monomorphized kernel
-/// when dispatch is on and `cols` has one, the generic blocked kernel
-/// otherwise. Always bit-identical to [`matmul_accumulate`].
+/// `out += a @ b` (row-major `b`), through the strip kernel at the host's
+/// best ISA tier when dispatch is on, the generic blocked kernel otherwise.
+/// Always bit-identical to [`matmul_accumulate`].
 pub fn matmul_accumulate_auto(
     a: &[f32],
     rows: usize,
@@ -555,12 +335,10 @@ pub fn matmul_accumulate_auto(
 ) {
     let _f = irnuma_obs::profile_frame!("kernel.matmul");
     if dispatch_enabled() {
-        if let Some(f) = spec_mm::<false>(cols) {
-            if irnuma_obs::telemetry_enabled() {
-                irnuma_obs::counter!("dispatch.matmul_spec").inc(1);
-            }
-            return f(a, rows, inner, b, out);
+        if irnuma_obs::telemetry_enabled() {
+            irnuma_obs::counter!("dispatch.matmul_spec").inc(1);
         }
+        return mm_at::<RowMajor>(isa_level())(a, rows, inner, b, cols, out);
     }
     if irnuma_obs::telemetry_enabled() {
         irnuma_obs::counter!("dispatch.matmul_generic").inc(1);
@@ -810,9 +588,9 @@ pub fn ln_pool_rows(
 /// A weight matrix repacked into [`PANEL`]-wide column panels: panel `p`
 /// holds columns `p*PANEL .. (p+1)*PANEL` for all `inner` rows contiguously
 /// (`k`-major within the panel), the last panel zero-padded to the full
-/// width. The monomorphized kernels stream a panel sequentially instead of
-/// striding `cols × 4` bytes per `k`. Values are unchanged — only the
-/// layout moves — so packed products stay bit-identical.
+/// width. The strip kernels stream a panel sequentially instead of striding
+/// `cols × 4` bytes per `k`. Values are unchanged — only the layout moves —
+/// so packed products stay bit-identical.
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
     pub inner: usize,
@@ -821,42 +599,71 @@ pub struct PackedMatrix {
 }
 
 impl PackedMatrix {
-    /// Pack a row-major `inner × cols` matrix. Only widths in [`SPEC_COLS`]
-    /// have a packed kernel; callers gate on [`spec_cols_supported`].
+    /// Pack a row-major `inner × cols` matrix.
     pub fn pack(b: &[f32], inner: usize, cols: usize) -> PackedMatrix {
         assert_eq!(b.len(), inner * cols, "shape/data mismatch");
         let panels = cols.div_ceil(PANEL);
         let mut data = vec![0.0f32; panels * inner * PANEL];
         for (k, row) in b.chunks_exact(cols).enumerate() {
             for (j, &v) in row.iter().enumerate() {
-                data[(j / PANEL) * (inner * PANEL) + k * PANEL + (j % PANEL)] = v;
+                data[Panels::offset(inner, cols, k, j)] = v;
             }
         }
         PackedMatrix { inner, cols, data }
     }
 }
 
-/// Whether `cols` has a monomorphized (and packed) kernel variant.
-pub fn spec_cols_supported(cols: usize) -> bool {
-    SPEC_COLS.contains(&cols)
-}
-
 /// `out += a @ b` where `b` was packed with [`PackedMatrix::pack`].
 pub fn matmul_accumulate_packed(a: &[f32], rows: usize, pm: &PackedMatrix, out: &mut [f32]) {
     let _f = irnuma_obs::profile_frame!("kernel.matmul_packed");
-    let f = spec_mm::<true>(pm.cols)
-        .unwrap_or_else(|| panic!("no packed kernel for width {}", pm.cols));
     if irnuma_obs::telemetry_enabled() {
         irnuma_obs::counter!("dispatch.matmul_packed").inc(1);
     }
-    f(a, rows, pm.inner, &pm.data, out);
+    KernelTier(isa_level()).matmul_packed(a, rows, pm, out)
+}
+
+/// One ISA tier's kernel instantiations (1 = baseline, 2 = AVX2, 3 =
+/// AVX-512F). Dispatch always runs the host's best tier; this handle lets
+/// the equivalence tests call every tier the host can run directly.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelTier(u8);
+
+/// Every kernel tier this host can run, baseline first.
+#[doc(hidden)]
+pub fn host_kernel_tiers() -> Vec<KernelTier> {
+    (1..=isa_level()).map(KernelTier).collect()
+}
+
+impl KernelTier {
+    /// `out += a @ b`, row-major `b`.
+    pub fn matmul(
+        self,
+        a: &[f32],
+        rows: usize,
+        inner: usize,
+        b: &[f32],
+        cols: usize,
+        out: &mut [f32],
+    ) {
+        mm_at::<RowMajor>(self.0)(a, rows, inner, b, cols, out)
+    }
+
+    /// `out += a @ b`, packed `b`.
+    pub fn matmul_packed(self, a: &[f32], rows: usize, pm: &PackedMatrix, out: &mut [f32]) {
+        mm_at::<Panels>(self.0)(a, rows, pm.inner, &pm.data, pm.cols, out)
+    }
+
+    /// `out += w * src` over `out.len()` lanes.
+    pub fn axpy(self, out: &mut [f32], w: f32, src: &[f32]) {
+        axpy_at(self.0)(out, w, src)
+    }
 }
 
 /// One parameter's prepacked forms on a [`ModelPlan`].
 #[derive(Debug, Clone)]
 pub struct PackedParam {
-    /// Column-panel layout for the forward product (only for widths with a
-    /// packed kernel).
+    /// Column-panel layout for the forward product (FC head weights only).
     pub fwd: Option<PackedMatrix>,
     /// Row-major transpose for the backward `dx += dy @ Wᵀ` product,
     /// materialized once instead of per graph.
@@ -877,7 +684,7 @@ impl ModelPlan {
     /// Build the inference plan: panel-pack the FC head weights, whose
     /// forward products are 1-row (pooled features) — the shape where the
     /// packed kernels beat streaming the row-major weight. The n-row layer
-    /// products go through the monomorphized row-major kernels directly, so
+    /// products go through the row-major strip kernels directly, so
     /// packing them would only add build cost. When dispatch is off the
     /// plan is empty and all call sites fall back.
     pub fn build(model: &GnnModel) -> ModelPlan {
@@ -922,8 +729,7 @@ impl ModelPlan {
         for idx in [idx_fc1, idx_fc2] {
             let p = &model.params[idx];
             packed[idx] = Some(PackedParam {
-                fwd: spec_cols_supported(p.cols)
-                    .then(|| PackedMatrix::pack(&p.data, p.rows, p.cols)),
+                fwd: Some(PackedMatrix::pack(&p.data, p.rows, p.cols)),
                 bwd_t: None,
             });
         }
@@ -1011,70 +817,150 @@ pub struct RelView<'a> {
 
 type AxpyFn = fn(&mut [f32], f32, &[f32]);
 
+/// The scalar-order axpy the dispatch-off path runs.
 fn axpy_dyn(out: &mut [f32], w: f32, src: &[f32]) {
     for (o, &v) in out.iter_mut().zip(src) {
         *o += w * v;
     }
 }
 
-/// The one shared axpy body, re-instantiated inside each `#[target_feature]`
-/// wrapper below. Per-lane multiply-then-add in ascending index order: wider
-/// vectors change how many lanes run per instruction, never the per-element
-/// arithmetic, so every instantiation is bit-identical (rustc emits strict
-/// IR — LLVM will not contract to FMA).
+/// `out += w * src` in 8-lane chunks plus a scalar tail, re-instantiated by
+/// the ISA wrappers below. Per-lane multiply-then-add: wider vectors change
+/// how many lanes run per instruction, never the per-element arithmetic, so
+/// every tier is bit-identical to [`axpy_dyn`].
 #[inline(always)]
-fn axpy_body<const D: usize>(out: &mut [f32], w: f32, src: &[f32]) {
-    let out: &mut [f32; D] = (&mut out[..D]).try_into().expect("row width");
-    let src: &[f32; D] = src[..D].try_into().expect("row width");
-    for (o, &v) in out.iter_mut().zip(src) {
+fn axpy_body(out: &mut [f32], w: f32, src: &[f32]) {
+    let src = &src[..out.len()];
+    let mut outs = out.chunks_exact_mut(8);
+    let mut srcs = src.chunks_exact(8);
+    for (o, s) in (&mut outs).zip(&mut srcs) {
+        let o: &mut [f32; 8] = o.try_into().expect("8 lanes");
+        let s: &[f32; 8] = s.try_into().expect("8 lanes");
+        for (o, &v) in o.iter_mut().zip(s) {
+            *o += w * v;
+        }
+    }
+    for (o, &v) in outs.into_remainder().iter_mut().zip(srcs.remainder()) {
         *o += w * v;
     }
 }
 
-fn axpy_spec<const D: usize>(out: &mut [f32], w: f32, src: &[f32]) {
-    axpy_body::<D>(out, w, src)
-}
+isa_wrap!(axpy_base, axpy_avx2, axpy_avx512, axpy_body, (out: &mut [f32], w: f32, src: &[f32]));
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_spec_avx2<const D: usize>(out: &mut [f32], w: f32, src: &[f32]) {
-    axpy_body::<D>(out, w, src)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn axpy_spec_avx512<const D: usize>(out: &mut [f32], w: f32, src: &[f32]) {
-    axpy_body::<D>(out, w, src)
-}
-
-/// The widest [`axpy_body`] instantiation this CPU can run (same selection
-/// story as [`pick_mm`]; the closures are sound because they are only handed
-/// out after feature detection).
-fn pick_axpy<const D: usize>() -> AxpyFn {
+/// The standalone axpy at ISA tier `tier` — the body the SpMM loops below
+/// inline, exposed through [`KernelTier::axpy`] (same soundness story as
+/// [`mm_at`]).
+fn axpy_at(tier: u8) -> AxpyFn {
+    debug_assert!(tier <= isa_level());
+    // SAFETY (both arms): as in `mm_at`, the tier was detected on this CPU.
     #[cfg(target_arch = "x86_64")]
-    match isa_level() {
-        3 => return |out, w, src| unsafe { axpy_spec_avx512::<D>(out, w, src) },
-        2 => return |out, w, src| unsafe { axpy_spec_avx2::<D>(out, w, src) },
+    match tier {
+        3 => return |out, w, src| unsafe { axpy_avx512(out, w, src) },
+        2 => return |out, w, src| unsafe { axpy_avx2(out, w, src) },
         _ => {}
     }
-    axpy_spec::<D>
+    axpy_base
 }
 
-/// Row-width-specialized `out += w * src` for the SpMM inner loop.
-fn axpy_for(d: usize) -> AxpyFn {
+/// Both SpMM directions over one relation, with the per-edge axpy inlined.
+/// Forward: `out[dst] = Σ w_e · x[src_e]`, overwriting `out[..n*d]`, with
+/// `rel.rows` destination-grouped. Backward: `out[src] += Σ w_e · x[dst_e]`,
+/// accumulating, with `rel.rows` the source-grouped CSC mirror. Both
+/// strategies visit each output row's terms in original edge order, so they
+/// are bit-identical.
+#[inline(always)]
+fn spmm_body<const FORWARD: bool>(
+    strategy: SpmmStrategy,
+    rel: RelView<'_>,
+    x: &[f32],
+    n: usize,
+    d: usize,
+    out: &mut [f32],
+    axpy: impl Fn(&mut [f32], f32, &[f32]),
+) {
+    match strategy {
+        SpmmStrategy::CsrGather => {
+            for i in 0..n {
+                let (nbrs, ws) = rel.rows.row(i);
+                let row = &mut out[i * d..(i + 1) * d];
+                if FORWARD {
+                    row.fill(0.0);
+                }
+                for (&j, &w) in nbrs.iter().zip(ws) {
+                    axpy(row, w, &x[j as usize * d..(j as usize + 1) * d]);
+                }
+            }
+        }
+        SpmmStrategy::EdgeMajor => {
+            if FORWARD {
+                out[..n * d].fill(0.0);
+            }
+            for (&(s, t), &w) in rel.edges.iter().zip(rel.norm) {
+                let (to, from) = if FORWARD { (t, s) } else { (s, t) };
+                let (to, from) = (to as usize, from as usize);
+                axpy(&mut out[to * d..(to + 1) * d], w, &x[from * d..(from + 1) * d]);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn spmm_vec(
+    forward: bool,
+    strategy: SpmmStrategy,
+    rel: RelView<'_>,
+    x: &[f32],
+    n: usize,
+    d: usize,
+    out: &mut [f32],
+) {
+    if forward {
+        spmm_body::<true>(strategy, rel, x, n, d, out, axpy_body)
+    } else {
+        spmm_body::<false>(strategy, rel, x, n, d, out, axpy_body)
+    }
+}
+
+isa_wrap!(
+    spmm_base,
+    spmm_avx2,
+    spmm_avx512,
+    spmm_vec,
+    (forward: bool, strategy: SpmmStrategy, rel: RelView<'_>, x: &[f32], n: usize, d: usize, out: &mut [f32])
+);
+
+/// One SpMM at the host's best tier (the edge loop is instantiated per
+/// tier, so the axpy inlines instead of costing a call per edge), or over
+/// the scalar axpy when dispatch is off.
+fn spmm(
+    forward: bool,
+    strategy: SpmmStrategy,
+    rel: RelView<'_>,
+    x: &[f32],
+    n: usize,
+    d: usize,
+    out: &mut [f32],
+) {
+    if irnuma_obs::telemetry_enabled() {
+        match strategy {
+            SpmmStrategy::CsrGather => irnuma_obs::counter!("dispatch.spmm_csr").inc(1),
+            SpmmStrategy::EdgeMajor => irnuma_obs::counter!("dispatch.spmm_edge").inc(1),
+        }
+    }
     if !dispatch_enabled() {
-        return axpy_dyn;
+        return match forward {
+            true => spmm_body::<true>(strategy, rel, x, n, d, out, axpy_dyn),
+            false => spmm_body::<false>(strategy, rel, x, n, d, out, axpy_dyn),
+        };
     }
-    match d {
-        8 => pick_axpy::<8>(),
-        13 => pick_axpy::<13>(),
-        16 => pick_axpy::<16>(),
-        32 => pick_axpy::<32>(),
-        64 => pick_axpy::<64>(),
-        128 => pick_axpy::<128>(),
-        256 => pick_axpy::<256>(),
-        _ => axpy_dyn,
+    // SAFETY (both arms): `isa_level` detected the feature on this CPU.
+    #[cfg(target_arch = "x86_64")]
+    match isa_level() {
+        3 => return unsafe { spmm_avx512(forward, strategy, rel, x, n, d, out) },
+        2 => return unsafe { spmm_avx2(forward, strategy, rel, x, n, d, out) },
+        _ => {}
     }
+    spmm_base(forward, strategy, rel, x, n, d, out)
 }
 
 /// Forward SpMM: `out[dst] = Σ w_e · h[src_e]` over one relation,
@@ -1089,32 +975,7 @@ pub fn spmm_forward(
     out: &mut [f32],
 ) {
     let _f = irnuma_obs::profile_frame!("kernel.spmm");
-    let axpy = axpy_for(d);
-    if irnuma_obs::telemetry_enabled() {
-        match strategy {
-            SpmmStrategy::CsrGather => irnuma_obs::counter!("dispatch.spmm_csr").inc(1),
-            SpmmStrategy::EdgeMajor => irnuma_obs::counter!("dispatch.spmm_edge").inc(1),
-        }
-    }
-    match strategy {
-        SpmmStrategy::CsrGather => {
-            for i in 0..n {
-                let (srcs, ws) = rel.rows.row(i);
-                let row = &mut out[i * d..(i + 1) * d];
-                row.fill(0.0);
-                for (&s, &w) in srcs.iter().zip(ws) {
-                    axpy(row, w, &h[s as usize * d..(s as usize + 1) * d]);
-                }
-            }
-        }
-        SpmmStrategy::EdgeMajor => {
-            out[..n * d].fill(0.0);
-            for (&(s, dst), &w) in rel.edges.iter().zip(rel.norm) {
-                let (s, dst) = (s as usize, dst as usize);
-                axpy(&mut out[dst * d..(dst + 1) * d], w, &h[s * d..(s + 1) * d]);
-            }
-        }
-    }
+    spmm(true, strategy, rel, h, n, d, out)
 }
 
 /// Backward SpMM: `out[src] += Σ w_e · term[dst_e]` over one relation,
@@ -1130,30 +991,7 @@ pub fn spmm_backward(
     out: &mut [f32],
 ) {
     let _f = irnuma_obs::profile_frame!("kernel.spmm_backward");
-    let axpy = axpy_for(d);
-    if irnuma_obs::telemetry_enabled() {
-        match strategy {
-            SpmmStrategy::CsrGather => irnuma_obs::counter!("dispatch.spmm_csr").inc(1),
-            SpmmStrategy::EdgeMajor => irnuma_obs::counter!("dispatch.spmm_edge").inc(1),
-        }
-    }
-    match strategy {
-        SpmmStrategy::CsrGather => {
-            for i in 0..n {
-                let (dsts, ws) = rel.rows.row(i);
-                let row = &mut out[i * d..(i + 1) * d];
-                for (&dst, &w) in dsts.iter().zip(ws) {
-                    axpy(row, w, &term[dst as usize * d..(dst as usize + 1) * d]);
-                }
-            }
-        }
-        SpmmStrategy::EdgeMajor => {
-            for (&(s, dst), &w) in rel.edges.iter().zip(rel.norm) {
-                let (s, dst) = (s as usize, dst as usize);
-                axpy(&mut out[s * d..(s + 1) * d], w, &term[dst * d..(dst + 1) * d]);
-            }
-        }
-    }
+    spmm(false, strategy, rel, term, n, d, out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1372,55 +1210,61 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// Glorot matrices with zero-heavy `a`: every third entry, every fifth
+    /// column and all of rows 4..8 are zero, so both the 4-row and the
+    /// 1-row skip fire, and some outputs see no nonzero term at all.
     fn random_mats(rows: usize, inner: usize, cols: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut a = Tensor::glorot(rows, inner, &mut rng).data;
-        // Post-relu-style zeros exercise the skip path.
-        for v in a.iter_mut().step_by(3) {
-            *v = 0.0;
+        let inner1 = inner.max(1);
+        for (idx, v) in a.iter_mut().enumerate() {
+            if idx % 3 == 0 || (idx % inner1) % 5 == 0 || (4..8).contains(&(idx / inner1)) {
+                *v = 0.0;
+            }
         }
         let b = Tensor::glorot(inner, cols, &mut rng).data;
         (a, b)
     }
 
+    /// Awkward (rows, inner) shapes: empty operands, row counts around the
+    /// 4-row block, inner sizes around nothing in particular.
+    const SHAPES: [(usize, usize); 6] = [(0, 5), (1, 1), (3, 7), (4, 0), (5, 65), (9, 70)];
+
     #[test]
     fn spec_kernels_match_generic_bitwise_for_every_supported_width() {
-        for &cols in &SPEC_COLS {
-            for &(rows, inner) in &[(1, 1), (3, 7), (4, 64), (5, 65), (9, 130), (12, 13)] {
-                let (a, b) = random_mats(rows, inner, cols, 7 + cols as u64);
-                let mut generic = vec![0.5f32; rows * cols]; // nonzero: += semantics
-                let mut spec = generic.clone();
-                matmul_accumulate(&a, rows, inner, &b, cols, &mut generic);
-                spec_mm::<false>(cols).unwrap()(&a, rows, inner, &b, &mut spec);
-                assert_eq!(spec, generic, "{rows}x{inner}x{cols}");
+        for tier in host_kernel_tiers() {
+            for cols in 1..=300 {
+                for (rows, inner) in SHAPES {
+                    let (a, b) = random_mats(rows, inner, cols, cols as u64);
+                    // -0.0 start: a kernel that adds a skipped zero product
+                    // would flip it to +0.0.
+                    let mut generic = vec![-0.0f32; rows * cols];
+                    let mut strip = generic.clone();
+                    matmul_accumulate(&a, rows, inner, &b, cols, &mut generic);
+                    tier.matmul(&a, rows, inner, &b, cols, &mut strip);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&strip), bits(&generic), "{tier:?} {rows}x{inner}x{cols}");
+                }
             }
         }
     }
 
     #[test]
     fn packed_kernels_match_generic_bitwise() {
-        for &cols in &SPEC_COLS {
-            let (rows, inner) = (7, 33);
-            let (a, b) = random_mats(rows, inner, cols, cols as u64);
-            let mut generic = vec![1.0f32; rows * cols];
-            let mut packed = generic.clone();
-            matmul_accumulate(&a, rows, inner, &b, cols, &mut generic);
-            let pm = PackedMatrix::pack(&b, inner, cols);
-            matmul_accumulate_packed(&a, rows, &pm, &mut packed);
-            assert_eq!(packed, generic, "packed {rows}x{inner}x{cols}");
+        for tier in host_kernel_tiers() {
+            for cols in 1..=300 {
+                for (rows, inner) in SHAPES {
+                    let (a, b) = random_mats(rows, inner, cols, 7 + cols as u64);
+                    let mut generic = vec![-0.0f32; rows * cols];
+                    let mut packed = generic.clone();
+                    matmul_accumulate(&a, rows, inner, &b, cols, &mut generic);
+                    let pm = PackedMatrix::pack(&b, inner, cols);
+                    tier.matmul_packed(&a, rows, &pm, &mut packed);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&packed), bits(&generic), "{tier:?} {rows}x{inner}x{cols}");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn unsupported_widths_fall_back_to_generic() {
-        assert!(spec_mm::<false>(12).is_none());
-        assert!(!spec_cols_supported(12));
-        let (a, b) = random_mats(5, 9, 12, 3);
-        let mut auto = vec![0.0f32; 5 * 12];
-        let mut generic = auto.clone();
-        matmul_accumulate_auto(&a, 5, 9, &b, 12, &mut auto);
-        matmul_accumulate(&a, 5, 9, &b, 12, &mut generic);
-        assert_eq!(auto, generic);
     }
 
     #[test]

@@ -117,22 +117,6 @@ pub fn matmul_accumulate(
     cols: usize,
     out: &mut [f32],
 ) {
-    matmul_accumulate_body(a, rows, inner, b, cols, out)
-}
-
-/// The blocked-kernel body, `inline(always)` so `crate::dispatch` can
-/// re-instantiate it inside `#[target_feature]` wrappers (recompiling the
-/// same scalar code at wider vector widths — bit-identical, since each
-/// output element keeps its separate-multiply-add sequence).
-#[inline(always)]
-pub(crate) fn matmul_accumulate_body(
-    a: &[f32],
-    rows: usize,
-    inner: usize,
-    b: &[f32],
-    cols: usize,
-    out: &mut [f32],
-) {
     debug_assert_eq!(a.len(), rows * inner);
     debug_assert_eq!(b.len(), inner * cols);
     debug_assert_eq!(out.len(), rows * cols);

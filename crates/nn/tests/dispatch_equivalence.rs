@@ -1,14 +1,15 @@
 //! Bit-identity contract of the kernel-dispatch layer: every specialized
-//! path — monomorphized tile kernels, prepacked weight panels, each SpMM
-//! strategy, and the fully planned inference/training passes — must produce
-//! *bit-identical* f32 results to the generic blocked kernels, across
-//! awkward shapes (row counts around block boundaries, odd inner sizes,
-//! post-relu zeros, empty relations, duplicate edges).
+//! path — the strip kernels over row-major and prepacked operands and the
+//! SpMM axpy at every ISA tier the host runs, each SpMM strategy, and the
+//! fully planned inference/training passes — must produce *bit-identical*
+//! f32 results to the generic blocked kernels, across awkward shapes (any
+//! width, row counts around block boundaries, empty operands, post-relu
+//! zeros, empty relations, duplicate edges).
 
 use irnuma_nn::backprop::{fused_loss_grads_threadlocal, GradBuffer};
 use irnuma_nn::dispatch::{
-    matmul_accumulate_auto, spmm_backward, spmm_forward, PackedMatrix, RelView, SpmmStrategy,
-    SPEC_COLS,
+    host_kernel_tiers, matmul_accumulate_auto, matmul_accumulate_packed, spmm_backward,
+    spmm_forward, PackedMatrix, RelView, SpmmStrategy,
 };
 use irnuma_nn::graphdata::NUM_RELATIONS;
 use irnuma_nn::tensor::matmul_accumulate;
@@ -36,13 +37,15 @@ fn graph_strategy() -> impl Strategy<Value = GraphData> {
     )
 }
 
-/// Deterministic pseudo-random matrix with post-relu-style zeros (about a
-/// quarter of entries) to exercise the kernels' zero-skip paths.
-fn mat(len: usize, seed: u64) -> Vec<f32> {
+/// Deterministic pseudo-random matrix in which roughly `zero_pct` percent
+/// of entries, and every entry of each `zero_every`-th column (of a
+/// `width`-wide row-major matrix; 0 for none), are zero: post-relu-style
+/// sparsity that makes both the 4-row and the 1-row zero-skip fire.
+fn mat(len: usize, width: usize, seed: u64, zero_pct: u64, zero_every: usize) -> Vec<f32> {
     (0..len)
         .map(|i| {
             let v = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed) >> 33;
-            if v % 4 == 0 {
+            if v % 100 < zero_pct || (zero_every > 0 && (i % width.max(1)) % zero_every == 0) {
                 0.0
             } else {
                 (v % 1000) as f32 / 250.0 - 2.0
@@ -51,35 +54,79 @@ fn mat(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
-    /// Every supported tile width, dynamic and packed operand layouts,
-    /// across awkward (rows, inner) shapes, accumulating into a nonzero
-    /// output: all three kernels agree bitwise.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any width, any tier the host runs, both operand layouts, through the
+    /// tier handles and through the dispatched entry points, accumulating
+    /// into a start value that includes -0.0 (adding a product the generic
+    /// kernel skips would turn it into +0.0): all agree with the generic
+    /// kernel bit for bit.
     #[test]
     fn tile_variants_and_packed_path_match_generic_bitwise(
-        which in 0usize..SPEC_COLS.len(),
-        rows in 1usize..14,
-        inner in 1usize..70,
-        seed_a in 0u64..1000,
+        cols in 1usize..301,
+        rows in 0usize..10,
+        inner in 0usize..71,
+        zero_pct in 0u64..91,
+        zero_every in 2usize..7,
+        init in prop::sample::select(vec![-0.0f32, 0.0, 0.75, -1.5]),
+        seed in 0u64..1000,
     ) {
-        let cols = SPEC_COLS[which];
-        let a = mat(rows * inner, seed_a);
-        let b = mat(inner * cols, seed_a ^ 0xBEEF);
-        let init: f32 = (seed_a % 7) as f32 * 0.25 - 0.5;
-
-        let mut generic = vec![init; rows * cols];
-        let mut auto = generic.clone();
-        let mut packed = generic.clone();
-        matmul_accumulate(&a, rows, inner, &b, cols, &mut generic);
-        matmul_accumulate_auto(&a, rows, inner, &b, cols, &mut auto);
+        let a = mat(rows * inner, inner, seed, zero_pct, zero_every);
+        let b = mat(inner * cols, cols, seed ^ 0xBEEF, zero_pct / 3, 0);
         let pm = PackedMatrix::pack(&b, inner, cols);
-        irnuma_nn::dispatch::matmul_accumulate_packed(&a, rows, &pm, &mut packed);
+        let mut generic = vec![init; rows * cols];
+        matmul_accumulate(&a, rows, inner, &b, cols, &mut generic);
+        let want = bits(&generic);
 
-        prop_assert_eq!(&auto, &generic, "auto-dispatch {}x{}x{}", rows, inner, cols);
-        prop_assert_eq!(&packed, &generic, "packed {}x{}x{}", rows, inner, cols);
+        for tier in host_kernel_tiers() {
+            let mut out = vec![init; rows * cols];
+            tier.matmul(&a, rows, inner, &b, cols, &mut out);
+            prop_assert_eq!(bits(&out), want.clone(), "{:?} row-major {}x{}x{}", tier, rows, inner, cols);
+            let mut out = vec![init; rows * cols];
+            tier.matmul_packed(&a, rows, &pm, &mut out);
+            prop_assert_eq!(bits(&out), want.clone(), "{:?} packed {}x{}x{}", tier, rows, inner, cols);
+        }
+        let mut auto = vec![init; rows * cols];
+        matmul_accumulate_auto(&a, rows, inner, &b, cols, &mut auto);
+        prop_assert_eq!(bits(&auto), want.clone(), "auto-dispatch {}x{}x{}", rows, inner, cols);
+        let mut packed = vec![init; rows * cols];
+        matmul_accumulate_packed(&a, rows, &pm, &mut packed);
+        prop_assert_eq!(bits(&packed), want, "packed dispatch {}x{}x{}", rows, inner, cols);
     }
+
+    /// The SpMM axpy at every tier equals the scalar loop bit for bit, at
+    /// every length (8-lane chunks plus the scalar tail), zero weights and
+    /// -0.0 accumulators included.
+    #[test]
+    fn axpy_tiers_match_scalar_bitwise(
+        len in 0usize..301,
+        w in prop::sample::select(vec![0.0f32, -0.0, 0.5, -3.25]),
+        seed in 0u64..1000,
+    ) {
+        let src = mat(len, len, seed, 30, 0);
+        let start: Vec<f32> = mat(len, len, seed ^ 7, 30, 0)
+            .into_iter()
+            .map(|v| if v == 0.0 { -0.0 } else { v })
+            .collect();
+        let mut scalar = start.clone();
+        for (o, &v) in scalar.iter_mut().zip(&src) {
+            *o += w * v;
+        }
+        for tier in host_kernel_tiers() {
+            let mut out = start.clone();
+            tier.axpy(&mut out, w, &src);
+            prop_assert_eq!(bits(&out), bits(&scalar), "{:?} len {}", tier, len);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Both SpMM strategies agree bitwise on forward (overwrite) and
     /// backward (accumulate) over random multigraphs.
@@ -110,9 +157,8 @@ proptest! {
 
     /// The fully planned pipelines (prepacked inference, planned fused
     /// training through `FusedEngine`) are bit-identical to the planless
-    /// ones, at widths with a specialized kernel (8), without one (12 —
-    /// exercising the fallback inside an enabled plan), and at the odd
-    /// label-count width.
+    /// ones, at a strip-aligned width (8), at widths that end in the sub-8
+    /// tail (12), and at the odd label-count width (13).
     #[test]
     fn planned_inference_and_training_match_planless_bitwise(
         g in graph_strategy(),

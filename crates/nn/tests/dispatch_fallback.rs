@@ -23,8 +23,8 @@ fn toy_graph(n: u32) -> GraphData {
 
 #[test]
 fn disabling_dispatch_keeps_outputs_bitwise_and_falls_back_everywhere() {
-    // Width 8 has a specialized kernel, so the enabled run truly exercises
-    // the monomorphized + prepacked path.
+    // With dispatch on, the enabled run exercises the strip kernels and the
+    // prepacked head.
     let m = GnnModel::new(GnnConfig {
         vocab_size: 20,
         hidden: 8,

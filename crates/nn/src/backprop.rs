@@ -1,4 +1,5 @@
-//! Tape-free fused forward+backward training engine for the RGCN.
+//! Tape-free fused forward+backward for the RGCN — the one forward pass
+//! training and inference share.
 //!
 //! The autograd tape ([`crate::autograd`]) is a faithful but allocating
 //! oracle: every forward op clones tensors onto the tape (including one
@@ -7,19 +8,21 @@
 //! region graphs through that path every epoch, so the allocations — not
 //! the arithmetic — dominate the epoch.
 //!
-//! This module mirrors the PR 1 inference design for the whole
-//! forward+backward pass:
+//! This module runs Eq. 1 and the Fig. 2 head once, in `forward_into`, for
+//! every caller: [`GnnModel::fused_loss_grads`] follows it with the
+//! backward, and [`crate::infer`] copies its outputs out. The design:
 //!
-//! * **Per-worker scratch.** All activations the backward pass needs
+//! * **Per-thread scratch.** All activations the backward pass needs
 //!   (per-layer hidden states, per-relation message buffers, the residual
 //!   sum) plus every backward temporary live in a reusable [`TrainScratch`],
-//!   grow-only across graphs and epochs. ReLU masks are implicit: the saved
-//!   post-activation `h` is zero exactly where the pre-activation was
-//!   `<= 0`, which is the tape's masking rule.
-//! * **Fused kernels.** The forward shares the shape-dispatched matmul
-//!   kernels ([`crate::dispatch`]) and the cached CSR adjacency with the
-//!   inference engine, so fused forward losses are bit-identical to the
-//!   tape's. The backward stages weight and activation transposes into the
+//!   grow-only across graphs and epochs. The forward sizes only its own
+//!   buffers, so inference never grows the gradient temporaries. ReLU masks
+//!   are implicit: the saved post-activation `h` is zero exactly where the
+//!   pre-activation was `<= 0`, which is the tape's masking rule.
+//! * **Fused kernels.** The forward runs the shape-dispatched matmul,
+//!   SpMM and layer-norm kernels ([`crate::dispatch`]) over the cached CSR
+//!   adjacency, so its outputs are bit-identical to the tape's. The
+//!   backward stages weight and activation transposes into the
 //!   scratch (`xt`/`wt`, no allocation — or reads the plan's prepacked
 //!   transposes when [`FusedEngine::batch_grads`] supplies one) and drives
 //!   the large `dW += xᵀ·dy` / `dx += dy·Wᵀ` products through the same
@@ -44,18 +47,22 @@
 //! asserts fused gradients match `Tape::backward` within `1e-4` across
 //! random graphs, widths, layer counts, and the layer-norm ablation.
 
-use crate::dispatch::{self, matmul_accumulate_auto, plan_matmul, ModelPlan, RelView};
+use crate::dispatch::{self, matmul_accumulate_auto, plan_matmul, GraphPlan, ModelPlan, RelView};
 use crate::graphdata::{GraphData, NUM_RELATIONS};
-use crate::model::GnnModel;
+use crate::model::{GnnModel, ParamLayout};
 use crate::tensor::{
     matmul_transpose_a_accumulate, matmul_transpose_b_accumulate, softmax_into, transpose_into,
 };
 use rayon::prelude::*;
 use std::cell::RefCell;
 
+/// Layer-norm variance epsilon (the tape's value).
+const LN_EPS: f32 = 1e-5;
+
 /// Reusable forward+backward workspace. Buffers grow to the largest
 /// (graph, model) seen and are recycled across graphs and epochs; a fresh
-/// `TrainScratch` is all-empty and valid.
+/// `TrainScratch` is all-empty and valid. Every buffer is fully written
+/// before it is read, so resizing never re-zeroes recycled contents.
 #[derive(Default)]
 pub struct TrainScratch {
     /// Hidden states `h_0..h_L`, each `n×d` (`h_0` is the embedding gather,
@@ -66,12 +73,23 @@ pub struct TrainScratch {
     /// Saved SpMM outputs, `layers × NUM_RELATIONS` buffers of `n×d`
     /// (the `msgs` operand of each relation matmul, needed for `dW_r`).
     msgs: Vec<Vec<f32>>,
-    /// Forward layer accumulator / pre-activation (`n×d`).
+    /// Forward layer accumulator / pre-activation, then the normalized
+    /// rows of the layer norm (`n×d`).
     acc: Vec<f32>,
     /// Shared `n×d` temporary (forward relation term, backward `dmsgs`).
     term: Vec<f32>,
     /// Residual sum `h_1 + h_L` — the layer-norm input (`n×d`).
     res: Vec<f32>,
+    /// The SpMM strategies the forward picked for this graph; the backward
+    /// reuses them.
+    gplan: GraphPlan,
+    /// Head activations (`d` / `classes` sized): the pooled embedding, the
+    /// FC hidden layer, the logits and their softmax.
+    pub(crate) pooled: Vec<f32>,
+    z: Vec<f32>,
+    pub(crate) logits: Vec<f32>,
+    pub(crate) probs: Vec<f32>,
+    // ---- backward only ----
     /// Gradient of the residual sum, kept until the backward walk reaches
     /// `h_1` (`n×d`).
     gres: Vec<f32>,
@@ -93,13 +111,9 @@ pub struct TrainScratch {
     /// into the grad buffer (`d` each).
     dgamma: Vec<f32>,
     dbeta: Vec<f32>,
-    /// Head activations and gradients (`d` / `classes` sized).
-    pooled: Vec<f32>,
-    z: Vec<f32>,
+    /// Head gradients (`d` / `classes` sized).
     gz: Vec<f32>,
     gpooled: Vec<f32>,
-    logits: Vec<f32>,
-    probs: Vec<f32>,
     glogits: Vec<f32>,
 }
 
@@ -108,57 +122,54 @@ impl TrainScratch {
         TrainScratch::default()
     }
 
-    fn reserve(&mut self, layers: usize, n: usize, d: usize, classes: usize) {
+    /// Size the forward buffers for an `n`-node graph. Returns whether they
+    /// already had room (a reuse hit: this call allocates nothing).
+    fn reserve_forward(&mut self, layers: usize, n: usize, d: usize, classes: usize) -> bool {
         let nd = n * d;
-        if irnuma_obs::telemetry_enabled() {
-            if self.ga.capacity() >= nd && self.hs.len() > layers {
-                irnuma_obs::counter!("train.scratch_hits").inc(1);
-            } else {
-                irnuma_obs::counter!("train.scratch_misses").inc(1);
-            }
-        }
+        let hit = self.hs.len() > layers
+            && self.msgs.len() >= layers * NUM_RELATIONS
+            && self.acc.capacity() >= nd;
         self.hs.resize_with(layers + 1, Vec::new);
         self.msgs.resize_with(layers * NUM_RELATIONS, Vec::new);
         for buf in self.hs.iter_mut().chain(self.msgs.iter_mut()) {
-            buf.clear();
             buf.resize(nd, 0.0);
         }
-        for buf in [
-            &mut self.acc,
-            &mut self.term,
-            &mut self.res,
-            &mut self.gres,
-            &mut self.ga,
-            &mut self.gh,
-            &mut self.gpre,
-            &mut self.xt,
-        ] {
-            buf.clear();
+        for buf in [&mut self.acc, &mut self.term, &mut self.res] {
             buf.resize(nd, 0.0);
         }
-        self.wt.clear();
+        self.pooled.resize(d, 0.0);
+        self.z.resize(d, 0.0);
+        self.logits.resize(classes, 0.0);
+        hit
+    }
+
+    /// Size the backward-only buffers; returns whether they already had
+    /// room.
+    fn reserve_backward(&mut self, n: usize, d: usize, classes: usize) -> bool {
+        let nd = n * d;
+        let hit = self.ga.capacity() >= nd;
+        for buf in [&mut self.gres, &mut self.ga, &mut self.gh, &mut self.gpre, &mut self.xt] {
+            buf.resize(nd, 0.0);
+        }
         self.wt.resize(d * d, 0.0);
-        for buf in [
-            &mut self.dxhat,
-            &mut self.dgamma,
-            &mut self.dbeta,
-            &mut self.pooled,
-            &mut self.z,
-            &mut self.gz,
-            &mut self.gpooled,
-        ] {
-            buf.clear();
+        for buf in
+            [&mut self.dxhat, &mut self.dgamma, &mut self.dbeta, &mut self.gz, &mut self.gpooled]
+        {
             buf.resize(d, 0.0);
         }
-        for buf in [&mut self.logits, &mut self.glogits] {
-            buf.clear();
-            buf.resize(classes, 0.0);
-        }
+        self.glogits.resize(classes, 0.0);
+        hit
     }
 }
 
 thread_local! {
     static SCRATCH: RefCell<TrainScratch> = RefCell::new(TrainScratch::new());
+}
+
+/// Run `f` on this thread's scratch — the one workspace training and
+/// inference share on a thread.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut TrainScratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Flat per-parameter gradient accumulator: one contiguous `Vec<f32>`
@@ -185,11 +196,7 @@ impl GradBuffer {
 
     fn matches(&self, model: &GnnModel) -> bool {
         self.offsets.len() == model.params.len() + 1
-            && model
-                .params
-                .iter()
-                .enumerate()
-                .all(|(i, p)| self.offsets[i + 1] - self.offsets[i] == p.data.len())
+            && self.offsets.windows(2).zip(&model.params).all(|(o, p)| o[1] - o[0] == p.data.len())
     }
 
     pub fn zero(&mut self) {
@@ -211,9 +218,7 @@ impl GradBuffer {
 
     pub fn add_assign(&mut self, other: &GradBuffer) {
         debug_assert_eq!(self.data.len(), other.data.len());
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        dispatch::vec_add_assign(&mut self.data, &other.data);
     }
 
     pub fn scale(&mut self, alpha: f32) {
@@ -229,29 +234,120 @@ impl GradBuffer {
 }
 
 impl GnnModel {
+    /// The forward pass (Eq. 1 and the Fig. 2 head) into `s`: embedding
+    /// gather, RGCN layers, residual, layer norm + mean pool, FC head and
+    /// softmax. Saves every activation the backward reads (`hs`, `msgs`,
+    /// `res`) and leaves `pooled`, `z`, `logits` and `probs` in `s`,
+    /// bit-identical to the tape's [`GnnModel::forward`]. `plan`, when
+    /// given, must match the model's current parameters. Returns whether
+    /// `s` already had room for this graph (a scratch reuse hit).
+    pub(crate) fn forward_into(
+        &self,
+        g: &GraphData,
+        s: &mut TrainScratch,
+        plan: Option<&ModelPlan>,
+    ) -> bool {
+        let d = self.cfg.hidden;
+        let n = g.num_nodes();
+        let layers = self.cfg.layers;
+        let hit = s.reserve_forward(layers, n, d, self.cfg.classes);
+        let lay = self.layout();
+        let p = &self.params;
+
+        for (row, &id) in g.node_text.iter().enumerate() {
+            s.hs[0][row * d..(row + 1) * d].copy_from_slice(p[ParamLayout::EMBED].row(id as usize));
+        }
+
+        let csr = g.csr();
+        s.gplan = dispatch::plan_for(d, self.cfg.classes, layers, g);
+        for l in 0..layers {
+            let (h_in, h_rest) = s.hs.split_at_mut(l + 1);
+            let h_in = &h_in[l];
+            let h_out = &mut h_rest[0];
+
+            s.acc.fill(0.0);
+            let w_self = ParamLayout::w_self(l);
+            plan_matmul(plan, w_self, h_in, n, &p[w_self], &mut s.acc);
+
+            for (r, csr_r) in csr.iter().enumerate() {
+                if g.edges[r].is_empty() {
+                    continue;
+                }
+                // SpMM through the strategy the graph's shape signature
+                // selected. Every strategy visits a destination's incoming
+                // edges in the tape's edge order, so sums round identically.
+                let msgs = &mut s.msgs[l * NUM_RELATIONS + r];
+                let rel = RelView { rows: csr_r, edges: &g.edges[r], norm: &g.norm[r] };
+                dispatch::spmm_forward(s.gplan.spmm[r], rel, h_in, n, d, msgs);
+                // Like the tape, the product goes through a zeroed buffer
+                // before joining the accumulator (summing straight into
+                // `acc` would regroup the additions).
+                s.term.fill(0.0);
+                let w_r = ParamLayout::w_rel(l, r);
+                plan_matmul(plan, w_r, msgs, n, &p[w_r], &mut s.term);
+                dispatch::vec_add_assign(&mut s.acc, &s.term);
+            }
+
+            let bias = &p[ParamLayout::bias(l)];
+            dispatch::bias_relu_rows(&s.acc, &bias.data, h_out);
+        }
+
+        // Residual around the deeper layers. f32 addition is commutative,
+        // so `h_L + h_1` rounds identically to the tape's `h1 + h`.
+        s.res.copy_from_slice(&s.hs[layers]);
+        if layers > 1 {
+            dispatch::vec_add_assign(&mut s.res, &s.hs[1]);
+        }
+
+        // Layer norm (unless ablated off) fused with mean pooling: the
+        // normalized rows are consumed only by the column mean, so they are
+        // pooled on the fly — per column, rows accumulate in ascending
+        // order, exactly as the tape's `mean_pool` sums them.
+        s.pooled.fill(0.0);
+        if self.cfg.layer_norm {
+            let (gamma, beta) = (&p[lay.gamma].data, &p[lay.beta].data);
+            dispatch::ln_pool_rows(&s.res, n, gamma, beta, LN_EPS, &mut s.acc, &mut s.pooled);
+        } else {
+            for row in s.res.chunks_exact(d) {
+                dispatch::vec_add_assign(&mut s.pooled, row);
+            }
+        }
+        let inv_n = 1.0 / n.max(1) as f32;
+        for v in s.pooled.iter_mut() {
+            *v *= inv_n;
+        }
+
+        // FC head: z = relu(pooled @ fc1 + b1); logits = z @ fc2 + b2.
+        s.z.fill(0.0);
+        plan_matmul(plan, lay.fc1, &s.pooled, 1, &p[lay.fc1], &mut s.z);
+        for (zv, &bv) in s.z.iter_mut().zip(&p[lay.b1].data) {
+            let pre = *zv + bv;
+            *zv = if pre < 0.0 { 0.0 } else { pre };
+        }
+        s.logits.fill(0.0);
+        plan_matmul(plan, lay.fc2, &s.z, 1, &p[lay.fc2], &mut s.logits);
+        for (lv, &bv) in s.logits.iter_mut().zip(&p[lay.b2].data) {
+            *lv += bv;
+        }
+
+        // Softmax (max-shifted, like the tape's loss node).
+        softmax_into(&s.logits, &mut s.probs);
+        hit
+    }
+
     /// Fused forward+backward for one labeled graph: returns the
     /// cross-entropy loss and **adds** (never overwrites) this graph's
     /// parameter gradients into `grads`. The forward pass is bit-identical
     /// to [`GnnModel::forward`] + `softmax_ce`; gradients match
     /// `Tape::backward` to float rounding (≤1e-4 enforced by proptest).
+    ///
+    /// With a prebuilt kernel `plan`, forward products use the prepacked
+    /// weight panels and the backward's `dx += dy·Wᵀ` products read the
+    /// plan's prematerialized transposes instead of re-striding `Wᵀ` into
+    /// scratch per graph — bit-identical to `None`. `plan` must match the
+    /// model's current parameters ([`FusedEngine::batch_grads`] rebuilds it
+    /// once per minibatch, after each optimizer step).
     pub fn fused_loss_grads(
-        &self,
-        g: &GraphData,
-        label: usize,
-        s: &mut TrainScratch,
-        grads: &mut GradBuffer,
-    ) -> f64 {
-        self.fused_loss_grads_planned(g, label, s, grads, None)
-    }
-
-    /// [`GnnModel::fused_loss_grads`] through a prebuilt kernel plan:
-    /// forward products use the prepacked weight panels and the backward's
-    /// `dx += dy·Wᵀ` products read the plan's prematerialized transposes
-    /// instead of re-striding `Wᵀ` into scratch per graph. Bit-identical to
-    /// the planless path; `plan` must match the model's current parameters
-    /// ([`FusedEngine::batch_grads`] rebuilds it once per minibatch, after
-    /// each optimizer step).
-    pub fn fused_loss_grads_planned(
         &self,
         g: &GraphData,
         label: usize,
@@ -266,125 +362,31 @@ impl GnnModel {
         let classes = self.cfg.classes;
         let layers = self.cfg.layers;
         assert!(label < classes, "label {label} out of range");
-        s.reserve(layers, n, d, classes);
-
-        // Parameter indices, mirroring `GnnModel::new`'s push order.
-        let idx_embed = 0usize;
-        let layer_base = |l: usize| 1 + l * (2 + NUM_RELATIONS);
-        let idx_gamma = layer_base(layers);
-        let idx_beta = idx_gamma + 1;
-        let idx_fc1 = idx_beta + 1;
-        let idx_b1 = idx_fc1 + 1;
-        let idx_fc2 = idx_b1 + 1;
-        let idx_b2 = idx_fc2 + 1;
-        debug_assert_eq!(idx_b2 + 1, self.params.len(), "parameter layout drift");
-        let p = &self.params;
-
-        // ---------- forward ----------
-        let embed = &p[idx_embed];
-        for (row, &id) in g.node_text.iter().enumerate() {
-            s.hs[0][row * d..(row + 1) * d].copy_from_slice(embed.row(id as usize));
-        }
-
-        let csr = g.csr();
-        let gplan = dispatch::plan_for(d, classes, layers, g);
-        for l in 0..layers {
-            let base = layer_base(l);
-            let (h_in, h_rest) = s.hs.split_at_mut(l + 1);
-            let h_in = &h_in[l];
-            let h_out = &mut h_rest[0];
-
-            s.acc.fill(0.0);
-            plan_matmul(plan, base, h_in, n, &p[base], &mut s.acc);
-
-            for r in 0..NUM_RELATIONS {
-                if g.edges[r].is_empty() {
-                    continue;
-                }
-                let msgs = &mut s.msgs[l * NUM_RELATIONS + r];
-                let rel = RelView { rows: &csr[r], edges: &g.edges[r], norm: &g.norm[r] };
-                dispatch::spmm_forward(gplan.spmm[r], rel, h_in, n, d, msgs);
-                // Like the tape, the product goes through a zeroed buffer
-                // before joining the accumulator (summing straight into
-                // `acc` would regroup the additions).
-                s.term.fill(0.0);
-                plan_matmul(plan, base + 1 + r, msgs, n, &p[base + 1 + r], &mut s.term);
-                dispatch::vec_add_assign(&mut s.acc[..n * d], &s.term[..n * d]);
-            }
-
-            let bias = &p[base + 1 + NUM_RELATIONS];
-            dispatch::bias_relu_rows(&s.acc[..n * d], &bias.data, &mut h_out[..n * d]);
-        }
-
-        // Residual around the deeper layers (tape order: h1 + h).
-        if layers > 1 {
-            for ((r, &a), &b) in s.res.iter_mut().zip(&s.hs[1]).zip(&s.hs[layers]) {
-                *r = a + b;
-            }
-        } else {
-            s.res.copy_from_slice(&s.hs[layers]);
-        }
-
-        // Layer norm (optional) fused with mean pooling: the normalized
-        // rows are consumed only by the column mean, so they are pooled on
-        // the fly — per column, rows accumulate in ascending order, exactly
-        // as the tape's `mean_pool` sums them.
-        let gamma = &p[idx_gamma];
-        let beta = &p[idx_beta];
-        let eps = 1e-5f32;
-        s.pooled.fill(0.0);
-        for row in 0..n {
-            let x = &s.res[row * d..(row + 1) * d];
-            if self.cfg.layer_norm {
-                let mu: f32 = x.iter().sum::<f32>() / d as f32;
-                let var: f32 = x.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-                let inv = 1.0 / (var + eps).sqrt();
-                for (((o, &xc), &gc), &bc) in
-                    s.pooled.iter_mut().zip(x).zip(&gamma.data).zip(&beta.data)
-                {
-                    *o += gc * ((xc - mu) * inv) + bc;
-                }
+        let forward_hit = self.forward_into(g, s, plan);
+        let backward_hit = s.reserve_backward(n, d, classes);
+        if irnuma_obs::telemetry_enabled() {
+            if forward_hit && backward_hit {
+                irnuma_obs::counter!("train.scratch_hits").inc(1);
             } else {
-                for (o, &xc) in s.pooled.iter_mut().zip(x) {
-                    *o += xc;
-                }
+                irnuma_obs::counter!("train.scratch_misses").inc(1);
             }
         }
-        let inv_n = 1.0 / n.max(1) as f32;
-        for v in s.pooled.iter_mut() {
-            *v *= inv_n;
-        }
-
-        // FC head: z = relu(pooled @ fc1 + b1); logits = z @ fc2 + b2.
-        s.z.fill(0.0);
-        plan_matmul(plan, idx_fc1, &s.pooled, 1, &p[idx_fc1], &mut s.z);
-        for (zv, &bv) in s.z.iter_mut().zip(&p[idx_b1].data) {
-            let pre = *zv + bv;
-            *zv = if pre < 0.0 { 0.0 } else { pre };
-        }
-        s.logits.fill(0.0);
-        plan_matmul(plan, idx_fc2, &s.z, 1, &p[idx_fc2], &mut s.logits);
-        for (lv, &bv) in s.logits.iter_mut().zip(&p[idx_b2].data) {
-            *lv += bv;
-        }
-
-        // Softmax cross-entropy (max-shifted, like the tape's loss node).
-        softmax_into(&s.logits, &mut s.probs);
         let loss = -(s.probs[label].max(1e-12)).ln() as f64;
+        let lay = self.layout();
+        let p = &self.params;
+        let gamma = &p[lay.gamma];
+        let inv_n = 1.0 / n.max(1) as f32;
 
-        // ---------- backward ----------
         // d loss / d logits = probs - onehot(label).
         for (j, (gl, &pv)) in s.glogits.iter_mut().zip(&s.probs).enumerate() {
             *gl = pv - (j == label) as u8 as f32;
         }
 
         // FC2 head: db2 += glogits; dfc2 += zᵀ @ glogits; gz = glogits @ fc2ᵀ.
-        for (o, &v) in grads.view_mut(idx_b2).iter_mut().zip(&s.glogits) {
-            *o += v;
-        }
-        matmul_transpose_a_accumulate(&s.z, 1, d, &s.glogits, classes, grads.view_mut(idx_fc2));
+        dispatch::vec_add_assign(grads.view_mut(lay.b2), &s.glogits);
+        matmul_transpose_a_accumulate(&s.z, 1, d, &s.glogits, classes, grads.view_mut(lay.fc2));
         s.gz.fill(0.0);
-        matmul_transpose_b_accumulate(&s.glogits, 1, classes, &p[idx_fc2].data, d, &mut s.gz);
+        matmul_transpose_b_accumulate(&s.glogits, 1, classes, &p[lay.fc2].data, d, &mut s.gz);
         // ReLU mask: z is zero exactly where the pre-activation was <= 0.
         for (gv, &zv) in s.gz.iter_mut().zip(&s.z) {
             if zv <= 0.0 {
@@ -392,12 +394,10 @@ impl GnnModel {
             }
         }
         // FC1: db1 += gz; dfc1 += pooledᵀ @ gz; gpooled = gz @ fc1ᵀ.
-        for (o, &v) in grads.view_mut(idx_b1).iter_mut().zip(&s.gz) {
-            *o += v;
-        }
-        matmul_transpose_a_accumulate(&s.pooled, 1, d, &s.gz, d, grads.view_mut(idx_fc1));
+        dispatch::vec_add_assign(grads.view_mut(lay.b1), &s.gz);
+        matmul_transpose_a_accumulate(&s.pooled, 1, d, &s.gz, d, grads.view_mut(lay.fc1));
         s.gpooled.fill(0.0);
-        matmul_transpose_b_accumulate(&s.gz, 1, d, &p[idx_fc1].data, d, &mut s.gpooled);
+        matmul_transpose_b_accumulate(&s.gz, 1, d, &p[lay.fc1].data, d, &mut s.gpooled);
 
         // Mean-pool backward spreads `gpooled·1/n` to every row; fuse it
         // with the layer-norm backward so the `n×d` upstream gradient is
@@ -407,9 +407,7 @@ impl GnnModel {
             s.dbeta.fill(0.0);
             for row in 0..n {
                 let x = &s.res[row * d..(row + 1) * d];
-                let mu: f32 = x.iter().sum::<f32>() / d as f32;
-                let var: f32 = x.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-                let inv = 1.0 / (var + eps).sqrt();
+                let (mu, inv) = dispatch::ln_row_stats(x, d, LN_EPS);
                 let mut mean_dxhat = 0.0f32;
                 let mut mean_dxhat_xhat = 0.0f32;
                 for ((((&xc, &gp), dg), db), (dx, &gc)) in x
@@ -435,12 +433,8 @@ impl GnnModel {
                     grow[c] = (s.dxhat[c] - mean_dxhat - xhat * mean_dxhat_xhat) * inv;
                 }
             }
-            for (o, &v) in grads.view_mut(idx_gamma).iter_mut().zip(&s.dgamma) {
-                *o += v;
-            }
-            for (o, &v) in grads.view_mut(idx_beta).iter_mut().zip(&s.dbeta) {
-                *o += v;
-            }
+            dispatch::vec_add_assign(grads.view_mut(lay.gamma), &s.dgamma);
+            dispatch::vec_add_assign(grads.view_mut(lay.beta), &s.dbeta);
         } else {
             for row in 0..n {
                 let grow = &mut s.ga[row * d..(row + 1) * d];
@@ -458,26 +452,22 @@ impl GnnModel {
 
         // Layer backward, deepest first. `s.ga` holds d loss / d h_{l+1}.
         for l in (0..layers).rev() {
-            let base = layer_base(l);
+            let w_self = ParamLayout::w_self(l);
             // ReLU mask via the saved post-activation.
             for ((gp, &ga), &hv) in s.gpre.iter_mut().zip(&s.ga).zip(&s.hs[l + 1]) {
                 *gp = if hv > 0.0 { ga } else { 0.0 };
             }
             // Bias: column sums in ascending row order (tape order).
-            {
-                let db = grads.view_mut(base + 1 + NUM_RELATIONS);
-                for row in 0..n {
-                    for (o, &v) in db.iter_mut().zip(&s.gpre[row * d..(row + 1) * d]) {
-                        *o += v;
-                    }
-                }
+            let db = grads.view_mut(ParamLayout::bias(l));
+            for row in s.gpre.chunks_exact(d) {
+                dispatch::vec_add_assign(db, row);
             }
             // Self term: dW_self += h_lᵀ @ gpre, with `h_lᵀ` staged into
             // scratch so the product runs through the blocked kernel
             // (bit-identical to the transpose-free kernel: both accumulate
             // each output element over ascending rows of `h_l`).
             transpose_into(&s.hs[l], n, d, &mut s.xt);
-            matmul_accumulate_auto(&s.xt, d, n, &s.gpre, d, grads.view_mut(base));
+            matmul_accumulate_auto(&s.xt, d, n, &s.gpre, d, grads.view_mut(w_self));
 
             // Gradient w.r.t. h_l: seeded with the residual's share when
             // this layer's input is h_1 (matching the tape, where the
@@ -494,28 +484,29 @@ impl GnnModel {
                     continue;
                 }
                 // dW_r += msgsᵀ @ gpre.
+                let w_r = ParamLayout::w_rel(l, r);
                 transpose_into(&s.msgs[l * NUM_RELATIONS + r], n, d, &mut s.xt);
-                matmul_accumulate_auto(&s.xt, d, n, &s.gpre, d, grads.view_mut(base + 1 + r));
+                matmul_accumulate_auto(&s.xt, d, n, &s.gpre, d, grads.view_mut(w_r));
                 // dmsgs = gpre @ W_rᵀ — the plan's prematerialized transpose
                 // when available, a per-graph staged transpose otherwise —
                 // then the SpMM backward scatters w·dmsgs[dst] into dh[src]
                 // under the same strategy the forward used.
-                let wt: &[f32] = match plan.and_then(|pl| pl.weight_t(base + 1 + r)) {
+                let wt: &[f32] = match plan.and_then(|pl| pl.weight_t(w_r)) {
                     Some(t) => t,
                     None => {
-                        transpose_into(&p[base + 1 + r].data, d, d, &mut s.wt);
+                        transpose_into(&p[w_r].data, d, d, &mut s.wt);
                         &s.wt
                     }
                 };
                 s.term.fill(0.0);
                 matmul_accumulate_auto(&s.gpre, n, d, wt, d, &mut s.term);
                 let rel = RelView { rows: &g.csc()[r], edges: &g.edges[r], norm: &g.norm[r] };
-                dispatch::spmm_backward(gplan.spmm[r], rel, &s.term, n, d, &mut s.gh);
+                dispatch::spmm_backward(s.gplan.spmm[r], rel, &s.term, n, d, &mut s.gh);
             }
-            let wt: &[f32] = match plan.and_then(|pl| pl.weight_t(base)) {
+            let wt: &[f32] = match plan.and_then(|pl| pl.weight_t(w_self)) {
                 Some(t) => t,
                 None => {
-                    transpose_into(&p[base].data, d, d, &mut s.wt);
+                    transpose_into(&p[w_self].data, d, d, &mut s.wt);
                     &s.wt
                 }
             };
@@ -524,15 +515,9 @@ impl GnnModel {
         }
 
         // Embedding gather backward: scatter rows in ascending order.
-        {
-            let de = grads.view_mut(idx_embed);
-            for (row, &id) in g.node_text.iter().enumerate() {
-                let grow = &s.ga[row * d..(row + 1) * d];
-                let dst = &mut de[id as usize * d..(id as usize + 1) * d];
-                for (o, &v) in dst.iter_mut().zip(grow) {
-                    *o += v;
-                }
-            }
+        let de = grads.view_mut(ParamLayout::EMBED);
+        for (grow, &id) in s.ga.chunks_exact(d).zip(&g.node_text) {
+            dispatch::vec_add_assign(&mut de[id as usize * d..(id as usize + 1) * d], grow);
         }
         loss
     }
@@ -589,19 +574,13 @@ impl FusedEngine {
             .map(|(buf, &i)| {
                 let _g = irnuma_obs::span_fanout!(ctx, "train.graph_grads");
                 buf.zero();
-                SCRATCH.with(|s| {
-                    let loss = model.fused_loss_grads_planned(
-                        &graphs[i],
-                        labels[i],
-                        &mut s.borrow_mut(),
-                        buf,
-                        Some(&plan),
-                    );
-                    if irnuma_obs::telemetry_enabled() {
-                        irnuma_obs::counter!("train.fused_graphs").inc(1);
-                    }
-                    loss
-                })
+                let loss = with_scratch(|s| {
+                    model.fused_loss_grads(&graphs[i], labels[i], s, buf, Some(&plan))
+                });
+                if irnuma_obs::telemetry_enabled() {
+                    irnuma_obs::counter!("train.fused_graphs").inc(1);
+                }
+                loss
             })
             .collect();
 
@@ -635,7 +614,7 @@ pub fn fused_loss_grads_threadlocal(
     label: usize,
     grads: &mut GradBuffer,
 ) -> f64 {
-    SCRATCH.with(|s| model.fused_loss_grads(g, label, &mut s.borrow_mut(), grads))
+    with_scratch(|s| model.fused_loss_grads(g, label, s, grads, None))
 }
 
 #[cfg(test)]
@@ -718,22 +697,36 @@ mod tests {
         let m = model(2, true);
         let big = toy_graph(3); // 8 nodes
         let small = toy_graph(0); // 5 nodes
-        let mut s = TrainScratch::new();
 
-        let reference = |g: &GraphData| -> GradBuffer {
+        let fresh_grads = |g: &GraphData| -> GradBuffer {
             let mut gb = GradBuffer::for_model(&m);
-            m.fused_loss_grads(g, 1, &mut TrainScratch::new(), &mut gb);
+            m.fused_loss_grads(g, 1, &mut TrainScratch::new(), &mut gb, None);
             gb
         };
-        let fresh_big = reference(&big);
-        let fresh_small = reference(&small);
+        let (grads_big, grads_small) = (fresh_grads(&big), fresh_grads(&small));
 
         // big → small → big through one workspace must not leak stale
         // activations or gradients between graphs.
-        for (g, fresh) in [(&big, &fresh_big), (&small, &fresh_small), (&big, &fresh_big)] {
+        let mut s = TrainScratch::new();
+        for (g, fresh) in [(&big, &grads_big), (&small, &grads_small), (&big, &grads_big)] {
             let mut gb = GradBuffer::for_model(&m);
-            m.fused_loss_grads(g, 1, &mut s, &mut gb);
+            m.fused_loss_grads(g, 1, &mut s, &mut gb, None);
             assert_eq!(gb.data, fresh.data, "recycled scratch must match a fresh one bitwise");
+        }
+
+        // Inference and training share this thread's one workspace: big
+        // infer → small train → big infer → small train must not bleed
+        // in either direction.
+        let mut fresh = TrainScratch::new();
+        m.forward_into(&big, &mut fresh, None);
+        for _ in 0..2 {
+            let out = m.infer(&big);
+            assert_eq!(out.logits, fresh.logits, "infer after train: logits");
+            assert_eq!(out.pooled, fresh.pooled, "infer after train: pooled");
+            assert_eq!(out.probs, fresh.probs, "infer after train: probs");
+            let mut gb = GradBuffer::for_model(&m);
+            fused_loss_grads_threadlocal(&m, &small, 1, &mut gb);
+            assert_eq!(gb.data, grads_small.data, "train after infer");
         }
     }
 

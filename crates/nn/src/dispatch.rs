@@ -43,7 +43,7 @@
 //! is exercised by CI.
 
 use crate::graphdata::{Csr, GraphData, NUM_RELATIONS};
-use crate::model::GnnModel;
+use crate::model::{GnnModel, ParamLayout};
 use crate::tensor::{matmul_accumulate, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -413,13 +413,6 @@ isa_wrap!(
     bias_relu_body,
     (acc: &[f32], bias: &[f32], out: &mut [f32])
 );
-isa_wrap!(
-    ln_scale_base,
-    ln_scale_avx2,
-    ln_scale_avx512,
-    ln_scale_body,
-    (x: &[f32], mu: f32, inv: f32, gamma: &[f32], beta: &[f32], out: &mut [f32])
-);
 
 /// `out += src`, elementwise, at the widest ISA this CPU runs (scalar-order
 /// fallback when dispatch is off). Bit-identical either way.
@@ -450,27 +443,13 @@ pub fn bias_relu_rows(acc: &[f32], bias: &[f32], out: &mut [f32]) {
     bias_relu_base(acc, bias, out)
 }
 
-/// The elementwise tail of one layer-norm row (the caller supplies the
-/// scalar-order `mu` and `inv` reductions).
-#[inline]
-pub fn ln_scale_row(x: &[f32], mu: f32, inv: f32, gamma: &[f32], beta: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_enabled() {
-        match isa_level() {
-            3 => return unsafe { ln_scale_avx512(x, mu, inv, gamma, beta, out) },
-            2 => return unsafe { ln_scale_avx2(x, mu, inv, gamma, beta, out) },
-            _ => {}
-        }
-    }
-    ln_scale_base(x, mu, inv, gamma, beta, out)
-}
-
 /// One row's layer-norm statistics in the tape's exact order: `mu` is the
 /// strict left-to-right sum over the row, `inv` the matching variance
 /// reciprocal. Kept `inline(always)` so [`ln_pool_body`] can interleave four
-/// independent rows' chains without touching any single row's order.
+/// independent rows' chains without touching any single row's order; the
+/// fused layer-norm backward recomputes its statistics through it too.
 #[inline(always)]
-fn ln_row_stats(x: &[f32], d: usize, eps: f32) -> (f32, f32) {
+pub(crate) fn ln_row_stats(x: &[f32], d: usize, eps: f32) -> (f32, f32) {
     let mu: f32 = x.iter().sum::<f32>() / d as f32;
     let var: f32 = x.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
     (mu, 1.0 / (var + eps).sqrt())
@@ -576,7 +555,7 @@ pub fn ln_pool_rows(
         let x = &h[row * d..(row + 1) * d];
         let (mu, inv) = ln_row_stats(x, d, eps);
         let o = &mut out[row * d..(row + 1) * d];
-        ln_scale_base(x, mu, inv, gamma, beta, o);
+        ln_scale_body(x, mu, inv, gamma, beta, o);
         vadd_base(pooled, o);
     }
 }
@@ -708,11 +687,11 @@ impl ModelPlan {
             irnuma_obs::counter!("dispatch.plan_builds").inc(1);
         }
         let d = model.cfg.hidden;
-        let layer_base = |l: usize| 1 + l * (2 + NUM_RELATIONS);
+        let lay = model.layout();
         if training {
             for l in 0..model.cfg.layers {
-                let base = layer_base(l);
-                let slots = packed.iter_mut().enumerate().skip(base).take(1 + NUM_RELATIONS);
+                let w_self = ParamLayout::w_self(l);
+                let slots = packed.iter_mut().enumerate().skip(w_self).take(1 + NUM_RELATIONS);
                 for (idx, slot) in slots {
                     let p = &model.params[idx];
                     debug_assert_eq!((p.rows, p.cols), (d, d));
@@ -722,11 +701,7 @@ impl ModelPlan {
                 }
             }
         }
-        let idx_fc1 = layer_base(model.cfg.layers) + 2;
-        let idx_fc2 = idx_fc1 + 2;
-        debug_assert!(model.param_name(idx_fc1) == "fc1.w");
-        debug_assert!(model.param_name(idx_fc2) == "fc2.w");
-        for idx in [idx_fc1, idx_fc2] {
+        for idx in [lay.fc1, lay.fc2] {
             let p = &model.params[idx];
             packed[idx] = Some(PackedParam {
                 fwd: Some(PackedMatrix::pack(&p.data, p.rows, p.cols)),
@@ -792,11 +767,12 @@ pub fn plan_matmul(
 /// How one relation's message aggregation runs. Every strategy visits each
 /// output row's terms in original edge-list order, so all are bit-identical;
 /// the choice is purely about memory-access shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SpmmStrategy {
     /// Walk the destination-grouped CSR (forward) / source-grouped CSC
     /// (backward) row by row. Best when rows have real fan-in: each output
     /// row stays register/L1-resident across its incoming edges.
+    #[default]
     CsrGather,
     /// Stream the original edge list directly, scattering per edge. Best
     /// for sparse or tiny relations where scanning `n` row pointers costs
@@ -1027,17 +1003,11 @@ fn rel_bucket(n: usize, e: usize) -> u8 {
     size << 2 | density
 }
 
-/// The strategies chosen for one graph shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The strategies chosen for one graph shape. The default is the
+/// pre-dispatch behavior: CSR gather everywhere.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphPlan {
     pub spmm: [SpmmStrategy; NUM_RELATIONS],
-}
-
-impl GraphPlan {
-    /// The pre-dispatch behavior: CSR gather everywhere.
-    pub fn generic() -> GraphPlan {
-        GraphPlan { spmm: [SpmmStrategy::CsrGather; NUM_RELATIONS] }
-    }
 }
 
 /// Pure strategy choice from a bucketed relation shape: edge-major for
@@ -1072,7 +1042,7 @@ pub fn plan_cache_stats() -> (u64, u64) {
 /// dispatch is off.
 pub fn plan_for(hidden: usize, classes: usize, layers: usize, g: &GraphData) -> GraphPlan {
     if !dispatch_enabled() {
-        return GraphPlan::generic();
+        return GraphPlan::default();
     }
     let stats = g.rel_stats();
     let n = g.num_nodes();

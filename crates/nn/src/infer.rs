@@ -1,11 +1,12 @@
-//! Tape-free batched inference for the RGCN classifier.
+//! Inference for the RGCN classifier: the forward half of the fused
+//! trainer, without the backward.
 //!
-//! Training needs the autograd tape; prediction does not. This module runs
-//! the same forward computation as [`GnnModel::forward`] without recording
-//! ops, without cloning a single parameter tensor (weights are borrowed from
-//! the model), and with all activation buffers held in a reusable
-//! per-thread `Scratch` workspace so repeated calls allocate nothing once the
-//! high-water graph size has been seen.
+//! Training and inference run one forward pass (`forward_into` in
+//! [`crate::backprop`]) on one per-thread scratch workspace. Prediction
+//! calls it and copies the head's outputs out; the saved activations stay
+//! in the scratch for the next graph. No op is recorded, no parameter
+//! tensor is cloned (weights are borrowed from the model), and repeated
+//! calls reuse the workspace once the high-water graph size has been seen.
 //!
 //! One pass produces everything the downstream models consume — logits,
 //! pooled embedding, softmax distribution, and top-1 margin — in a single
@@ -14,24 +15,19 @@
 //! [`infer_batch`](GnnModel::infer_batch) and
 //! [`infer_batch_planned`](GnnModel::infer_batch_planned) serve batches.
 //!
-//! Numerical equivalence with the tape is exact, not approximate: the dense
-//! kernels are shared ([`matmul_accumulate`]), message passing walks each
-//! destination's incoming edges in the same order the tape's edge-major
-//! sweep does (the CSR rows preserve edge order), and every elementwise op
-//! mirrors the tape's evaluation order. The `≤ 1e-4` bound the tests assert
-//! is a safety margin, not a budget.
+//! The outputs equal the autograd tape's [`GnnModel::forward`] bit for
+//! bit; the tests assert exact equality.
 //!
-//! [`infer_batch`](GnnModel::infer_batch) fans graphs out across threads
-//! with one scratch workspace per thread; the per-destination row loop of
-//! the SpMM is independent per row, so the whole engine stays deterministic
-//! regardless of thread count.
+//! [`infer_batch`](GnnModel::infer_batch) fans graphs out across threads,
+//! each reusing its own thread's workspace; every graph's pass is
+//! independent, so the result is deterministic at any thread count.
 
-use crate::dispatch::{self, plan_matmul, ModelPlan, RelView};
+use crate::backprop::{with_scratch, TrainScratch};
+use crate::dispatch::ModelPlan;
 use crate::graphdata::GraphData;
 use crate::model::GnnModel;
 use rayon::prelude::*;
 use std::borrow::Borrow;
-use std::cell::RefCell;
 
 /// Everything one forward pass yields.
 #[derive(Debug, Clone)]
@@ -65,46 +61,15 @@ impl InferOutput {
         out.push(self.margin);
         out
     }
-}
 
-/// Reusable activation workspace, one per thread. Buffers grow to the
-/// largest graph seen and are recycled across calls; a fresh `Scratch` is
-/// all-empty and valid.
-#[derive(Default)]
-struct Scratch {
-    /// Current node activations (`n×d`).
-    h: Vec<f32>,
-    /// Layer accumulator: self-term plus per-relation message terms.
-    acc: Vec<f32>,
-    /// SpMM output (aggregated messages) for one relation.
-    msgs: Vec<f32>,
-    /// One relation's `msgs @ w_r` product, added into `acc`.
-    term: Vec<f32>,
-    /// First-layer activations, kept for the residual connection.
-    h1: Vec<f32>,
-}
-
-impl Scratch {
-    fn reserve(&mut self, n: usize, d: usize, stats: bool) {
-        let len = n * d;
-        if stats {
-            // Reuse hit: every buffer already holds enough capacity, so this
-            // call allocates nothing.
-            if self.h.capacity() >= len {
-                irnuma_obs::counter!("infer.scratch_hits").inc(1);
-            } else {
-                irnuma_obs::counter!("infer.scratch_misses").inc(1);
-            }
-        }
-        for buf in [&mut self.h, &mut self.acc, &mut self.msgs, &mut self.term, &mut self.h1] {
-            buf.clear();
-            buf.resize(len, 0.0);
-        }
+    /// Copy a finished forward pass out of `s` and derive the margin.
+    fn from_scratch(s: &TrainScratch) -> InferOutput {
+        let probs = s.probs.clone();
+        let mut sorted = probs.clone();
+        sorted.sort_by(|a, b| b.total_cmp(a));
+        let margin = sorted[0] - sorted.get(1).copied().unwrap_or(0.0);
+        InferOutput { logits: s.logits.clone(), pooled: s.pooled.clone(), probs, margin }
     }
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 impl GnnModel {
@@ -115,7 +80,7 @@ impl GnnModel {
     pub fn infer(&self, g: &GraphData) -> InferOutput {
         let stats = irnuma_obs::telemetry_enabled();
         let t0 = stats.then(std::time::Instant::now);
-        let out = SCRATCH.with(|s| self.infer_impl(g, &mut s.borrow_mut(), None, stats));
+        let out = self.infer_on_thread_scratch(g, None, stats);
         if let Some(t0) = t0 {
             irnuma_obs::histogram!("infer.graph_ns").record_duration(t0.elapsed());
             irnuma_obs::counter!("infer.graphs").inc(1);
@@ -123,119 +88,26 @@ impl GnnModel {
         out
     }
 
-    fn infer_impl(
+    /// The shared forward pass on this thread's scratch; `stats` counts the
+    /// scratch reuse hit or miss.
+    fn infer_on_thread_scratch(
         &self,
         g: &GraphData,
-        scratch: &mut Scratch,
         plan: Option<&ModelPlan>,
         stats: bool,
     ) -> InferOutput {
         let _f = irnuma_obs::profile_frame!("infer.forward");
-        let d = self.cfg.hidden;
-        let n = g.num_nodes();
-        scratch.reserve(n, d, stats);
-
-        let mut params = self.params.iter().enumerate();
-        let mut next = || params.next().expect("parameter list matches architecture");
-
-        // Embedding gather.
-        let (_, embed) = next();
-        for (row, &id) in g.node_text.iter().enumerate() {
-            scratch.h[row * d..(row + 1) * d].copy_from_slice(embed.row(id as usize));
-        }
-
-        let csr = g.csr();
-        let gplan = dispatch::plan_for(d, self.cfg.classes, self.cfg.layers, g);
-        for layer in 0..self.cfg.layers {
-            let (wi, w_self) = next();
-            scratch.acc.fill(0.0);
-            plan_matmul(plan, wi, &scratch.h, n, w_self, &mut scratch.acc);
-
-            for (r, csr_r) in csr.iter().enumerate() {
-                let (wri, w_r) = next();
-                if g.edges[r].is_empty() {
-                    continue;
+        with_scratch(|s| {
+            let hit = self.forward_into(g, s, plan);
+            if stats {
+                if hit {
+                    irnuma_obs::counter!("infer.scratch_hits").inc(1);
+                } else {
+                    irnuma_obs::counter!("infer.scratch_misses").inc(1);
                 }
-                // SpMM through the strategy the graph's shape signature
-                // selected. Every strategy visits a destination's incoming
-                // edges in the tape's edge order, so sums round identically.
-                let rel = RelView { rows: csr_r, edges: &g.edges[r], norm: &g.norm[r] };
-                dispatch::spmm_forward(gplan.spmm[r], rel, &scratch.h, n, d, &mut scratch.msgs);
-                // The tape materializes `msgs @ w_r` before adding, so the
-                // product goes through a zeroed buffer here too (summing
-                // directly into `acc` would regroup the additions).
-                scratch.term.fill(0.0);
-                plan_matmul(plan, wri, &scratch.msgs, n, w_r, &mut scratch.term);
-                dispatch::vec_add_assign(&mut scratch.acc[..n * d], &scratch.term[..n * d]);
             }
-
-            let (_, bias) = next();
-            dispatch::bias_relu_rows(&scratch.acc[..n * d], &bias.data, &mut scratch.h[..n * d]);
-            if layer == 0 {
-                scratch.h1.copy_from_slice(&scratch.h);
-            }
-        }
-
-        // Residual around the deeper layers (tape order: h1 + h).
-        if self.cfg.layers > 1 {
-            // f32 addition is commutative, so `h + h1` rounds identically to
-            // the tape's `h1 + h`.
-            dispatch::vec_add_assign(&mut scratch.h[..n * d], &scratch.h1[..n * d]);
-        }
-
-        // Layer norm (into `acc`, unless ablated off) fused with mean
-        // pooling; per-row reductions keep the tape's scalar order.
-        let (_, gamma) = next();
-        let (_, beta) = next();
-        let mut pooled = vec![0.0f32; d];
-        if self.cfg.layer_norm {
-            dispatch::ln_pool_rows(
-                &scratch.h[..n * d],
-                n,
-                &gamma.data,
-                &beta.data,
-                1e-5,
-                &mut scratch.acc[..n * d],
-                &mut pooled,
-            );
-        } else {
-            scratch.acc.copy_from_slice(&scratch.h);
-            for row in 0..n {
-                dispatch::vec_add_assign(&mut pooled, &scratch.acc[row * d..(row + 1) * d]);
-            }
-        }
-        let inv_n = 1.0 / n.max(1) as f32;
-        for p in pooled.iter_mut() {
-            *p *= inv_n;
-        }
-
-        // FC head: z = relu(pooled @ fc1 + b1); logits = z @ fc2 + b2.
-        let (fi1, fc1) = next();
-        let (_, b1) = next();
-        let mut z = vec![0.0f32; d];
-        plan_matmul(plan, fi1, &pooled, 1, fc1, &mut z);
-        for (zv, &bv) in z.iter_mut().zip(&b1.data) {
-            let pre = *zv + bv;
-            *zv = if pre < 0.0 { 0.0 } else { pre };
-        }
-        let (fi2, fc2) = next();
-        let (_, b2) = next();
-        let classes = self.cfg.classes;
-        let mut logits = vec![0.0f32; classes];
-        plan_matmul(plan, fi2, &z, 1, fc2, &mut logits);
-        for (lv, &bv) in logits.iter_mut().zip(&b2.data) {
-            *lv += bv;
-        }
-        debug_assert!(params.next().is_none(), "all parameters consumed");
-
-        // Softmax + confidence margin (same max-shift as the tape's loss).
-        let mut probs = Vec::with_capacity(classes);
-        crate::tensor::softmax_into(&logits, &mut probs);
-        let mut sorted = probs.clone();
-        sorted.sort_by(|a, b| b.total_cmp(a));
-        let margin = sorted[0] - sorted.get(1).copied().unwrap_or(0.0);
-
-        InferOutput { logits, pooled, probs, margin }
+            InferOutput::from_scratch(s)
+        })
     }
 
     /// Batched inference: graphs fan out across threads, each thread reusing
@@ -269,22 +141,14 @@ impl GnnModel {
             .par_iter()
             .map(|g| {
                 let _g = irnuma_obs::span_fanout!(ctx, "infer.graph");
-                self.infer_planned_threadlocal(plan, g.borrow())
+                self.infer_on_thread_scratch(g.borrow(), Some(plan), false)
             })
             .collect();
-        self.record_batch(&span, graphs.len());
-        out
-    }
-
-    fn record_batch(&self, span: &irnuma_obs::SpanGuard, graphs: usize) {
         if irnuma_obs::telemetry_enabled() {
             irnuma_obs::histogram!("infer.batch_ns").record_duration(span.elapsed());
-            irnuma_obs::counter!("infer.graphs").inc(graphs as u64);
+            irnuma_obs::counter!("infer.graphs").inc(graphs.len() as u64);
         }
-    }
-
-    fn infer_planned_threadlocal(&self, plan: &ModelPlan, g: &GraphData) -> InferOutput {
-        SCRATCH.with(|s| self.infer_impl(g, &mut s.borrow_mut(), Some(plan), false))
+        out
     }
 }
 

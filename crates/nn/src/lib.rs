@@ -13,11 +13,11 @@
 //! scratch, flat gradient buffers, deterministic tree reduction — with the
 //! tape kept as its verification oracle.
 //!
-//! Inference goes through a separate tape-free engine ([`infer`]): one pass
-//! over a graph produces logits, pooled embedding, softmax probabilities and
-//! confidence margin ([`infer::InferOutput`]) using a reusable scratch
-//! workspace and the cached CSR adjacency — no tape, no parameter clones —
-//! while matching the tape forward bit-for-bit.
+//! Inference ([`infer`]) runs the fused engine's forward half — the same
+//! pass, on the same per-thread scratch — and copies out logits, pooled
+//! embedding, softmax probabilities and confidence margin
+//! ([`infer::InferOutput`]): no tape, no parameter clones, bit-for-bit
+//! equal to the tape forward.
 //!
 //! Everything is seeded and deterministic: `GnnClassifier::fit` with the
 //! same seed and data reproduces identical weights bit-for-bit (gradients

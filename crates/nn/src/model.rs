@@ -47,8 +47,10 @@ impl GnnConfig {
     }
 }
 
-/// Parameter store. Weights live here between steps; each forward pass
-/// copies them onto a fresh tape as leaves.
+/// Parameter store, indexed by [`ParamLayout`]. Training and inference run
+/// one tape-free forward pass (`forward_into`, in [`crate::backprop`]) that
+/// borrows the weights in place; only the autograd oracle
+/// ([`GnnModel::forward`]) copies them onto a fresh tape as leaves.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GnnModel {
     pub cfg: GnnConfig,
@@ -66,6 +68,43 @@ pub struct Forward {
     pub pooled: Var,
     /// Class logits (`1×classes`).
     pub logits: Var,
+}
+
+/// Where each tensor sits in [`GnnModel::params`], in [`GnnModel::new`]'s
+/// push order: `embed`; per layer `w_self`, one `w_rel` per relation and
+/// `bias`; then the layer-norm affine pair and the FC head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParamLayout {
+    pub gamma: usize,
+    pub beta: usize,
+    pub fc1: usize,
+    pub b1: usize,
+    pub fc2: usize,
+    pub b2: usize,
+}
+
+impl ParamLayout {
+    pub const EMBED: usize = 0;
+
+    pub fn new(layers: usize) -> ParamLayout {
+        let gamma = Self::w_self(layers);
+        let (beta, fc1, b1, fc2, b2) = (gamma + 1, gamma + 2, gamma + 3, gamma + 4, gamma + 5);
+        ParamLayout { gamma, beta, fc1, b1, fc2, b2 }
+    }
+
+    /// Layer `l`'s `w_self`.
+    pub fn w_self(l: usize) -> usize {
+        1 + l * (2 + NUM_RELATIONS)
+    }
+
+    /// Layer `l`'s weight for relation `r`.
+    pub fn w_rel(l: usize, r: usize) -> usize {
+        Self::w_self(l) + 1 + r
+    }
+
+    pub fn bias(l: usize) -> usize {
+        Self::w_self(l) + 1 + NUM_RELATIONS
+    }
 }
 
 impl GnnModel {
@@ -99,7 +138,13 @@ impl GnnModel {
         push(Tensor::zeros(1, d), "fc1.b".into(), &mut params, &mut names);
         push(Tensor::glorot(d, cfg.classes, &mut rng), "fc2.w".into(), &mut params, &mut names);
         push(Tensor::zeros(1, cfg.classes), "fc2.b".into(), &mut params, &mut names);
+        debug_assert_eq!(params.len(), ParamLayout::new(cfg.layers).b2 + 1);
         GnnModel { cfg, params, names }
+    }
+
+    /// The index map of [`GnnModel::params`].
+    pub fn layout(&self) -> ParamLayout {
+        ParamLayout::new(self.cfg.layers)
     }
 
     pub fn param_name(&self, i: usize) -> &str {
@@ -123,8 +168,6 @@ impl GnnModel {
     pub fn forward(&self, g: &GraphData) -> Forward {
         let mut tape = Tape::new();
         let param_vars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
-        let d = self.cfg.hidden;
-        let _ = d;
 
         let mut idx = 0usize;
         let mut next = || {
@@ -241,6 +284,26 @@ mod tests {
         let back: GnnConfig =
             serde_json::from_str(&serde_json::to_string(&ablated).unwrap()).unwrap();
         assert!(!back.layer_norm);
+    }
+
+    #[test]
+    fn param_layout_matches_push_order() {
+        for layers in 1..4 {
+            let m = GnnModel::new(GnnConfig { layers, ..cfg() });
+            let lay = m.layout();
+            assert_eq!(lay.b2 + 1, m.params.len());
+            assert_eq!(m.param_name(ParamLayout::EMBED), "embed");
+            for l in 0..layers {
+                assert_eq!(m.param_name(ParamLayout::w_self(l)), format!("l{l}.w_self"));
+                for r in 0..NUM_RELATIONS {
+                    assert_eq!(m.param_name(ParamLayout::w_rel(l, r)), format!("l{l}.w_rel{r}"));
+                }
+                assert_eq!(m.param_name(ParamLayout::bias(l)), format!("l{l}.bias"));
+            }
+            let head = [lay.gamma, lay.beta, lay.fc1, lay.b1, lay.fc2, lay.b2];
+            let names: Vec<&str> = head.iter().map(|&i| m.param_name(i)).collect();
+            assert_eq!(names, ["ln.gamma", "ln.beta", "fc1.w", "fc1.b", "fc2.w", "fc2.b"]);
+        }
     }
 
     #[test]

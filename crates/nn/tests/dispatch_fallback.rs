@@ -49,7 +49,7 @@ fn disabling_dispatch_keeps_outputs_bitwise_and_falls_back_everywhere() {
     // degrades to the pre-dispatch behavior (CSR gather everywhere).
     assert!(!m.plan().is_packed(), "disabled plan must be empty");
     let gplan = plan_for(8, 13, 2, &graphs[0]);
-    assert_eq!(gplan, GraphPlan::generic());
+    assert_eq!(gplan, GraphPlan::default());
     assert_eq!(gplan.spmm, [SpmmStrategy::CsrGather; NUM_RELATIONS]);
 
     for (g, spec) in graphs.iter().zip(&specialized) {

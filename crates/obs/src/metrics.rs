@@ -99,7 +99,12 @@ pub fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// Fixed-bucket log-scale histogram. All operations are relaxed atomics.
+/// Re-reads of `count` a snapshot makes before settling for the latest
+/// `(count, sum)` pair.
+const SNAPSHOT_RETRIES: usize = 64;
+
+/// Fixed-bucket log-scale histogram: relaxed atomics, except that `count`
+/// is published last (Release) so snapshots can pair it with `sum`.
 pub struct Histogram {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
@@ -125,14 +130,16 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Record one sample.
+    /// Record one sample. `count` is bumped last, with Release, so a
+    /// reader that Acquire-loads `count == c` also sees the other fields of
+    /// those `c` records.
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Release);
     }
 
     /// Record a duration in nanoseconds.
@@ -141,12 +148,26 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// A consistent-enough copy of the current state.
+    /// A copy of the current state with `count` and `sum` read together:
+    /// `count` is re-read around `sum` until both reads agree (bounded
+    /// retry), so `sum` covers exactly the `count` finished records plus
+    /// at most one in-flight record per writer. A reader descheduled
+    /// between the two loads no longer tears the pair.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut count = self.count.load(Ordering::Acquire);
+        let mut sum = self.sum.load(Ordering::Acquire);
+        for _ in 0..SNAPSHOT_RETRIES {
+            let again = self.count.load(Ordering::Acquire);
+            if again == count {
+                break;
+            }
+            count = again;
+            sum = self.sum.load(Ordering::Acquire);
+        }
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
+            count,
+            sum,
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }

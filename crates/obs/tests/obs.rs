@@ -233,21 +233,30 @@ fn snapshot_capture_is_consistent_under_concurrent_writers() {
     // captures snapshots. Every observed counter value must be monotonic
     // across captures and bounded by what was actually written; histogram
     // counts must never run ahead of their sums' implied record count.
+    // Captures start only once every writer has recorded, so on a loaded
+    // host they still overlap the writes instead of finishing first.
     let stop = std::sync::Arc::new(AtomicBool::new(false));
+    let started = std::sync::Arc::new(std::sync::Barrier::new(5));
     let writers: Vec<_> = (0..4)
         .map(|_| {
-            let stop = stop.clone();
+            let (stop, started) = (stop.clone(), started.clone());
             std::thread::spawn(move || {
                 let mut written = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     irnuma_obs::registry().counter("snapcon.counter").inc(1);
                     irnuma_obs::registry().histogram("snapcon.hist").record(7);
                     written += 1;
+                    if written == 1 {
+                        started.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        return written;
+                    }
                 }
-                written
             })
         })
         .collect();
+    started.wait();
 
     let mut last_counter = 0u64;
     for _ in 0..200 {
@@ -275,4 +284,39 @@ fn snapshot_capture_is_consistent_under_concurrent_writers() {
     let (_, v) =
         final_snap.counters.iter().find(|(n, _)| n == "snapcon.counter").expect("counter present");
     assert_eq!(*v, total, "final snapshot sees every write");
+}
+
+#[test]
+fn snapshot_capture_pairs_histogram_count_with_sum() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    // Every record adds 7 to the sum, so a snapshot's sum must cover all
+    // `count` records it reports — never lag them — and run ahead by at
+    // most one in-flight record per writer.
+    const WRITERS: u64 = 4;
+    let hist = Arc::new(irnuma_obs::Histogram::new());
+    let stop = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(std::sync::Barrier::new(WRITERS as usize + 1));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|_| {
+            let (hist, stop, started) = (hist.clone(), stop.clone(), started.clone());
+            std::thread::spawn(move || {
+                hist.record(7);
+                started.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    hist.record(7);
+                }
+            })
+        })
+        .collect();
+    started.wait();
+    for _ in 0..20_000 {
+        let h = hist.snapshot();
+        assert!(h.sum >= 7 * h.count, "sum {} lags count {}", h.sum, h.count);
+        assert!(h.sum <= 7 * (h.count + WRITERS), "sum {} runs ahead of count {}", h.sum, h.count);
+    }
+    stop.store(true, Ordering::Relaxed);
+    for w in writers {
+        w.join().unwrap();
+    }
 }

@@ -164,7 +164,7 @@ fn main() {
         let generic = t1.elapsed().as_secs_f64();
         set_dispatch(true);
         if i > 0 {
-            // First pair is warmup (plan-cache fill, cold branches).
+            // First pair is warmup (scratch growth, cold branches).
             spec_ratios.push(generic / specialized);
         }
     }

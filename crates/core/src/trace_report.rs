@@ -254,9 +254,9 @@ impl TraceReport {
         }
     }
 
-    /// Derived kernel-dispatch rates from the `dispatch.*` counters (plan
-    /// cache hit rate, specialized-vs-generic matmul mix, SpMM strategy
-    /// mix). `None` when the trace carries no dispatch counters. Counters
+    /// Derived kernel-dispatch rates from the `dispatch.*` counters
+    /// (specialized-vs-generic matmul mix, SpMM strategy mix). `None` when
+    /// the trace carries no dispatch counters. Counters
     /// are cumulative per flush, so the largest flushed value per name is
     /// the lifetime total.
     fn dispatch_summary(&self) -> Option<String> {
@@ -271,10 +271,6 @@ impl TraceReport {
             let pct = if a + b > 0 { 100.0 * a as f64 / (a + b) as f64 } else { 0.0 };
             format!("  {label:<34} {pct:5.1}%  ({a_name} {a}, {b_name} {b})\n")
         };
-        let (hits, misses) = (total("dispatch.plan_hits"), total("dispatch.plan_misses"));
-        if hits + misses > 0 {
-            out.push_str(&ratio_line("plan-cache hit rate", "hits", hits, "misses", misses));
-        }
         let (spec, generic) = (total("dispatch.matmul_spec"), total("dispatch.matmul_generic"));
         let packed = total("dispatch.matmul_packed");
         if spec + packed + generic > 0 {
@@ -509,9 +505,7 @@ mod tests {
             &[
                 // Two flushes of a cumulative counter: the larger value is
                 // the lifetime total, not the sum.
-                &counter("dispatch.plan_hits", 10),
-                &counter("dispatch.plan_hits", 15),
-                &counter("dispatch.plan_misses", 1),
+                &counter("dispatch.matmul_spec", 40),
                 &counter("dispatch.matmul_spec", 70),
                 &counter("dispatch.matmul_packed", 20),
                 &counter("dispatch.matmul_generic", 10),
@@ -522,8 +516,6 @@ mod tests {
         let r = load(&path).unwrap();
         let table = r.render();
         assert!(table.contains("kernel dispatch:"), "{table}");
-        assert!(table.contains("plan-cache hit rate"), "{table}");
-        assert!(table.contains("(hits 15, misses 1)"), "{table}");
         assert!(table.contains("(spec 90, generic 10)"), "{table}");
         assert!(table.contains("(csr 3, edge-major 1)"), "{table}");
         std::fs::remove_file(&path).ok();

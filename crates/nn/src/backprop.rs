@@ -47,7 +47,9 @@
 //! asserts fused gradients match `Tape::backward` within `1e-4` across
 //! random graphs, widths, layer counts, and the layer-norm ablation.
 
-use crate::dispatch::{self, matmul_accumulate_auto, plan_matmul, GraphPlan, ModelPlan, RelView};
+use crate::dispatch::{
+    self, matmul_accumulate_auto, plan_matmul, ModelPlan, RelView, SpmmStrategy,
+};
 use crate::graphdata::{GraphData, NUM_RELATIONS};
 use crate::model::{GnnModel, ParamLayout};
 use crate::tensor::{
@@ -80,9 +82,6 @@ pub struct TrainScratch {
     term: Vec<f32>,
     /// Residual sum `h_1 + h_L` — the layer-norm input (`n×d`).
     res: Vec<f32>,
-    /// The SpMM strategies the forward picked for this graph; the backward
-    /// reuses them.
-    gplan: GraphPlan,
     /// Head activations (`d` / `classes` sized): the pooled embedding, the
     /// FC hidden layer, the logits and their softmax.
     pub(crate) pooled: Vec<f32>,
@@ -259,7 +258,6 @@ impl GnnModel {
         }
 
         let csr = g.csr();
-        s.gplan = dispatch::plan_for(d, self.cfg.classes, layers, g);
         for l in 0..layers {
             let (h_in, h_rest) = s.hs.split_at_mut(l + 1);
             let h_in = &h_in[l];
@@ -273,12 +271,13 @@ impl GnnModel {
                 if g.edges[r].is_empty() {
                     continue;
                 }
-                // SpMM through the strategy the graph's shape signature
-                // selected. Every strategy visits a destination's incoming
-                // edges in the tape's edge order, so sums round identically.
+                // SpMM through the strategy this relation's shape selects.
+                // Every strategy visits a destination's incoming edges in the
+                // tape's edge order, so sums round identically.
                 let msgs = &mut s.msgs[l * NUM_RELATIONS + r];
                 let rel = RelView { rows: csr_r, edges: &g.edges[r], norm: &g.norm[r] };
-                dispatch::spmm_forward(s.gplan.spmm[r], rel, h_in, n, d, msgs);
+                let strategy = SpmmStrategy::for_relation(n, g.edges[r].len());
+                dispatch::spmm_forward(strategy, rel, h_in, n, d, msgs);
                 // Like the tape, the product goes through a zeroed buffer
                 // before joining the accumulator (summing straight into
                 // `acc` would regroup the additions).
@@ -501,7 +500,8 @@ impl GnnModel {
                 s.term.fill(0.0);
                 matmul_accumulate_auto(&s.gpre, n, d, wt, d, &mut s.term);
                 let rel = RelView { rows: &g.csc()[r], edges: &g.edges[r], norm: &g.norm[r] };
-                dispatch::spmm_backward(s.gplan.spmm[r], rel, &s.term, n, d, &mut s.gh);
+                let strategy = SpmmStrategy::for_relation(n, g.edges[r].len());
+                dispatch::spmm_backward(strategy, rel, &s.term, n, d, &mut s.gh);
             }
             let wt: &[f32] = match plan.and_then(|pl| pl.weight_t(w_self)) {
                 Some(t) => t,

@@ -22,32 +22,26 @@
 //!   stream it sequentially, and each RGCN layer weight's transpose is
 //!   materialized once for the backward pass — inference and training stop
 //!   re-striding weights per call.
-//! * **Per-relation SpMM strategy** ([`SpmmStrategy`]) — picked from cheap
-//!   degree statistics cached on [`GraphData`]: the CSR row-major gather for
-//!   relations with real fan-in, an edge-major sweep for sparse/tiny
-//!   relations where walking `n` row pointers costs more than streaming `e`
-//!   edges. Both visit each destination's incoming edges in original
-//!   edge-list order, so they are bit-identical. (A dense-matmul fallback
-//!   and a CSC-staged forward were evaluated and rejected: both reorder
-//!   per-destination sums and would break the bit-identity contract.) The
-//!   per-edge axpy runs in 8-lane chunks plus a scalar tail at the host's
-//!   tier.
-//! * **Plan cache** ([`plan_for`]) — the chosen strategies are memoized per
-//!   graph-shape signature (hidden, classes, layers, per-relation degree
-//!   buckets) with hit/miss counters exposed through `irnuma-obs` and
-//!   rendered by `irnuma report`.
+//! * **Per-relation SpMM strategy** ([`SpmmStrategy::for_relation`]) —
+//!   picked at each SpMM call from the relation's node and edge counts: the
+//!   CSR row-major gather for relations with real fan-in, an edge-major
+//!   sweep for sparse/tiny relations where walking `n` row pointers costs
+//!   more than streaming `e` edges. Both visit each destination's incoming
+//!   edges in original edge-list order, so they are bit-identical. (A
+//!   dense-matmul fallback and a CSC-staged forward were evaluated and
+//!   rejected: both reorder per-destination sums and would break the
+//!   bit-identity contract.) The per-edge axpy runs in 8-lane chunks plus a
+//!   scalar tail at the host's tier.
 //!
 //! Dispatch is on by default. `IRNUMA_NO_DISPATCH=1` (or
 //! [`set_dispatch`]`(false)`, wired to the CLI's `--no-dispatch`) forces
 //! every path back onto the generic kernels — the fallback stays live and
 //! is exercised by CI.
 
-use crate::graphdata::{Csr, GraphData, NUM_RELATIONS};
+use crate::graphdata::{Csr, NUM_RELATIONS};
 use crate::model::{GnnModel, ParamLayout};
 use crate::tensor::{matmul_accumulate, Tensor};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 // ---------------------------------------------------------------------------
 // Dispatch switch
@@ -564,8 +558,8 @@ pub fn ln_pool_rows(
 // Prepacked weights
 // ---------------------------------------------------------------------------
 
-/// A weight matrix repacked into [`PANEL`]-wide column panels: panel `p`
-/// holds columns `p*PANEL .. (p+1)*PANEL` for all `inner` rows contiguously
+/// A weight matrix repacked into 16-wide column panels: panel `p` holds
+/// columns `p*16 .. (p+1)*16` for all `inner` rows contiguously
 /// (`k`-major within the panel), the last panel zero-padded to the full
 /// width. The strip kernels stream a panel sequentially instead of striding
 /// `cols × 4` bytes per `k`. Values are unchanged — only the layout moves —
@@ -767,17 +761,30 @@ pub fn plan_matmul(
 /// How one relation's message aggregation runs. Every strategy visits each
 /// output row's terms in original edge-list order, so all are bit-identical;
 /// the choice is purely about memory-access shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpmmStrategy {
     /// Walk the destination-grouped CSR (forward) / source-grouped CSC
     /// (backward) row by row. Best when rows have real fan-in: each output
     /// row stays register/L1-resident across its incoming edges.
-    #[default]
     CsrGather,
     /// Stream the original edge list directly, scattering per edge. Best
     /// for sparse or tiny relations where scanning `n` row pointers costs
     /// more than the `e` edges themselves.
     EdgeMajor,
+}
+
+impl SpmmStrategy {
+    /// The strategy for one relation with `edges` edges over an `n`-node
+    /// graph: edge-major for sparse relations (`2·edges < n`) and tiny
+    /// graphs (`n < 64`), CSR gather otherwise — and CSR gather everywhere
+    /// when dispatch is off or the relation is empty.
+    pub fn for_relation(n: usize, edges: usize) -> SpmmStrategy {
+        if dispatch_enabled() && edges > 0 && (2 * edges < n || n < 64) {
+            SpmmStrategy::EdgeMajor
+        } else {
+            SpmmStrategy::CsrGather
+        }
+    }
 }
 
 /// One relation's adjacency in every form a strategy can consume.
@@ -970,210 +977,6 @@ pub fn spmm_backward(
     spmm(false, strategy, rel, term, n, d, out)
 }
 
-// ---------------------------------------------------------------------------
-// Plan cache (graph-shape signature → chosen strategies)
-// ---------------------------------------------------------------------------
-
-/// A graph-shape signature: everything the strategy choice depends on.
-/// Degree distributions are bucketed (log₂ node-count class × density
-/// class) so graphs of the same shape share one cache entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShapeSig {
-    pub hidden: u32,
-    pub classes: u32,
-    pub layers: u32,
-    /// Per relation: `0xFF` for empty, else `size_class << 2 | density`.
-    pub rel: [u8; NUM_RELATIONS],
-}
-
-/// Bucket one relation's shape: log₂ node-count class (0–14) and a density
-/// class — 0 sparse (`2e < n`), 1 moderate, 2 dense (`e ≥ 4n`).
-fn rel_bucket(n: usize, e: usize) -> u8 {
-    if e == 0 {
-        return 0xFF;
-    }
-    let size = (usize::BITS - 1 - n.max(1).leading_zeros()).min(14) as u8;
-    let density = if e * 2 < n {
-        0
-    } else if e < n * 4 {
-        1
-    } else {
-        2
-    };
-    size << 2 | density
-}
-
-/// The strategies chosen for one graph shape. The default is the
-/// pre-dispatch behavior: CSR gather everywhere.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphPlan {
-    pub spmm: [SpmmStrategy; NUM_RELATIONS],
-}
-
-/// Pure strategy choice from a bucketed relation shape: edge-major for
-/// sparse relations and tiny graphs (size class < 6 ⇒ n < 64), CSR gather
-/// otherwise. Deriving from the bucket — not the raw counts — keeps the
-/// signature → plan mapping a pure function the cache can memoize.
-fn plan_from_sig(sig: &ShapeSig) -> GraphPlan {
-    let mut spmm = [SpmmStrategy::CsrGather; NUM_RELATIONS];
-    for (s, &b) in spmm.iter_mut().zip(&sig.rel) {
-        if b != 0xFF && (b & 0b11 == 0 || b >> 2 < 6) {
-            *s = SpmmStrategy::EdgeMajor;
-        }
-    }
-    GraphPlan { spmm }
-}
-
-static PLAN_CACHE: Mutex<Option<HashMap<ShapeSig, GraphPlan>>> = Mutex::new(None);
-static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
-static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Entries kept before the cache is cleared (a runaway-shape backstop; real
-/// workloads see a handful of signatures).
-const PLAN_CACHE_CAP: usize = 4096;
-
-/// Lifetime plan-cache `(hits, misses)` for this process.
-pub fn plan_cache_stats() -> (u64, u64) {
-    (PLAN_HITS.load(Ordering::Relaxed), PLAN_MISSES.load(Ordering::Relaxed))
-}
-
-/// The kernel plan for one graph under one model shape, memoized by shape
-/// signature with hit/miss counters. Falls back to the generic plan when
-/// dispatch is off.
-pub fn plan_for(hidden: usize, classes: usize, layers: usize, g: &GraphData) -> GraphPlan {
-    if !dispatch_enabled() {
-        return GraphPlan::default();
-    }
-    let stats = g.rel_stats();
-    let n = g.num_nodes();
-    let mut rel = [0u8; NUM_RELATIONS];
-    for (b, s) in rel.iter_mut().zip(stats) {
-        *b = rel_bucket(n, s.edges as usize);
-    }
-    let sig =
-        ShapeSig { hidden: hidden as u32, classes: classes as u32, layers: layers as u32, rel };
-
-    let mut guard = PLAN_CACHE.lock().expect("plan cache poisoned");
-    let cache = guard.get_or_insert_with(HashMap::new);
-    if let Some(&plan) = cache.get(&sig) {
-        PLAN_HITS.fetch_add(1, Ordering::Relaxed);
-        if irnuma_obs::telemetry_enabled() {
-            irnuma_obs::counter!("dispatch.plan_hits").inc(1);
-        }
-        return plan;
-    }
-    PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-    if irnuma_obs::telemetry_enabled() {
-        irnuma_obs::counter!("dispatch.plan_misses").inc(1);
-    }
-    if cache.len() >= PLAN_CACHE_CAP {
-        cache.clear();
-    }
-    let plan = plan_from_sig(&sig);
-    cache.insert(sig, plan);
-    plan
-}
-
-// ---------------------------------------------------------------------------
-// Shared model-plan cache (parameter fingerprint → Arc<ModelPlan>)
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64 fingerprint of a model's architecture and exact parameter
-/// bits. Two models agree iff their configs match and every parameter is
-/// bit-identical — the same contract a [`ModelPlan`]'s prepacked weights
-/// depend on, which is why [`shared_plan`] keys on this rather than on
-/// shape alone: two same-shape models with different weights must never
-/// share a cached plan (the packed panels *are* the weights).
-pub fn model_fingerprint(model: &GnnModel) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    let c = &model.cfg;
-    for v in [c.vocab_size, c.hidden, c.classes, c.layers, c.layer_norm as usize] {
-        eat(&(v as u64).to_le_bytes());
-    }
-    for p in &model.params {
-        eat(&(p.rows as u64).to_le_bytes());
-        eat(&(p.cols as u64).to_le_bytes());
-        for v in &p.data {
-            eat(&v.to_bits().to_le_bytes());
-        }
-    }
-    h
-}
-
-static MODEL_PLANS: Mutex<Option<HashMap<u64, Arc<ModelPlan>>>> = Mutex::new(None);
-static MODEL_PLAN_HITS: AtomicU64 = AtomicU64::new(0);
-static MODEL_PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Distinct live models kept; a serving process holds one or two (current
-/// plus the one being reloaded), so a tiny cap bounds stale-entry memory.
-const MODEL_PLAN_CAP: usize = 8;
-
-/// Lifetime shared-model-plan-cache `(hits, misses)` for this process.
-pub fn model_plan_cache_stats() -> (u64, u64) {
-    (MODEL_PLAN_HITS.load(Ordering::Relaxed), MODEL_PLAN_MISSES.load(Ordering::Relaxed))
-}
-
-/// One prepacked [`ModelPlan`] shared by every caller holding the same
-/// model bits: keyed by [`model_fingerprint`] (plus the dispatch switch,
-/// since it changes what the plan packs), memoized process-wide. This is
-/// the serving path's plan source — all connections share one immutable
-/// `Arc` per loaded model generation, and a hot-reload naturally misses to
-/// a fresh plan because the reloaded weights fingerprint differently.
-pub fn shared_plan(model: &GnnModel) -> Arc<ModelPlan> {
-    // The dispatch flag is part of the key: an empty (dispatch-off) plan
-    // must not be served after the flag flips on, and vice versa.
-    let key = model_fingerprint(model) ^ if dispatch_enabled() { 0 } else { 1 };
-    if let Some(plan) = MODEL_PLANS
-        .lock()
-        .expect("model plan cache poisoned")
-        .as_ref()
-        .and_then(|cache| cache.get(&key).cloned())
-    {
-        MODEL_PLAN_HITS.fetch_add(1, Ordering::Relaxed);
-        if irnuma_obs::telemetry_enabled() {
-            irnuma_obs::counter!("dispatch.model_plan_hits").inc(1);
-        }
-        return plan;
-    }
-    MODEL_PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-    if irnuma_obs::telemetry_enabled() {
-        irnuma_obs::counter!("dispatch.model_plan_misses").inc(1);
-    }
-    // Built outside the lock: packing touches every FC weight, and a
-    // concurrent reload should not serialize behind it. A racing builder
-    // produces an identical plan; first insert wins.
-    let plan = Arc::new(ModelPlan::build(model));
-    let mut guard = MODEL_PLANS.lock().expect("model plan cache poisoned");
-    let cache = guard.get_or_insert_with(HashMap::new);
-    if cache.len() >= MODEL_PLAN_CAP {
-        cache.clear();
-    }
-    cache.entry(key).or_insert_with(|| plan.clone()).clone()
-}
-
-/// Drop every cached kernel plan: the shared model plans *and* the
-/// graph-shape strategy cache. Called on model hot-reload so nothing
-/// derived from the previous generation's parameters (or its shape
-/// population) survives the swap; the next lookups rebuild from the live
-/// model. Existing `Arc<ModelPlan>` handles stay valid — invalidation
-/// unpins them from the cache, it does not free them under a reader.
-pub fn invalidate_plan_caches() {
-    if let Some(cache) = MODEL_PLANS.lock().expect("model plan cache poisoned").as_mut() {
-        cache.clear();
-    }
-    if let Some(cache) = PLAN_CACHE.lock().expect("plan cache poisoned").as_mut() {
-        cache.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1238,115 +1041,26 @@ mod tests {
     }
 
     #[test]
-    fn rel_buckets_separate_size_and_density() {
-        assert_eq!(rel_bucket(10, 0), 0xFF);
-        // 1000 nodes, 100 edges: sparse → edge-major.
-        let sparse =
-            ShapeSig { hidden: 64, classes: 13, layers: 2, rel: [rel_bucket(1000, 100); 3] };
-        assert_eq!(plan_from_sig(&sparse).spmm[0], SpmmStrategy::EdgeMajor);
-        // 1000 nodes, 2500 edges: real fan-in → CSR gather.
-        let dense =
-            ShapeSig { hidden: 64, classes: 13, layers: 2, rel: [rel_bucket(1000, 2500); 3] };
-        assert_eq!(plan_from_sig(&dense).spmm[0], SpmmStrategy::CsrGather);
-        // Tiny graph: edge-major regardless of density.
-        let tiny = ShapeSig { hidden: 64, classes: 13, layers: 2, rel: [rel_bucket(10, 40); 3] };
-        assert_eq!(plan_from_sig(&tiny).spmm[0], SpmmStrategy::EdgeMajor);
-    }
-
-    /// Serializes tests that mutate the process-global plan caches (the
-    /// invalidation test clears them; the hit-count tests depend on entries
-    /// surviving between two lookups).
-    static CACHE_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn cache_test_guard() -> std::sync::MutexGuard<'static, ()> {
-        CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn plan_cache_counts_hits_and_misses() {
-        use crate::graphdata::GraphData;
-        let _serial = cache_test_guard();
-        let g = GraphData::from_edge_lists(
-            (0..5).collect(),
-            [vec![(0, 1), (1, 2), (2, 3), (3, 4)], vec![], vec![]],
-        );
-        // A hidden width no other test uses → this test owns the signature.
-        let (h0, m0) = plan_cache_stats();
-        let p1 = plan_for(9973, 13, 2, &g);
-        let p2 = plan_for(9973, 13, 2, &g);
-        let (h1, m1) = plan_cache_stats();
-        assert_eq!(p1, p2);
-        assert!(m1 > m0, "first lookup misses");
-        assert!(h1 > h0, "second lookup hits");
-    }
-
-    #[test]
-    fn shared_plans_are_keyed_by_weights_not_shape() {
-        use crate::model::GnnConfig;
-        let _serial = cache_test_guard();
-        let cfg = GnnConfig {
-            vocab_size: 16,
-            hidden: 8,
-            classes: 4,
-            layers: 2,
-            layer_norm: true,
-            seed: 1,
-        };
-        let a = GnnModel::new(cfg);
-        let b = GnnModel::new(GnnConfig { seed: 2, ..cfg });
-        // Same architecture, different weights: a shape-keyed cache would
-        // hand model b the plan packed from model a's parameters.
-        assert_ne!(model_fingerprint(&a), model_fingerprint(&b));
-        let pa = shared_plan(&a);
-        let pb = shared_plan(&b);
-        assert!(!Arc::ptr_eq(&pa, &pb), "same-shape models must not share a plan");
-        // The cached plan must reproduce each model's own unplanned forward
-        // bit-for-bit — stale packed weights would diverge here.
-        let g = GraphData::from_edge_lists(
-            vec![1, 3, 5, 7],
-            [vec![(0, 1), (1, 2), (2, 3)], vec![(3, 0)], vec![]],
-        );
-        let one = std::slice::from_ref(&g);
-        assert_eq!(a.infer_batch_planned(&pa, one)[0].logits, a.infer(&g).logits);
-        assert_eq!(b.infer_batch_planned(&pb, one)[0].logits, b.infer(&g).logits);
-        // Repeat lookups hit, returning the identical Arc.
-        let (h0, _) = model_plan_cache_stats();
-        assert!(Arc::ptr_eq(&shared_plan(&a), &pa));
-        let (h1, _) = model_plan_cache_stats();
-        assert!(h1 > h0, "second lookup hits");
-    }
-
-    #[test]
-    fn invalidation_drops_shared_plans_and_shape_cache() {
-        use crate::graphdata::GraphData;
-        use crate::model::GnnConfig;
-        let _serial = cache_test_guard();
-        let m = GnnModel::new(GnnConfig {
-            vocab_size: 16,
-            hidden: 8,
-            classes: 4,
-            layers: 2,
-            layer_norm: true,
-            seed: 3,
-        });
-        let p1 = shared_plan(&m);
-        invalidate_plan_caches();
-        let (_, miss0) = model_plan_cache_stats();
-        let p2 = shared_plan(&m);
-        let (_, miss1) = model_plan_cache_stats();
-        assert!(miss1 > miss0, "invalidated model plan must rebuild");
-        assert!(!Arc::ptr_eq(&p1, &p2), "rebuilt plan is a fresh Arc");
-        // The graph-shape strategy cache is dropped too: the same unique
-        // signature misses again after invalidation.
-        let g = GraphData::from_edge_lists(
-            (0..5).collect(),
-            [vec![(0, 1), (1, 2), (2, 3), (3, 4)], vec![], vec![]],
-        );
-        let _ = plan_for(9941, 13, 2, &g);
-        invalidate_plan_caches();
-        let (_, shape_miss0) = plan_cache_stats();
-        let _ = plan_for(9941, 13, 2, &g);
-        let (_, shape_miss1) = plan_cache_stats();
-        assert!(shape_miss1 > shape_miss0, "cleared shape cache misses on re-lookup");
+    fn strategy_switches_at_the_size_and_density_boundaries() {
+        use SpmmStrategy::{CsrGather, EdgeMajor};
+        // Tiny graphs are edge-major at any density; from 64 nodes up only
+        // sparse relations (2e < n) are. Empty relations, and every relation
+        // when dispatch is off (`tests/dispatch_fallback.rs` flips it), take
+        // the CSR gather.
+        let on = dispatch_enabled();
+        for (n, edges, want) in [
+            (63, 31, EdgeMajor),
+            (63, 32, EdgeMajor),
+            (63, 500, EdgeMajor),
+            (64, 31, EdgeMajor),
+            (64, 32, CsrGather),
+            (65, 32, EdgeMajor),
+            (65, 33, CsrGather),
+            (63, 0, CsrGather),
+            (1000, 0, CsrGather),
+        ] {
+            let want = if on { want } else { CsrGather };
+            assert_eq!(SpmmStrategy::for_relation(n, edges), want, "n={n} e={edges}");
+        }
     }
 }

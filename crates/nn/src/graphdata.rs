@@ -54,18 +54,6 @@ impl std::error::Error for GraphError {}
 /// without copying.
 pub type RelationArrays = (Rc<Vec<(u32, u32)>>, Rc<Vec<f32>>);
 
-/// Cheap per-relation degree statistics, computed once per graph alongside
-/// the adjacency caches. The kernel-dispatch layer buckets these into a
-/// graph-shape signature to pick an SpMM strategy per relation (see
-/// `crate::dispatch::plan_for`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RelStats {
-    /// Edge count of this relation.
-    pub edges: u32,
-    /// Largest per-destination in-degree (fan-in skew).
-    pub max_in_degree: u32,
-}
-
 /// Compressed-sparse-row view of one relation's incoming edges, grouped by
 /// destination node. Slot order within a destination preserves the original
 /// edge order, so per-row accumulation visits the same summands in the same
@@ -133,12 +121,6 @@ pub struct GraphData {
     /// independent-per-row gather with no transpose ever materialized.
     #[serde(skip)]
     csc: OnceLock<[Csr; NUM_RELATIONS]>,
-    /// Per-relation degree statistics, built on first use by the kernel
-    /// dispatcher. Serde-skipped like the adjacency caches, so a graph
-    /// deserialized (or rebuilt) always recomputes its stats — the plan
-    /// derived from them can never go stale against `edges`/`norm`.
-    #[serde(skip)]
-    stats: OnceLock<[RelStats; NUM_RELATIONS]>,
 }
 
 impl GraphData {
@@ -155,14 +137,7 @@ impl GraphData {
         edges: [Vec<(u32, u32)>; NUM_RELATIONS],
         norm: [Vec<f32>; NUM_RELATIONS],
     ) -> GraphData {
-        GraphData {
-            node_text,
-            edges,
-            norm,
-            csr: OnceLock::new(),
-            csc: OnceLock::new(),
-            stats: OnceLock::new(),
-        }
+        GraphData { node_text, edges, norm, csr: OnceLock::new(), csc: OnceLock::new() }
     }
 
     /// Assemble from node ids and edge lists, computing the paper's
@@ -306,31 +281,6 @@ impl GraphData {
         self.csc = OnceLock::new();
         let _ = self.csr.set(csr);
         let _ = self.csc.set(csc);
-        self.stats = OnceLock::new();
-    }
-
-    /// Cached per-relation degree statistics (built on first call). An
-    /// `n + e` counting pass per relation — negligible next to one layer of
-    /// message passing — consumed by the kernel dispatcher's shape
-    /// signature.
-    pub fn rel_stats(&self) -> &[RelStats; NUM_RELATIONS] {
-        self.stats.get_or_init(|| {
-            if irnuma_obs::telemetry_enabled() {
-                irnuma_obs::counter!("dispatch.stats_build").inc(1);
-            }
-            let n = self.num_nodes();
-            let mut indeg = vec![0u32; n];
-            std::array::from_fn(|r| {
-                indeg.fill(0);
-                for &(_, d) in &self.edges[r] {
-                    indeg[d as usize] += 1;
-                }
-                RelStats {
-                    edges: self.edges[r].len() as u32,
-                    max_in_degree: indeg.iter().copied().max().unwrap_or(0),
-                }
-            })
-        })
     }
 }
 
@@ -498,29 +448,5 @@ mod tests {
         assert_eq!(ok.norm[0], vec![1.0]);
         let display = format!("{err}");
         assert!(display.contains("node 9"), "{display}");
-    }
-
-    #[test]
-    fn degree_stats_are_rebuilt_after_serde_so_plans_cannot_go_stale() {
-        // Mirror of the CSR-cache test above for the dispatch layer's
-        // inputs: the stats (and therefore any plan derived from them) must
-        // be recomputed from the deserialized edges, never serialized stale.
-        let d = GraphData::from_graph(&toy());
-        let stats = *d.rel_stats();
-        let data_r = EdgeKind::Data.index();
-        assert_eq!(stats[data_r].edges, 3);
-        assert_eq!(stats[data_r].max_in_degree, 2); // v's Data fan-in
-        assert_eq!(stats[EdgeKind::Call.index()], RelStats::default());
-
-        let cloned = d.clone();
-        assert_eq!(*cloned.rel_stats(), stats);
-        let json = serde_json::to_string(&d).unwrap();
-        let back: GraphData = serde_json::from_str(&json).unwrap();
-        assert_eq!(*back.rel_stats(), stats);
-
-        // A graph with different edges under the same node set must produce
-        // different stats (i.e. stats really derive from the live arrays).
-        let rewired = GraphData::from_edge_lists(back.node_text.clone(), Default::default());
-        assert_eq!(rewired.rel_stats()[data_r], RelStats::default());
     }
 }

@@ -125,11 +125,11 @@ impl GnnModel {
         self.infer_batch_planned(&self.plan(), graphs)
     }
 
-    /// [`infer_batch`](GnnModel::infer_batch) through a prebuilt (typically
-    /// cached and `Arc`-shared) [`ModelPlan`] — the serving path, where one
-    /// immutable plan per model generation is shared by every connection
-    /// and rebuilding it per micro-batch would dominate small batches.
-    /// `plan` must have been built from this model's current parameters.
+    /// [`infer_batch`](GnnModel::infer_batch) through a prebuilt
+    /// [`ModelPlan`] — the serving path, where each model snapshot owns the
+    /// plan packed from its weights and rebuilding it per micro-batch would
+    /// dominate small batches. `plan` must have been built from this
+    /// model's current parameters.
     pub fn infer_batch_planned<G: Borrow<GraphData> + Sync>(
         &self,
         plan: &ModelPlan,
@@ -270,7 +270,7 @@ mod tests {
         let m = model();
         let graphs: Vec<GraphData> = (0..9).map(toy_graph).collect();
         let refs: Vec<&GraphData> = graphs.iter().collect();
-        let plan = crate::dispatch::shared_plan(&m);
+        let plan = m.plan();
         let planned = m.infer_batch_planned(&plan, &refs);
         let per_call = m.infer_batch(&refs);
         for (a, b) in planned.iter().zip(&per_call) {

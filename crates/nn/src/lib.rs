@@ -37,10 +37,7 @@ pub mod train;
 
 pub use backprop::{FusedEngine, GradBuffer, TrainScratch};
 pub use binfmt::{decode_graph, decode_graph_into, encode_graph};
-pub use dispatch::{
-    dispatch_enabled, invalidate_plan_caches, model_fingerprint, set_dispatch, shared_plan,
-    GraphPlan, ModelPlan, SpmmStrategy,
-};
+pub use dispatch::{dispatch_enabled, set_dispatch, ModelPlan, SpmmStrategy};
 pub use graphdata::{Csr, GraphData, GraphError};
 pub use infer::InferOutput;
 pub use model::{GnnConfig, GnnModel};

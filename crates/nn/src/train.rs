@@ -328,7 +328,7 @@ impl GnnClassifier {
             let mut grad_sq = 0.0f64;
             for _ in 0..num_shards {
                 let batch = source.next_shard()?;
-                check_batch(&batch, self.model.cfg.classes)?;
+                check_batch(&batch, &self.model.cfg)?;
                 let order =
                     record_orders[batch.shard].get_or_insert_with(|| (0..batch.len()).collect());
                 if order.len() != batch.len() {
@@ -425,9 +425,10 @@ impl GnnClassifier {
     }
 }
 
-/// Reject a shard this model cannot train on. Pack labels come from
-/// on-disk metadata, so a bad one is corrupt data, not a caller bug.
-fn check_batch(batch: &ShardBatch, classes: usize) -> io::Result<()> {
+/// Reject a shard this model cannot train on. Pack labels and graphs come
+/// from on-disk data, so a bad label, token or edge is corrupt data, not a
+/// caller bug — and the kernels would index out of bounds on the last two.
+fn check_batch(batch: &ShardBatch, cfg: &GnnConfig) -> io::Result<()> {
     if batch.graphs.len() != batch.labels.len() {
         return Err(invalid(format!(
             "shard {} holds {} graphs but {} labels",
@@ -436,10 +437,14 @@ fn check_batch(batch: &ShardBatch, classes: usize) -> io::Result<()> {
             batch.labels.len()
         )));
     }
-    match batch.labels.iter().find(|&&l| l >= classes) {
-        Some(l) => Err(invalid(format!("label {l} out of range for {classes} classes"))),
-        None => Ok(()),
+    if let Some(l) = batch.labels.iter().find(|&&l| l >= cfg.classes) {
+        return Err(invalid(format!("label {l} out of range for {} classes", cfg.classes)));
     }
+    for (i, g) in batch.graphs.iter().enumerate() {
+        g.validate(cfg.vocab_size)
+            .map_err(|e| invalid(format!("shard {} graph {i}: {e}", batch.shard)))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -747,6 +752,27 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("2 graphs but 1 labels"), "{err}");
+    }
+
+    #[test]
+    fn untrusted_graphs_are_a_typed_error_not_a_panic() {
+        // cfg() has a 24-token vocabulary; the kernels would index the
+        // embedding table and the adjacency with these values directly.
+        let out_of_vocab = GraphData::from_edge_lists(vec![0, 999], [vec![(0, 1)], vec![], vec![]]);
+        let out_of_range = GraphData::from_parts(
+            vec![0, 1],
+            [vec![(0, 7)], vec![], vec![]],
+            [vec![1.0], vec![], vec![]],
+        );
+        for (g, msg) in [(out_of_vocab, "token 999"), (out_of_range, "references node 7")] {
+            let (gs, _) = dataset();
+            let mut source = MemorySource::from_shards(vec![(vec![gs[0].clone(), g], vec![0, 1])]);
+            let err = GnnClassifier::new(cfg())
+                .fit_streaming(&mut source, TrainParams::default(), None)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(msg), "{err}");
+        }
     }
 
     #[test]

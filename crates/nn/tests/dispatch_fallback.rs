@@ -6,7 +6,7 @@
 //! processes, so the rest of the suite is unaffected).
 
 use irnuma_nn::backprop::{fused_loss_grads_threadlocal, GradBuffer};
-use irnuma_nn::dispatch::{dispatch_enabled, plan_for, set_dispatch, GraphPlan};
+use irnuma_nn::dispatch::{dispatch_enabled, set_dispatch};
 use irnuma_nn::graphdata::NUM_RELATIONS;
 use irnuma_nn::{GnnConfig, GnnModel, GraphData, SpmmStrategy};
 
@@ -38,6 +38,7 @@ fn disabling_dispatch_keeps_outputs_bitwise_and_falls_back_everywhere() {
     set_dispatch(true);
     assert!(dispatch_enabled());
     assert!(m.plan().is_packed(), "enabled plan must prepack weights");
+    assert_eq!(SpmmStrategy::for_relation(10, 40), SpmmStrategy::EdgeMajor);
     let specialized: Vec<_> = graphs.iter().map(|g| m.infer(g)).collect();
     let spec_batch = m.infer_batch(&graphs);
     let mut spec_grads = GradBuffer::for_model(&m);
@@ -45,12 +46,13 @@ fn disabling_dispatch_keeps_outputs_bitwise_and_falls_back_everywhere() {
 
     set_dispatch(false);
     assert!(!dispatch_enabled());
-    // A plan built with dispatch off packs nothing, and the graph plan
-    // degrades to the pre-dispatch behavior (CSR gather everywhere).
+    // A plan built with dispatch off packs nothing, and every relation
+    // degrades to the pre-dispatch behavior (CSR gather everywhere), even
+    // the tiny and sparse shapes that are edge-major with dispatch on.
     assert!(!m.plan().is_packed(), "disabled plan must be empty");
-    let gplan = plan_for(8, 13, 2, &graphs[0]);
-    assert_eq!(gplan, GraphPlan::default());
-    assert_eq!(gplan.spmm, [SpmmStrategy::CsrGather; NUM_RELATIONS]);
+    for (n, edges) in [(1, 1), (10, 40), (63, 31), (1000, 100), (1000, 2500)] {
+        assert_eq!(SpmmStrategy::for_relation(n, edges), SpmmStrategy::CsrGather);
+    }
 
     for (g, spec) in graphs.iter().zip(&specialized) {
         let generic = m.infer(g);

@@ -109,7 +109,7 @@ impl TelemetrySnapshot {
     /// counters and gauges as-is, histograms and span latencies as summaries
     /// with `quantile` labels plus `_sum`/`_count` series. Metric names are
     /// prefixed `irnuma_` and sanitized (`.` → `_`); every family carries
-    /// `# HELP` (from the central [`metric_help`] table) and `# TYPE`
+    /// `# HELP` (from the central `metric_help` table) and `# TYPE`
     /// lines so the output passes promtool-style linting.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(512);

@@ -21,10 +21,10 @@
 //!    `overloaded` error carrying `retry_after_ms`; oversized request
 //!    lines are discarded without ever being buffered.
 //! 3. **Atomic hot-reload.** The model artifact is re-read (checksummed
-//!    by `irnuma-store`) on demand or on mtime change; reload invalidates
-//!    the kernel-dispatch plan caches and swaps an immutable
-//!    `Arc`-snapshot, so in-flight batches finish on the generation they
-//!    started on and no kernel ever sees stale prepacked weights.
+//!    by `irnuma-store`) on demand or on mtime change; reload packs a new
+//!    plan from the new weights and swaps an immutable `Arc`-snapshot of
+//!    both, so in-flight batches finish on the generation they started on
+//!    and no kernel ever sees stale prepacked weights.
 //!
 //! Responses are bit-identical to offline [`irnuma_nn::GnnModel::infer_batch`]
 //! on the same weights — the wire format round-trips f32 exactly — which is

@@ -21,10 +21,8 @@
 //!   batch; per-worker inference scratch stays thread-local inside
 //!   `infer_batch_planned`. Hot-reload builds a whole new snapshot and swaps
 //!   the `Arc` — in-flight batches finish on the generation they started on.
-//! * **Reload invalidates the dispatch caches**: prepacked weight panels are
-//!   keyed by model fingerprint ([`irnuma_nn::shared_plan`]), and
-//!   [`irnuma_nn::invalidate_plan_caches`] drops both the shared-plan and
-//!   shape-plan caches so no kernel can see stale weights.
+//!   The plan is built from the snapshot's own weights, so no kernel can see
+//!   another generation's prepacked panels.
 //! * **Every request is a causal root**: a detached `serve.request` span is
 //!   opened at admission and dropped after the response is handed to the
 //!   writer, so `irnuma trace analyze --require-roots serve.request` sees
@@ -90,7 +88,7 @@ impl ServeConfig {
 /// One immutable model snapshot: weights + prepacked plan + generation.
 struct ModelState {
     model: GnnModel,
-    plan: Arc<ModelPlan>,
+    plan: ModelPlan,
     generation: u64,
 }
 
@@ -118,10 +116,7 @@ impl Shared {
     fn reload(&self) -> Result<u64, String> {
         let clf = GnnClassifier::load_json(&self.model_path)
             .map_err(|e| format!("reload {}: {e}", self.model_path.display()))?;
-        // New weights ⇒ every prepacked panel keyed by the old fingerprint
-        // is garbage; drop both plan caches before building the new plan.
-        irnuma_nn::invalidate_plan_caches();
-        let plan = irnuma_nn::shared_plan(&clf.model);
+        let plan = clf.model.plan();
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
         let next = Arc::new(ModelState { model: clf.model, plan, generation });
         *self.state.write().unwrap() = next;
@@ -144,7 +139,7 @@ impl Server {
     /// and (optionally) reload-poll threads.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let clf = GnnClassifier::load_json(&cfg.model_path)?;
-        let plan = irnuma_nn::shared_plan(&clf.model);
+        let plan = clf.model.plan();
         let state = Arc::new(ModelState { model: clf.model, plan, generation: 0 });
         let shared = Arc::new(Shared {
             state: RwLock::new(state),

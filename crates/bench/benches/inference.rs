@@ -1,22 +1,20 @@
 //! The RGCN inference hot path: tape-based forward (the old `predict` path)
 //! vs the tape-free engine, per graph and batched, at the paper width
 //! (hidden = 256) and the common small width (hidden = 64). The batched
-//! path is also measured with shape-specialized kernel dispatch
-//! force-disabled (`set_dispatch(false)`), giving the headline
-//! `speedup_specialized_vs_generic_h{64,256}` ratios alongside
-//! `speedup_batch_vs_tape`. Medians land in `BENCH_inference.json` at the
-//! repo root.
+//! path's absolute medians (`infer_batch_8_graphs_h{64,256}`) land in
+//! `BENCH_inference.json` at the repo root, next to the
+//! `speedup_batch_vs_tape` ratios.
 //!
-//! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to run only the h64
-//! specialized-vs-generic pair with small sample counts. Regression gating
-//! lives in `irnuma bench-check` (rules in `results/bench_baselines.json`),
-//! which compares the written medians against the committed baselines; the
-//! bench itself always exits zero so a noisy run can't mask the numbers.
+//! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to time only the h64 batch
+//! with small sample counts. Regression gating lives in `irnuma
+//! bench-check` (rules in `results/bench_baselines.json`), which compares
+//! the written medians against the committed baselines; the bench itself
+//! always exits zero so a noisy run can't mask the numbers.
 
 use criterion::{black_box, Criterion};
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
-use irnuma_nn::{set_dispatch, GnnConfig, GnnModel, GraphData};
+use irnuma_nn::{GnnConfig, GnnModel, GraphData};
 use irnuma_workloads::all_regions;
 
 fn region_graphs(vocab: &Vocab, count: usize) -> Vec<GraphData> {
@@ -109,54 +107,24 @@ fn main() {
     };
     let mut entries = medians.clone();
 
-    // The specialized-vs-generic pairs: the identical batched call with
-    // kernel dispatch on (prepacked weights + monomorphized ISA-wide tiles)
-    // and force-disabled (the pre-dispatch generic blocked kernels).
-    // Measured as alternating on/off pairs — medians of the per-pair times
-    // and ratios — because back-to-back medians drift by more than the
-    // effect under measurement on a busy host; the toggle always sits
-    // outside the timed region.
+    // The batched call's absolute time per width: the median of repeated
+    // runs, the first of which is warmup (scratch growth, cold branches).
     let widths: &[(&GnnModel, &str)] =
         if quick { &[(&model64, "h64")] } else { &[(&model64, "h64"), (&model256, "h256")] };
     let pairs = if quick { 5 } else { 15 };
     for &(model, tag) in widths {
-        let mut spec_ns = Vec::with_capacity(pairs);
-        let mut generic_ns = Vec::with_capacity(pairs);
-        let mut ratios = Vec::with_capacity(pairs);
-        for i in 0..=pairs {
-            set_dispatch(true);
-            let t0 = std::time::Instant::now();
-            black_box(model.infer_batch(black_box(&graphs)).len());
-            let spec = t0.elapsed().as_secs_f64() * 1e9;
-            set_dispatch(false);
-            let t1 = std::time::Instant::now();
-            black_box(model.infer_batch(black_box(&graphs)).len());
-            let generic = t1.elapsed().as_secs_f64() * 1e9;
-            set_dispatch(true);
-            if i > 0 {
-                // First pair is warmup (scratch growth, cold branches).
-                spec_ns.push(spec);
-                generic_ns.push(generic);
-                ratios.push(generic / spec);
-            }
-        }
-        let med = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.total_cmp(b));
-            v[v.len() / 2]
-        };
-        let (spec, generic) = (med(&mut spec_ns), med(&mut generic_ns));
-        let ratio = med(&mut ratios);
-        entries.push((format!("inference/infer_batch_8_graphs_{tag}"), spec));
-        entries.push((format!("inference/infer_batch_generic_8_graphs_{tag}"), generic));
-        entries.push((format!("inference/speedup_specialized_vs_generic_{tag}"), ratio));
-        println!(
-            "specialized vs generic batch ({tag}): {ratio:.2}x ({:.2} ms vs {:.2} ms)",
-            spec / 1e6,
-            generic / 1e6
-        );
-        if ratio < 1.0 {
-            eprintln!("warning: specialized dispatch slower than generic at {tag} ({ratio:.2}x)");
-        }
+        let mut batch_ns: Vec<f64> = (0..=pairs)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                black_box(model.infer_batch(black_box(&graphs)).len());
+                t0.elapsed().as_secs_f64() * 1e9
+            })
+            .skip(1)
+            .collect();
+        batch_ns.sort_by(|a, b| a.total_cmp(b));
+        let batch = batch_ns[batch_ns.len() / 2];
+        entries.push((format!("inference/infer_batch_8_graphs_{tag}"), batch));
+        println!("batched inference ({tag}): {:.2} ms", batch / 1e6);
     }
     if !quick {
         // Tracing overhead: the identical batched path with a live JSONL

@@ -1,12 +1,11 @@
 //! The RGCN training hot path at paper width (hidden = 256): minibatch
 //! gradients over 8 region graphs through the autograd tape (the
 //! verification oracle) vs the tape-free fused engine, full fused epochs
-//! through `GnnClassifier::fit`, plus paired-run measurements of the
-//! live-tracing overhead and the kernel-dispatch payoff on those epochs.
-//! Results land in `BENCH_training.json` at the repo root, including the
-//! headline `speedup_fused_vs_tape` (gradients only: the tape is not a
-//! training path, so it has no epoch to time),
-//! `speedup_specialized_vs_generic` and `tracing_overhead_ratio` entries.
+//! through `GnnClassifier::fit`, plus a paired-run measurement of the
+//! live-tracing overhead on those epochs. Results land in
+//! `BENCH_training.json` at the repo root, including the headline
+//! `speedup_fused_vs_tape` (gradients only: the tape is not a training
+//! path, so it has no epoch to time) and `tracing_overhead_ratio` entries.
 //!
 //! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to shrink the model (h64) and
 //! sample counts so the whole benchmark runs in seconds. Regression gating
@@ -17,9 +16,7 @@
 use criterion::{black_box, Criterion};
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
-use irnuma_nn::{
-    set_dispatch, FusedEngine, GnnClassifier, GnnConfig, GnnModel, GraphData, Tensor, TrainParams,
-};
+use irnuma_nn::{FusedEngine, GnnClassifier, GnnConfig, GnnModel, GraphData, Tensor, TrainParams};
 use irnuma_workloads::all_regions;
 use rayon::prelude::*;
 
@@ -148,29 +145,6 @@ fn main() {
     ratios.sort_by(|a, b| a.total_cmp(b));
     let overhead_ratio = ratios[ratios.len() / 2];
 
-    // Kernel-dispatch payoff on training: the identical fused epoch with
-    // shape specialization + weight prepacking on vs force-disabled, again
-    // as alternating pairs (median of per-pair generic/specialized ratios)
-    // so host drift cancels out.
-    let mut spec_ratios = Vec::with_capacity(pairs);
-    for i in 0..=pairs {
-        set_dispatch(true);
-        let t0 = std::time::Instant::now();
-        black_box(one_epoch(&clf, black_box(&graphs), &labels, p));
-        let specialized = t0.elapsed().as_secs_f64();
-        set_dispatch(false);
-        let t1 = std::time::Instant::now();
-        black_box(one_epoch(&clf, black_box(&graphs), &labels, p));
-        let generic = t1.elapsed().as_secs_f64();
-        set_dispatch(true);
-        if i > 0 {
-            // First pair is warmup (scratch growth, cold branches).
-            spec_ratios.push(generic / specialized);
-        }
-    }
-    spec_ratios.sort_by(|a, b| a.total_cmp(b));
-    let spec_speedup = spec_ratios[spec_ratios.len() / 2];
-
     let medians = c.medians().to_vec();
     let get = |id: &str| {
         medians.iter().find(|(k, _)| k == id).map(|&(_, v)| v).expect("bench id present")
@@ -182,7 +156,6 @@ fn main() {
     let speedup = tape / fused_grads;
     let mut entries = medians.clone();
     entries.push(("training/speedup_fused_vs_tape".into(), speedup));
-    entries.push(("training/speedup_specialized_vs_generic".into(), spec_speedup));
     entries.push(("training/tracing_overhead_ratio".into(), overhead_ratio));
     entries.push(("training/epochs_per_sec_fused".into(), 1e9 / fused));
     entries.push(("training/hidden".into(), hidden as f64));
@@ -195,12 +168,6 @@ fn main() {
         fused / 1e6,
         path.display()
     );
-    println!("kernel dispatch on fused training: {spec_speedup:.2}x vs generic kernels");
-    if spec_speedup < 1.0 {
-        eprintln!(
-            "warning: specialized dispatch slower than generic on training ({spec_speedup:.2}x)"
-        );
-    }
     // Budget mirrors the training/tracing_overhead_ratio gate in
     // results/bench_baselines.json (<= 1.10): training epochs are short in
     // quick mode, so the per-worker fan-out spans weigh more than on the

@@ -8,7 +8,7 @@
 //! {
 //!   "tolerance": 0.05,
 //!   "rules": [
-//!     {"metric": "inference/speedup_specialized_vs_generic_h64", "min": 1.0},
+//!     {"metric": "inference/speedup_batch_vs_tape_single", "min": 2.0},
 //!     {"metric": "inference/tracing_overhead_ratio", "max": 1.02}
 //!   ]
 //! }

@@ -38,13 +38,7 @@ fn main() -> ExitCode {
     // IRNUMA_LOG overrides the info default; IRNUMA_TRACE=<file> installs
     // the JSONL sink. The guard flushes metrics + trace on exit.
     let _obs = irnuma_obs::init(irnuma_obs::Level::Info);
-    // `--no-dispatch` (any position) forces the generic fallback kernels —
-    // the escape hatch mirroring IRNUMA_NO_DISPATCH, kept live by CI.
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--no-dispatch") {
-        args.retain(|a| a != "--no-dispatch");
-        irnuma_nn::set_dispatch(false);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
@@ -116,10 +110,6 @@ USAGE:
                  [--requests <n>] [--clients <n>] [--out-json]
   irnuma bench-check [--quick] [--baselines <file.json>] [--root <dir>]
 
-Any command also accepts --no-dispatch: run the generic GNN kernels
-instead of the shape-specialized dispatch layer (same bits, no
-specialization — a fallback/debugging escape hatch).
-
 `report` is the flat per-stage profile; `trace analyze` rebuilds the
 causal span forest and reports each root span's critical path,
 parallelism efficiency, and queue-vs-compute split. `trace export
@@ -142,8 +132,7 @@ ENVIRONMENT:
   IRNUMA_LOG=<level>       error|warn|info|debug (default info)
   IRNUMA_METRICS=<addr>    serve live metrics (/json, /metrics) on <addr>
   IRNUMA_PROFILE=<file>    sampling profiler; folded stacks on exit
-  IRNUMA_PROFILE_HZ=<n>    profiler sample rate (default 997)
-  IRNUMA_NO_DISPATCH=1     same effect as --no-dispatch";
+  IRNUMA_PROFILE_HZ=<n>    profiler sample rate (default 997)";
 
 fn find_region(name: &str) -> Result<RegionSpec, String> {
     all_regions()
@@ -154,6 +143,15 @@ fn find_region(name: &str) -> Result<RegionSpec, String> {
 
 fn opt_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
     rest.iter().position(|a| a == flag).and_then(|i| rest.get(i + 1)).map(String::as_str)
+}
+
+/// `--seqs <n>`, the flag-sequence count. Zero is rejected: a dataset
+/// without sequences has no graphs to train on.
+fn parse_seqs(rest: &[String], default: &str) -> Result<usize, String> {
+    match opt_value(rest, "--seqs").unwrap_or(default).parse() {
+        Ok(0) | Err(_) => Err("bad --seqs (need a positive count)".into()),
+        Ok(n) => Ok(n),
+    }
 }
 
 fn parse_arch(rest: &[String]) -> Result<MicroArch, String> {
@@ -304,8 +302,7 @@ fn dataset(rest: &[String]) -> Result<(), String> {
         _ => {}
     }
     let arch = parse_arch(rest)?;
-    let seqs: usize =
-        opt_value(rest, "--seqs").unwrap_or("12").parse().map_err(|_| "bad --seqs")?;
+    let seqs = parse_seqs(rest, "12")?;
     let calls: u32 =
         opt_value(rest, "--calls").unwrap_or("6").parse().map_err(|_| "bad --calls")?;
     let out = opt_value(rest, "--out").ok_or("missing --out <file.json|dir>")?;
@@ -419,7 +416,7 @@ fn dataset_info(rest: &[String]) -> Result<(), String> {
 
 fn train(rest: &[String]) -> Result<(), String> {
     let arch = parse_arch(rest)?;
-    let seqs: usize = opt_value(rest, "--seqs").unwrap_or("4").parse().map_err(|_| "bad --seqs")?;
+    let seqs = parse_seqs(rest, "4")?;
     let epochs: usize =
         opt_value(rest, "--epochs").unwrap_or("10").parse().map_err(|_| "bad --epochs")?;
     let hidden: usize =
@@ -552,7 +549,7 @@ fn train_streaming(
 fn predict(rest: &[String]) -> Result<(), String> {
     let target = rest.first().ok_or("missing region name")?.clone();
     let arch = parse_arch(rest)?;
-    let seqs: usize = opt_value(rest, "--seqs").unwrap_or("8").parse().map_err(|_| "bad --seqs")?;
+    let seqs = parse_seqs(rest, "8")?;
     let epochs: usize =
         opt_value(rest, "--epochs").unwrap_or("10").parse().map_err(|_| "bad --epochs")?;
     let ds: Dataset = match opt_value(rest, "--dataset") {

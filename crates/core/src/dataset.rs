@@ -91,10 +91,13 @@ impl Dataset {
     }
 
     /// Load a dataset cached with [`Dataset::save_json`]. A truncated or
-    /// corrupt cache fails with [`std::io::ErrorKind::InvalidData`] instead
-    /// of parsing into a garbage dataset.
+    /// corrupt cache, or one without flag sequences, fails with
+    /// [`std::io::ErrorKind::InvalidData`] instead of parsing into a garbage
+    /// dataset.
     pub fn load_json(path: &std::path::Path) -> std::io::Result<Dataset> {
-        irnuma_store::load_json(path, "dataset")
+        let ds: Dataset = irnuma_store::load_json(path, "dataset")?;
+        require_sequences(ds.sequences.len())?;
+        Ok(ds)
     }
 
     /// Load a dataset from either storage format: a pack directory written
@@ -128,6 +131,16 @@ impl Dataset {
         let base: Vec<f64> = self.regions.iter().map(|r| r.default_time).collect();
         irnuma_ml::coverage(&times, &base, &self.chosen_configs)
     }
+}
+
+/// Training subsamples a dataset's flag sequences, so a dataset (or pack
+/// meta) without any is [`std::io::ErrorKind::InvalidData`] at load rather
+/// than a panic once training starts.
+pub(crate) fn require_sequences(count: usize) -> std::io::Result<()> {
+    if count == 0 {
+        return Err(irnuma_store::invalid("dataset has no flag sequences"));
+    }
+    Ok(())
 }
 
 /// One recorded per-region failure from a tolerant dataset build.

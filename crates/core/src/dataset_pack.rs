@@ -26,7 +26,8 @@
 //! the corpus.
 
 use crate::dataset::{
-    build_grouped, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData, SkipRecord,
+    build_grouped, require_sequences, BuildOptions, Dataset, DatasetError, DatasetParams,
+    RegionData, SkipRecord,
 };
 use irnuma_nn::stream::{RecordMap, ShardStream, GRAPH_SHARD_KIND, RECORD_PREFIX};
 use irnuma_nn::{decode_graph, encode_graph, GraphData};
@@ -82,9 +83,12 @@ impl PackedMeta {
     }
 }
 
-/// Load a pack directory's meta (no graphs touched).
+/// Load a pack directory's meta (no graphs touched). A meta without flag
+/// sequences is [`io::ErrorKind::InvalidData`].
 pub fn read_meta(dir: &Path) -> io::Result<PackedMeta> {
-    irnuma_store::load_json(&dir.join(META_FILE), META_KIND)
+    let meta: PackedMeta = irnuma_store::load_json(&dir.join(META_FILE), META_KIND)?;
+    require_sequences(meta.sequences.len())?;
+    Ok(meta)
 }
 
 /// What [`pack_dataset`] wrote.
@@ -511,6 +515,29 @@ mod tests {
         let err = build_packed_dataset(MicroArch::Skylake, &tiny(), &opts, &d, 10).unwrap_err();
         assert!(matches!(err, DatasetError::RegionFailed(_)), "{err}");
         assert!(!ShardManifest::exists(&d), "aborted build must not look like a pack");
+    }
+
+    #[test]
+    fn datasets_without_flag_sequences_fail_load_with_typed_errors() {
+        // What `irnuma dataset --seqs 0` used to write: every region, no
+        // sequences, no graphs. Training on it panicked in
+        // `training_sequence_ids`; both formats must now refuse it at load.
+        let mut ds = crate::dataset::build_dataset(MicroArch::Skylake, &tiny());
+        ds.sequences.clear();
+        ds.regions.iter_mut().for_each(|r| r.graphs.clear());
+        let d = tdir("no-seqs");
+        let json = d.join("ds.json");
+        ds.save_json(&json).unwrap();
+        let pack = d.join("pack");
+        pack_dataset(&ds, &pack, 16).unwrap();
+        for err in [
+            Dataset::load_auto(&json).unwrap_err(),
+            Dataset::load_auto(&pack).unwrap_err(),
+            read_meta(&pack).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("no flag sequences"), "{err}");
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub struct StaticModel {
     pub params: StaticParams,
 }
 
-/// Indices of the augmentation subsample.
+/// Indices of the augmentation subsample. `total` must be at least 1: the
+/// CLI rejects `--seqs 0`, and loaders reject datasets without sequences.
 pub fn training_sequence_ids(total: usize, wanted: usize) -> Vec<usize> {
     let k = wanted.clamp(1, total);
     (0..k).map(|i| i * total / k).collect()

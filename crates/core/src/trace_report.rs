@@ -254,39 +254,22 @@ impl TraceReport {
         }
     }
 
-    /// Derived kernel-dispatch rates from the `dispatch.*` counters
-    /// (specialized-vs-generic matmul mix, SpMM strategy mix). `None` when
-    /// the trace carries no dispatch counters. Counters
-    /// are cumulative per flush, so the largest flushed value per name is
-    /// the lifetime total.
+    /// The SpMM strategy mix from the `dispatch.spmm_*` counters. `None`
+    /// when the trace carries no SpMM counters. Counters are cumulative per
+    /// flush, so the largest flushed value per name is the lifetime total.
     fn dispatch_summary(&self) -> Option<String> {
         let total = |key: &str| {
             self.counters.iter().filter(|(n, _)| n == key).map(|&(_, v)| v).max().unwrap_or(0)
         };
-        if !self.counters.iter().any(|(n, _)| n.starts_with("dispatch.")) {
+        let (csr, edge) = (total("dispatch.spmm_csr"), total("dispatch.spmm_edge"));
+        if csr + edge == 0 {
             return None;
         }
-        let mut out = String::from("\nkernel dispatch:\n");
-        let ratio_line = |label: &str, a_name: &str, a: u64, b_name: &str, b: u64| -> String {
-            let pct = if a + b > 0 { 100.0 * a as f64 / (a + b) as f64 } else { 0.0 };
-            format!("  {label:<34} {pct:5.1}%  ({a_name} {a}, {b_name} {b})\n")
-        };
-        let (spec, generic) = (total("dispatch.matmul_spec"), total("dispatch.matmul_generic"));
-        let packed = total("dispatch.matmul_packed");
-        if spec + packed + generic > 0 {
-            out.push_str(&ratio_line(
-                "specialized matmul share",
-                "spec",
-                spec + packed,
-                "generic",
-                generic,
-            ));
-        }
-        let (csr, edge) = (total("dispatch.spmm_csr"), total("dispatch.spmm_edge"));
-        if csr + edge > 0 {
-            out.push_str(&ratio_line("spmm csr-gather share", "csr", csr, "edge-major", edge));
-        }
-        Some(out)
+        let pct = 100.0 * csr as f64 / (csr + edge) as f64;
+        let label = "spmm csr-gather share";
+        Some(format!(
+            "\nkernel dispatch:\n  {label:<34} {pct:5.1}%  (csr {csr}, edge-major {edge})\n"
+        ))
     }
 
     /// Render the per-stage wall-time/percentile table (plus metric
@@ -503,25 +486,25 @@ mod tests {
         let path = write_trace(
             "dispatch.jsonl",
             &[
+                &counter("dispatch.matmul_spec", 70),
                 // Two flushes of a cumulative counter: the larger value is
                 // the lifetime total, not the sum.
-                &counter("dispatch.matmul_spec", 40),
-                &counter("dispatch.matmul_spec", 70),
-                &counter("dispatch.matmul_packed", 20),
-                &counter("dispatch.matmul_generic", 10),
                 &counter("dispatch.spmm_csr", 3),
-                &counter("dispatch.spmm_edge", 1),
+                &counter("dispatch.spmm_csr", 6),
+                &counter("dispatch.spmm_edge", 2),
             ],
         );
         let r = load(&path).unwrap();
         let table = r.render();
         assert!(table.contains("kernel dispatch:"), "{table}");
-        assert!(table.contains("(spec 90, generic 10)"), "{table}");
-        assert!(table.contains("(csr 3, edge-major 1)"), "{table}");
+        assert!(table.contains(" 75.0%  (csr 6, edge-major 2)"), "{table}");
         std::fs::remove_file(&path).ok();
 
-        // A trace without dispatch counters renders no dispatch section.
-        let path = write_trace("nodispatch.jsonl", &[&span_line("a", 5)]);
+        // A trace without SpMM counters renders no dispatch section.
+        let path = write_trace(
+            "nodispatch.jsonl",
+            &[&span_line("a", 5), &counter("dispatch.matmul_spec", 70)],
+        );
         let r = load(&path).unwrap();
         assert!(!r.render().contains("kernel dispatch"), "{}", r.render());
         std::fs::remove_file(&path).ok();

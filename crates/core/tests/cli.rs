@@ -21,6 +21,22 @@ fn help_and_unknown_commands() {
 }
 
 #[test]
+fn zero_flag_sequences_are_a_clean_error() {
+    let out_file = std::env::temp_dir().join("irnuma-cli-zero-seqs.json");
+    for args in [
+        vec!["train", "--seqs", "0"],
+        vec!["predict", "cg.axpy", "--seqs", "0"],
+        vec!["dataset", "--seqs", "0", "--out", out_file.to_str().unwrap()],
+    ] {
+        let out = irnuma(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: bad --seqs"), "{args:?}: {stderr}");
+    }
+    assert!(!out_file.exists(), "a rejected build must write nothing");
+}
+
+#[test]
 fn list_regions_prints_all_56() {
     let out = irnuma(&["list-regions"]);
     assert!(out.status.success());

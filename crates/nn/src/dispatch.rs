@@ -33,43 +33,17 @@
 //!   bit-identity contract.) The per-edge axpy runs in 8-lane chunks plus a
 //!   scalar tail at the host's tier.
 //!
-//! Dispatch is on by default. `IRNUMA_NO_DISPATCH=1` (or
-//! [`set_dispatch`]`(false)`, wired to the CLI's `--no-dispatch`) forces
-//! every path back onto the generic kernels — the fallback stays live and
-//! is exercised by CI.
+//! This is the only kernel path: every host runs its best tier (non-x86
+//! hosts run the baseline strip kernels). The generic
+//! [`tensor::matmul_accumulate`] and the autograd tape stay as test
+//! oracles: every tier [`host_kernel_tiers`] returns is checked against
+//! them, and against scalar reference loops, bit for bit
+//! (`tests/dispatch_equivalence.rs`, `tests/infer_equivalence.rs`).
 
 use crate::graphdata::{Csr, NUM_RELATIONS};
 use crate::model::{GnnModel, ParamLayout};
-use crate::tensor::{matmul_accumulate, Tensor};
+use crate::tensor::{self, Tensor};
 use std::sync::atomic::{AtomicU8, Ordering};
-
-// ---------------------------------------------------------------------------
-// Dispatch switch
-// ---------------------------------------------------------------------------
-
-/// 0 = unset (read `IRNUMA_NO_DISPATCH` on first use), 1 = on, 2 = off.
-static DISPATCH: AtomicU8 = AtomicU8::new(0);
-
-/// Whether shape-specialized dispatch is active. Defaults to on; the
-/// `IRNUMA_NO_DISPATCH` environment variable (any non-empty value except
-/// `0`) or [`set_dispatch`]`(false)` forces the generic fallback kernels.
-pub fn dispatch_enabled() -> bool {
-    match DISPATCH.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let off = std::env::var("IRNUMA_NO_DISPATCH").is_ok_and(|v| !v.is_empty() && v != "0");
-            DISPATCH.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            !off
-        }
-    }
-}
-
-/// Force dispatch on or off for this process (CLI `--no-dispatch`, benches,
-/// tests). Overrides the environment.
-pub fn set_dispatch(enabled: bool) {
-    DISPATCH.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Width-agnostic strip kernels
@@ -130,9 +104,10 @@ impl Mm<'_> {
     /// `R` rows × `W` columns (a compile-time strip: a multiple of 8, or
     /// under 8 for the tail) at column `j0`, accumulated in registers across
     /// the whole `k` sweep and written back once. Per output element the
-    /// arithmetic is exactly [`matmul_accumulate`]'s: the existing value
-    /// first, then separate multiply and add in ascending `k`, skipping `k`
-    /// only when all `R` values of `a` are zero (its 4-row and 1-row tests).
+    /// arithmetic is exactly [`tensor::matmul_accumulate`]'s: the existing
+    /// value first, then separate multiply and add in ascending `k`,
+    /// skipping `k` only when all `R` values of `a` are zero (its 4-row and
+    /// 1-row tests).
     #[inline(always)]
     fn strip<L: Layout, const R: usize, const W: usize>(
         &self,
@@ -207,7 +182,7 @@ impl Mm<'_> {
 /// zmm; AVX2: 4 × 32 in all 16 ymm, `b` reloads from L1; baseline: 16).
 /// `inline(always)` so the ISA wrappers below recompile it at their vector
 /// width; LLVM only widens the independent column lanes and never contracts
-/// to FMA, so every tier is bit-identical to [`matmul_accumulate`].
+/// to FMA, so every tier is bit-identical to [`tensor::matmul_accumulate`].
 #[inline(always)]
 fn mm_body<L: Layout, const JB: usize>(
     a: &[f32],
@@ -317,8 +292,7 @@ fn mm_at<L: Layout>(tier: u8) -> MmFn {
 }
 
 /// `out += a @ b` (row-major `b`), through the strip kernel at the host's
-/// best ISA tier when dispatch is on, the generic blocked kernel otherwise.
-/// Always bit-identical to [`matmul_accumulate`].
+/// best ISA tier. Bit-identical to [`tensor::matmul_accumulate`].
 pub fn matmul_accumulate_auto(
     a: &[f32],
     rows: usize,
@@ -328,16 +302,10 @@ pub fn matmul_accumulate_auto(
     out: &mut [f32],
 ) {
     let _f = irnuma_obs::profile_frame!("kernel.matmul");
-    if dispatch_enabled() {
-        if irnuma_obs::telemetry_enabled() {
-            irnuma_obs::counter!("dispatch.matmul_spec").inc(1);
-        }
-        return mm_at::<RowMajor>(isa_level())(a, rows, inner, b, cols, out);
-    }
     if irnuma_obs::telemetry_enabled() {
-        irnuma_obs::counter!("dispatch.matmul_generic").inc(1);
+        irnuma_obs::counter!("dispatch.matmul_spec").inc(1);
     }
-    matmul_accumulate(a, rows, inner, b, cols, out);
+    KernelTier(isa_level()).matmul(a, rows, inner, b, cols, out)
 }
 
 // ---------------------------------------------------------------------------
@@ -381,60 +349,54 @@ fn ln_scale_body(x: &[f32], mu: f32, inv: f32, gamma: &[f32], beta: &[f32], out:
     }
 }
 
+/// `isa_wrap!(name, body, (args))` defines `fn name(tier, args)`: `body`
+/// instantiated once per ISA tier (baseline, AVX2, AVX-512F) and run at
+/// `tier`, which must not exceed the host's [`isa_level`] (as in [`mm_at`]).
 macro_rules! isa_wrap {
-    ($base:ident, $avx2:ident, $avx512:ident, $body:ident, ($($arg:ident : $ty:ty),*)) => {
-        fn $base($($arg: $ty),*) {
-            $body($($arg),*)
-        }
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) {
-            $body($($arg),*)
-        }
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn $avx512($($arg: $ty),*) {
-            $body($($arg),*)
+    ($name:ident, $body:ident, ($($arg:ident : $ty:ty),*)) => {
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        fn $name(tier: u8, $($arg: $ty),*) {
+            debug_assert!(tier <= isa_level());
+            fn base($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                unsafe fn avx2($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                #[target_feature(enable = "avx512f")]
+                unsafe fn avx512($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                // SAFETY (both arms): as in `mm_at`, `isa_level` detected
+                // the feature on this CPU.
+                match tier {
+                    3 => return unsafe { avx512($($arg),*) },
+                    2 => return unsafe { avx2($($arg),*) },
+                    _ => {}
+                }
+            }
+            base($($arg),*)
         }
     };
 }
 
-isa_wrap!(vadd_base, vadd_avx2, vadd_avx512, vadd_body, (out: &mut [f32], src: &[f32]));
-isa_wrap!(
-    bias_relu_base,
-    bias_relu_avx2,
-    bias_relu_avx512,
-    bias_relu_body,
-    (acc: &[f32], bias: &[f32], out: &mut [f32])
-);
+isa_wrap!(vadd_at, vadd_body, (out: &mut [f32], src: &[f32]));
+isa_wrap!(bias_relu_at, bias_relu_body, (acc: &[f32], bias: &[f32], out: &mut [f32]));
 
-/// `out += src`, elementwise, at the widest ISA this CPU runs (scalar-order
-/// fallback when dispatch is off). Bit-identical either way.
+/// `out += src`, elementwise, at the widest ISA this CPU runs.
 #[inline]
 pub fn vec_add_assign(out: &mut [f32], src: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_enabled() {
-        match isa_level() {
-            3 => return unsafe { vadd_avx512(out, src) },
-            2 => return unsafe { vadd_avx2(out, src) },
-            _ => {}
-        }
-    }
-    vadd_base(out, src)
+    vadd_at(isa_level(), out, src)
 }
 
 /// Bias add + ReLU over `n` rows (`acc`/`out` are `n·d` long, `bias` is `d`).
 #[inline]
 pub fn bias_relu_rows(acc: &[f32], bias: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_enabled() {
-        match isa_level() {
-            3 => return unsafe { bias_relu_avx512(acc, bias, out) },
-            2 => return unsafe { bias_relu_avx2(acc, bias, out) },
-            _ => {}
-        }
-    }
-    bias_relu_base(acc, bias, out)
+    bias_relu_at(isa_level(), acc, bias, out)
 }
 
 /// One row's layer-norm statistics in the tape's exact order: `mu` is the
@@ -473,7 +435,9 @@ fn ln_pool_body(
         let x1 = &h[(row + 1) * d..(row + 2) * d];
         let x2 = &h[(row + 2) * d..(row + 3) * d];
         let x3 = &h[(row + 3) * d..(row + 4) * d];
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+        // Seeded with -0.0, as `Iterator::sum` is: a +0.0 seed would turn
+        // an all-(-0.0) row's mean into +0.0 and flip signed zeros below.
+        let (mut s0, mut s1, mut s2, mut s3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
         for j in 0..d {
             s0 += x0[j];
             s1 += x1[j];
@@ -513,9 +477,7 @@ fn ln_pool_body(
 }
 
 isa_wrap!(
-    ln_pool_base,
-    ln_pool_avx2,
-    ln_pool_avx512,
+    ln_pool_at,
     ln_pool_body,
     (h: &[f32], n: usize, gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32], pooled: &mut [f32])
 );
@@ -523,7 +485,7 @@ isa_wrap!(
 /// Fused layer norm + mean-pool accumulation over `n` rows (`h`/`out` are
 /// `n·d`; `pooled` is `d` and receives the ascending-row sum of normalized
 /// rows — the caller divides by `n`). Bit-identical to the scalar per-row
-/// loop at every ISA level; dispatch off falls back to exactly that loop.
+/// loop at every ISA level.
 #[inline]
 pub fn ln_pool_rows(
     h: &[f32],
@@ -534,24 +496,7 @@ pub fn ln_pool_rows(
     out: &mut [f32],
     pooled: &mut [f32],
 ) {
-    if dispatch_enabled() {
-        #[cfg(target_arch = "x86_64")]
-        match isa_level() {
-            3 => return unsafe { ln_pool_avx512(h, n, gamma, beta, eps, out, pooled) },
-            2 => return unsafe { ln_pool_avx2(h, n, gamma, beta, eps, out, pooled) },
-            _ => {}
-        }
-        // Baseline ISA still benefits from the four interleaved chains.
-        return ln_pool_base(h, n, gamma, beta, eps, out, pooled);
-    }
-    let d = gamma.len();
-    for row in 0..n {
-        let x = &h[row * d..(row + 1) * d];
-        let (mu, inv) = ln_row_stats(x, d, eps);
-        let o = &mut out[row * d..(row + 1) * d];
-        ln_scale_body(x, mu, inv, gamma, beta, o);
-        vadd_base(pooled, o);
-    }
+    ln_pool_at(isa_level(), h, n, gamma, beta, eps, out, pooled)
 }
 
 // ---------------------------------------------------------------------------
@@ -596,8 +541,8 @@ pub fn matmul_accumulate_packed(a: &[f32], rows: usize, pm: &PackedMatrix, out: 
 }
 
 /// One ISA tier's kernel instantiations (1 = baseline, 2 = AVX2, 3 =
-/// AVX-512F). Dispatch always runs the host's best tier; this handle lets
-/// the equivalence tests call every tier the host can run directly.
+/// AVX-512F). Production calls always run the host's best tier; this handle
+/// lets the equivalence tests call every tier the host can run directly.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelTier(u8);
@@ -629,7 +574,58 @@ impl KernelTier {
 
     /// `out += w * src` over `out.len()` lanes.
     pub fn axpy(self, out: &mut [f32], w: f32, src: &[f32]) {
-        axpy_at(self.0)(out, w, src)
+        axpy_at(self.0, out, w, src)
+    }
+
+    /// [`vec_add_assign`] at this tier.
+    pub fn vec_add_assign(self, out: &mut [f32], src: &[f32]) {
+        vadd_at(self.0, out, src)
+    }
+
+    /// [`bias_relu_rows`] at this tier.
+    pub fn bias_relu_rows(self, acc: &[f32], bias: &[f32], out: &mut [f32]) {
+        bias_relu_at(self.0, acc, bias, out)
+    }
+
+    /// [`ln_pool_rows`] at this tier.
+    #[allow(clippy::too_many_arguments)]
+    pub fn ln_pool_rows(
+        self,
+        h: &[f32],
+        n: usize,
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        out: &mut [f32],
+        pooled: &mut [f32],
+    ) {
+        ln_pool_at(self.0, h, n, gamma, beta, eps, out, pooled)
+    }
+
+    /// [`spmm_forward`] at this tier.
+    pub fn spmm_forward(
+        self,
+        strategy: SpmmStrategy,
+        rel: RelView<'_>,
+        h: &[f32],
+        n: usize,
+        d: usize,
+        out: &mut [f32],
+    ) {
+        spmm_at(self.0, true, strategy, rel, h, n, d, out)
+    }
+
+    /// [`spmm_backward`] at this tier.
+    pub fn spmm_backward(
+        self,
+        strategy: SpmmStrategy,
+        rel: RelView<'_>,
+        term: &[f32],
+        n: usize,
+        d: usize,
+        out: &mut [f32],
+    ) {
+        spmm_at(self.0, false, strategy, rel, term, n, d, out)
     }
 }
 
@@ -646,8 +642,7 @@ pub struct PackedParam {
 /// Immutable per-model kernel plan: prepacked weights aligned with
 /// `GnnModel::params`. Built at model load (inference) or once per
 /// optimizer step (training) — weights are packed once and every forward /
-/// backward call stops re-striding them. An empty plan (dispatch disabled)
-/// routes every product through the dynamic-shape fallback.
+/// backward call stops re-striding them.
 #[derive(Debug, Clone)]
 pub struct ModelPlan {
     packed: Vec<Option<PackedParam>>,
@@ -658,8 +653,7 @@ impl ModelPlan {
     /// forward products are 1-row (pooled features) — the shape where the
     /// packed kernels beat streaming the row-major weight. The n-row layer
     /// products go through the row-major strip kernels directly, so
-    /// packing them would only add build cost. When dispatch is off the
-    /// plan is empty and all call sites fall back.
+    /// packing them would only add build cost.
     pub fn build(model: &GnnModel) -> ModelPlan {
         Self::build_inner(model, false)
     }
@@ -674,9 +668,6 @@ impl ModelPlan {
 
     fn build_inner(model: &GnnModel, training: bool) -> ModelPlan {
         let mut packed: Vec<Option<PackedParam>> = vec![None; model.params.len()];
-        if !dispatch_enabled() {
-            return ModelPlan { packed };
-        }
         if irnuma_obs::telemetry_enabled() {
             irnuma_obs::counter!("dispatch.plan_builds").inc(1);
         }
@@ -690,7 +681,7 @@ impl ModelPlan {
                     let p = &model.params[idx];
                     debug_assert_eq!((p.rows, p.cols), (d, d));
                     let mut t = vec![0.0f32; p.data.len()];
-                    crate::tensor::transpose_into(&p.data, p.rows, p.cols, &mut t);
+                    tensor::transpose_into(&p.data, p.rows, p.cols, &mut t);
                     *slot = Some(PackedParam { fwd: None, bwd_t: Some(t) });
                 }
             }
@@ -703,12 +694,6 @@ impl ModelPlan {
             });
         }
         ModelPlan { packed }
-    }
-
-    /// Whether any parameter was actually packed (false when dispatch was
-    /// off at build time).
-    pub fn is_packed(&self) -> bool {
-        self.packed.iter().any(Option::is_some)
     }
 
     /// `out += a @ w` for parameter `idx`. The prepacked panels only pay
@@ -776,10 +761,10 @@ pub enum SpmmStrategy {
 impl SpmmStrategy {
     /// The strategy for one relation with `edges` edges over an `n`-node
     /// graph: edge-major for sparse relations (`2·edges < n`) and tiny
-    /// graphs (`n < 64`), CSR gather otherwise — and CSR gather everywhere
-    /// when dispatch is off or the relation is empty.
+    /// graphs (`n < 64`), CSR gather otherwise — and CSR gather for an empty
+    /// relation.
     pub fn for_relation(n: usize, edges: usize) -> SpmmStrategy {
-        if dispatch_enabled() && edges > 0 && (2 * edges < n || n < 64) {
+        if edges > 0 && (2 * edges < n || n < 64) {
             SpmmStrategy::EdgeMajor
         } else {
             SpmmStrategy::CsrGather
@@ -798,19 +783,10 @@ pub struct RelView<'a> {
     pub norm: &'a [f32],
 }
 
-type AxpyFn = fn(&mut [f32], f32, &[f32]);
-
-/// The scalar-order axpy the dispatch-off path runs.
-fn axpy_dyn(out: &mut [f32], w: f32, src: &[f32]) {
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o += w * v;
-    }
-}
-
 /// `out += w * src` in 8-lane chunks plus a scalar tail, re-instantiated by
 /// the ISA wrappers below. Per-lane multiply-then-add: wider vectors change
 /// how many lanes run per instruction, never the per-element arithmetic, so
-/// every tier is bit-identical to [`axpy_dyn`].
+/// every tier is bit-identical to the scalar `o += w * v` loop.
 #[inline(always)]
 fn axpy_body(out: &mut [f32], w: f32, src: &[f32]) {
     let src = &src[..out.len()];
@@ -828,22 +804,9 @@ fn axpy_body(out: &mut [f32], w: f32, src: &[f32]) {
     }
 }
 
-isa_wrap!(axpy_base, axpy_avx2, axpy_avx512, axpy_body, (out: &mut [f32], w: f32, src: &[f32]));
-
-/// The standalone axpy at ISA tier `tier` — the body the SpMM loops below
-/// inline, exposed through [`KernelTier::axpy`] (same soundness story as
-/// [`mm_at`]).
-fn axpy_at(tier: u8) -> AxpyFn {
-    debug_assert!(tier <= isa_level());
-    // SAFETY (both arms): as in `mm_at`, the tier was detected on this CPU.
-    #[cfg(target_arch = "x86_64")]
-    match tier {
-        3 => return |out, w, src| unsafe { axpy_avx512(out, w, src) },
-        2 => return |out, w, src| unsafe { axpy_avx2(out, w, src) },
-        _ => {}
-    }
-    axpy_base
-}
+// The standalone axpy — the body the SpMM loops below inline, exposed
+// through [`KernelTier::axpy`].
+isa_wrap!(axpy_at, axpy_body, (out: &mut [f32], w: f32, src: &[f32]));
 
 /// Both SpMM directions over one relation, with the per-edge axpy inlined.
 /// Forward: `out[dst] = Σ w_e · x[src_e]`, overwriting `out[..n*d]`, with
@@ -859,7 +822,6 @@ fn spmm_body<const FORWARD: bool>(
     n: usize,
     d: usize,
     out: &mut [f32],
-    axpy: impl Fn(&mut [f32], f32, &[f32]),
 ) {
     match strategy {
         SpmmStrategy::CsrGather => {
@@ -870,7 +832,7 @@ fn spmm_body<const FORWARD: bool>(
                     row.fill(0.0);
                 }
                 for (&j, &w) in nbrs.iter().zip(ws) {
-                    axpy(row, w, &x[j as usize * d..(j as usize + 1) * d]);
+                    axpy_body(row, w, &x[j as usize * d..(j as usize + 1) * d]);
                 }
             }
         }
@@ -881,7 +843,7 @@ fn spmm_body<const FORWARD: bool>(
             for (&(s, t), &w) in rel.edges.iter().zip(rel.norm) {
                 let (to, from) = if FORWARD { (t, s) } else { (s, t) };
                 let (to, from) = (to as usize, from as usize);
-                axpy(&mut out[to * d..(to + 1) * d], w, &x[from * d..(from + 1) * d]);
+                axpy_body(&mut out[to * d..(to + 1) * d], w, &x[from * d..(from + 1) * d]);
             }
         }
     }
@@ -898,23 +860,21 @@ fn spmm_vec(
     out: &mut [f32],
 ) {
     if forward {
-        spmm_body::<true>(strategy, rel, x, n, d, out, axpy_body)
+        spmm_body::<true>(strategy, rel, x, n, d, out)
     } else {
-        spmm_body::<false>(strategy, rel, x, n, d, out, axpy_body)
+        spmm_body::<false>(strategy, rel, x, n, d, out)
     }
 }
 
+// The edge loop is instantiated per tier, so the axpy inlines instead of
+// costing a call per edge.
 isa_wrap!(
-    spmm_base,
-    spmm_avx2,
-    spmm_avx512,
+    spmm_at,
     spmm_vec,
     (forward: bool, strategy: SpmmStrategy, rel: RelView<'_>, x: &[f32], n: usize, d: usize, out: &mut [f32])
 );
 
-/// One SpMM at the host's best tier (the edge loop is instantiated per
-/// tier, so the axpy inlines instead of costing a call per edge), or over
-/// the scalar axpy when dispatch is off.
+/// One SpMM at the host's best tier.
 fn spmm(
     forward: bool,
     strategy: SpmmStrategy,
@@ -930,20 +890,7 @@ fn spmm(
             SpmmStrategy::EdgeMajor => irnuma_obs::counter!("dispatch.spmm_edge").inc(1),
         }
     }
-    if !dispatch_enabled() {
-        return match forward {
-            true => spmm_body::<true>(strategy, rel, x, n, d, out, axpy_dyn),
-            false => spmm_body::<false>(strategy, rel, x, n, d, out, axpy_dyn),
-        };
-    }
-    // SAFETY (both arms): `isa_level` detected the feature on this CPU.
-    #[cfg(target_arch = "x86_64")]
-    match isa_level() {
-        3 => return unsafe { spmm_avx512(forward, strategy, rel, x, n, d, out) },
-        2 => return unsafe { spmm_avx2(forward, strategy, rel, x, n, d, out) },
-        _ => {}
-    }
-    spmm_base(forward, strategy, rel, x, n, d, out)
+    spmm_at(isa_level(), forward, strategy, rel, x, n, d, out)
 }
 
 /// Forward SpMM: `out[dst] = Σ w_e · h[src_e]` over one relation,
@@ -980,6 +927,7 @@ pub fn spmm_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::matmul_accumulate;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1044,10 +992,7 @@ mod tests {
     fn strategy_switches_at_the_size_and_density_boundaries() {
         use SpmmStrategy::{CsrGather, EdgeMajor};
         // Tiny graphs are edge-major at any density; from 64 nodes up only
-        // sparse relations (2e < n) are. Empty relations, and every relation
-        // when dispatch is off (`tests/dispatch_fallback.rs` flips it), take
-        // the CSR gather.
-        let on = dispatch_enabled();
+        // sparse relations (2e < n) are. Empty relations take the CSR gather.
         for (n, edges, want) in [
             (63, 31, EdgeMajor),
             (63, 32, EdgeMajor),
@@ -1059,7 +1004,6 @@ mod tests {
             (63, 0, CsrGather),
             (1000, 0, CsrGather),
         ] {
-            let want = if on { want } else { CsrGather };
             assert_eq!(SpmmStrategy::for_relation(n, edges), want, "n={n} e={edges}");
         }
     }

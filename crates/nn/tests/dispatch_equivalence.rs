@@ -1,15 +1,17 @@
-//! Bit-identity contract of the kernel-dispatch layer: every specialized
-//! path — the strip kernels over row-major and prepacked operands and the
-//! SpMM axpy at every ISA tier the host runs, each SpMM strategy, and the
-//! fully planned inference/training passes — must produce *bit-identical*
-//! f32 results to the generic blocked kernels, across awkward shapes (any
-//! width, row counts around block boundaries, empty operands, post-relu
-//! zeros, empty relations, duplicate edges).
+//! Bit-identity contract of the kernel-dispatch layer: at every ISA tier the
+//! host runs, the strip kernels over row-major and prepacked operands must
+//! equal the generic blocked matmul, and the SpMM axpy, the elementwise
+//! kernels, the fused layer-norm + pool and both SpMM directions under both
+//! strategies must equal plain scalar loops written out here — *bit for
+//! bit*, across awkward shapes (any width, row counts around block
+//! boundaries, empty operands, post-relu zeros, -0.0 accumulators, empty
+//! relations, duplicate edges). The fully planned inference/training passes
+//! must equal the planless ones.
 
 use irnuma_nn::backprop::{fused_loss_grads_threadlocal, GradBuffer};
 use irnuma_nn::dispatch::{
-    host_kernel_tiers, matmul_accumulate_auto, matmul_accumulate_packed, spmm_backward,
-    spmm_forward, PackedMatrix, RelView, SpmmStrategy,
+    host_kernel_tiers, matmul_accumulate_auto, matmul_accumulate_packed, PackedMatrix, RelView,
+    SpmmStrategy,
 };
 use irnuma_nn::graphdata::NUM_RELATIONS;
 use irnuma_nn::tensor::matmul_accumulate;
@@ -56,6 +58,12 @@ fn mat(len: usize, width: usize, seed: u64, zero_pct: u64, zero_every: usize) ->
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every zero of `v` made -0.0: a start value that an extra `+ 0.0` (or a
+/// sum seeded with +0.0) would flip to +0.0.
+fn neg_zeros(v: Vec<f32>) -> Vec<f32> {
+    v.into_iter().map(|x| if x == 0.0 { -0.0 } else { x }).collect()
 }
 
 proptest! {
@@ -109,10 +117,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let src = mat(len, len, seed, 30, 0);
-        let start: Vec<f32> = mat(len, len, seed ^ 7, 30, 0)
-            .into_iter()
-            .map(|v| if v == 0.0 { -0.0 } else { v })
-            .collect();
+        let start = neg_zeros(mat(len, len, seed ^ 7, 30, 0));
         let mut scalar = start.clone();
         for (o, &v) in scalar.iter_mut().zip(&src) {
             *o += w * v;
@@ -123,35 +128,129 @@ proptest! {
             prop_assert_eq!(bits(&out), bits(&scalar), "{:?} len {}", tier, len);
         }
     }
+
+    /// `vec_add_assign` and `bias_relu_rows` at every tier equal their
+    /// scalar loops bit for bit, over any row count and width, with -0.0
+    /// in the accumulator, the inputs and the bias.
+    #[test]
+    fn elementwise_tiers_match_scalar_bitwise(
+        rows in 0usize..10,
+        d in 1usize..70,
+        zero_pct in 0u64..91,
+        seed in 0u64..1000,
+    ) {
+        let src = neg_zeros(mat(rows * d, d, seed, zero_pct, 0));
+        let start = neg_zeros(mat(rows * d, d, seed ^ 7, zero_pct, 0));
+        let bias = neg_zeros(mat(d, d, seed ^ 9, zero_pct, 0));
+        let mut sum = start.clone();
+        for (o, &v) in sum.iter_mut().zip(&src) {
+            *o += v;
+        }
+        let relu: Vec<f32> = src
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let pre = a + bias[i % d];
+                if pre < 0.0 { 0.0 } else { pre }
+            })
+            .collect();
+        for tier in host_kernel_tiers() {
+            let mut out = start.clone();
+            tier.vec_add_assign(&mut out, &src);
+            prop_assert_eq!(bits(&out), bits(&sum), "{:?} vec_add {}x{}", tier, rows, d);
+            let mut out = vec![f32::NAN; rows * d]; // overwritten, not read
+            tier.bias_relu_rows(&src, &bias, &mut out);
+            prop_assert_eq!(bits(&out), bits(&relu), "{:?} bias_relu {}x{}", tier, rows, d);
+        }
+    }
+
+    /// The fused layer norm + pool at every tier equals the one-row-at-a-
+    /// time scalar loop (the tape's order: strict left-to-right `sum`s per
+    /// row, rows pooled in ascending order) bit for bit. 0–9 rows cover the
+    /// 4-row interleave and its tail; a row of all -0.0, -0.0 in `beta` and
+    /// a -0.0 pooled accumulator make a sum seeded with +0.0 show.
+    #[test]
+    fn ln_pool_tiers_match_scalar_bitwise(
+        n in 0usize..10,
+        d in 1usize..40,
+        zero_pct in 0u64..91,
+        zero_row in prop::sample::select(vec![false, true]),
+        seed in 0u64..1000,
+    ) {
+        let mut h = neg_zeros(mat(n * d, d, seed, zero_pct, 0));
+        if zero_row && n > 0 {
+            let r = seed as usize % n;
+            h[r * d..(r + 1) * d].fill(-0.0);
+        }
+        let gamma = mat(d, d, seed ^ 3, zero_pct / 3, 0);
+        let beta = neg_zeros(mat(d, d, seed ^ 5, zero_pct, 0));
+        let eps = 1e-5f32;
+
+        let mut want_out = vec![0.0f32; n * d];
+        let mut want_pooled = vec![-0.0f32; d];
+        for (x, o) in h.chunks_exact(d).zip(want_out.chunks_exact_mut(d)) {
+            let mu = x.iter().sum::<f32>() / d as f32;
+            let var = x.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+            let inv = 1.0 / (var + eps).sqrt();
+            for j in 0..d {
+                o[j] = gamma[j] * ((x[j] - mu) * inv) + beta[j];
+                want_pooled[j] += o[j];
+            }
+        }
+        for tier in host_kernel_tiers() {
+            let mut out = vec![f32::NAN; n * d];
+            let mut pooled = vec![-0.0f32; d];
+            tier.ln_pool_rows(&h, n, &gamma, &beta, eps, &mut out, &mut pooled);
+            prop_assert_eq!(bits(&out), bits(&want_out), "{:?} rows {}x{}", tier, n, d);
+            prop_assert_eq!(bits(&pooled), bits(&want_pooled), "{:?} pooled {}x{}", tier, n, d);
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both SpMM strategies agree bitwise on forward (overwrite) and
-    /// backward (accumulate) over random multigraphs.
+    /// Both SpMM strategies, in both directions, at every tier, equal the
+    /// scalar edge-list loop bit for bit over random multigraphs: forward
+    /// overwrites `out[dst]` with `Σ w·h[src]`, backward accumulates
+    /// `Σ w·h[dst]` into `out[src]` (seeded with -0.0 and nonzero values),
+    /// each output row's terms in original edge order.
     #[test]
     fn spmm_strategies_agree_bitwise(
         g in graph_strategy(),
-        d in prop::sample::select(vec![3usize, 8, 13]),
+        d in prop::sample::select(vec![1usize, 3, 8, 13, 17]),
         seed in 0u64..1000,
     ) {
+        use SpmmStrategy::{CsrGather, EdgeMajor};
         let n = g.num_nodes();
-        let h: Vec<f32> = (0..n * d).map(|i| ((i as u64 * 37 + seed) % 17) as f32 - 8.0).collect();
+        let h = neg_zeros(mat(n * d, d, seed, 30, 0));
+        let seed_grad = neg_zeros(mat(n * d, d, seed ^ 11, 50, 0));
         for r in 0..NUM_RELATIONS {
+            let mut want_fwd = vec![0.0f32; n * d];
+            let mut want_bwd = seed_grad.clone();
+            for (&(s, t), &w) in g.edges[r].iter().zip(&g.norm[r]) {
+                let (s, t) = (s as usize, t as usize);
+                for k in 0..d {
+                    want_fwd[t * d + k] += w * h[s * d + k];
+                    want_bwd[s * d + k] += w * h[t * d + k];
+                }
+            }
             let fwd = RelView { rows: &g.csr()[r], edges: &g.edges[r], norm: &g.norm[r] };
-            let mut a = vec![f32::NAN; n * d]; // stale content must be overwritten
-            let mut b = vec![f32::NAN; n * d];
-            spmm_forward(SpmmStrategy::CsrGather, fwd, &h, n, d, &mut a);
-            spmm_forward(SpmmStrategy::EdgeMajor, fwd, &h, n, d, &mut b);
-            prop_assert_eq!(&a, &b, "forward relation {}", r);
-
             let bwd = RelView { rows: &g.csc()[r], edges: &g.edges[r], norm: &g.norm[r] };
-            let mut ga = vec![0.125f32; n * d]; // += semantics: nonzero seed
-            let mut gb = ga.clone();
-            spmm_backward(SpmmStrategy::CsrGather, bwd, &h, n, d, &mut ga);
-            spmm_backward(SpmmStrategy::EdgeMajor, bwd, &h, n, d, &mut gb);
-            prop_assert_eq!(&ga, &gb, "backward relation {}", r);
+            for tier in host_kernel_tiers() {
+                for strategy in [CsrGather, EdgeMajor] {
+                    let mut out = vec![f32::NAN; n * d]; // stale content must be overwritten
+                    tier.spmm_forward(strategy, fwd, &h, n, d, &mut out);
+                    prop_assert_eq!(
+                        bits(&out), bits(&want_fwd), "{:?} {:?} forward relation {}", tier, strategy, r
+                    );
+                    let mut out = seed_grad.clone();
+                    tier.spmm_backward(strategy, bwd, &h, n, d, &mut out);
+                    prop_assert_eq!(
+                        bits(&out), bits(&want_bwd), "{:?} {:?} backward relation {}", tier, strategy, r
+                    );
+                }
+            }
         }
     }
 

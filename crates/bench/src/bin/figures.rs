@@ -48,9 +48,13 @@ fn parse_args() -> Args {
             "--epochs" => {
                 args.epochs_override = it.next().and_then(|v| v.parse().ok());
             }
-            "--hidden" => {
-                args.hidden_override = it.next().and_then(|v| v.parse().ok());
-            }
+            "--hidden" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(0) | None => {
+                    eprintln!("error: bad --hidden (need a positive width)");
+                    std::process::exit(1);
+                }
+                h => args.hidden_override = h,
+            },
             other => {
                 args.figs.insert(other.to_string());
             }

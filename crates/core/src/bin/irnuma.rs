@@ -154,6 +154,15 @@ fn parse_seqs(rest: &[String], default: &str) -> Result<usize, String> {
     }
 }
 
+/// `--hidden <n>`, the model width. Zero is rejected: a zero-width model
+/// has no embedding to train.
+fn parse_hidden(rest: &[String], default: &str) -> Result<usize, String> {
+    match opt_value(rest, "--hidden").unwrap_or(default).parse() {
+        Ok(0) | Err(_) => Err("bad --hidden (need a positive width)".into()),
+        Ok(n) => Ok(n),
+    }
+}
+
 fn parse_arch(rest: &[String]) -> Result<MicroArch, String> {
     match opt_value(rest, "--arch").unwrap_or("skylake") {
         "skylake" => Ok(MicroArch::Skylake),
@@ -419,8 +428,7 @@ fn train(rest: &[String]) -> Result<(), String> {
     let seqs = parse_seqs(rest, "4")?;
     let epochs: usize =
         opt_value(rest, "--epochs").unwrap_or("10").parse().map_err(|_| "bad --epochs")?;
-    let hidden: usize =
-        opt_value(rest, "--hidden").unwrap_or("16").parse().map_err(|_| "bad --hidden")?;
+    let hidden = parse_hidden(rest, "16")?;
     let seed: u64 = opt_value(rest, "--seed").unwrap_or("71").parse().map_err(|_| "bad --seed")?;
     let every: usize =
         opt_value(rest, "--every").unwrap_or("1").parse().map_err(|_| "bad --every")?;

@@ -8,6 +8,7 @@ use crate::models::hybrid::{static_needs_profiling, HybridParams};
 use crate::models::{DynamicModel, FlagModel, HybridModel, StaticModel, StaticParams};
 use irnuma_ml::{kfold, relative_difference, CvError};
 use irnuma_sim::MicroArch;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Everything configurable about a full pipeline run.
@@ -179,39 +180,85 @@ pub fn evaluate(cfg: &PipelineConfig) -> Result<Evaluation, CvError> {
 
 /// Run the pipeline on an already-built dataset (used by Fig. 6's label
 /// sweep, which re-labels the same dataset).
+///
+/// The folds are independent, so one ordered parallel map runs them, one
+/// fold per item. The fits inside a fold then run start to finish on that
+/// fold's thread (nested parallel calls run inline), and every summation
+/// tree depends only on chunk lengths, so the result is bit-identical at
+/// any pool size.
 pub fn evaluate_on(cfg: &PipelineConfig, dataset: Dataset) -> Result<Evaluation, CvError> {
     let n = dataset.regions.len();
-    let _span = irnuma_obs::span!("eval.run", regions = n, folds = cfg.folds, light = cfg.light);
+    let span = irnuma_obs::span!("eval.run", regions = n, folds = cfg.folds, light = cfg.light);
+    let ctx = span.ctx();
     let folds_idx = kfold(n, cfg.folds, cfg.seed)?;
+
+    let runs: Vec<(FoldModels, Vec<ScoredRegion>)> = (0..folds_idx.len())
+        .into_par_iter()
+        .map(|fi| {
+            let validation = folds_idx[fi].len();
+            let _fold_span =
+                irnuma_obs::span_under!(ctx, "eval.fold", fold = fi, validation = validation);
+            run_fold(cfg, &dataset, &folds_idx, fi)
+        })
+        .collect();
 
     let mut outcomes: Vec<Option<RegionOutcome>> = (0..n).map(|_| None).collect();
     let mut pred_time_by_seq: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut folds = Vec::with_capacity(cfg.folds);
+    let mut folds = Vec::with_capacity(runs.len());
+    for (fold, scored) in runs {
+        for (outcome, times) in scored {
+            let r = outcome.region;
+            pred_time_by_seq[r] = times;
+            outcomes[r] = Some(outcome);
+        }
+        folds.push(fold);
+    }
 
-    for (fi, validation) in folds_idx.iter().enumerate() {
-        let _fold_span = irnuma_obs::span!("eval.fold", fold = fi, validation = validation.len());
-        let train: Vec<usize> = irnuma_ml::cv::train_indices(&folds_idx, fi);
-        let sm = StaticModel::train(&dataset, &train, cfg.static_params);
-        let dm = DynamicModel::train(&dataset, &train);
-        let hm = (!cfg.light)
-            .then(|| HybridModel::train(&dataset, &sm, &train, cfg.hybrid, cfg.static_params));
-        let fm = (!cfg.light).then(|| FlagModel::train(&dataset, &sm, &train, cfg.flags));
+    Ok(Evaluation {
+        cfg: *cfg,
+        dataset,
+        outcomes: outcomes.into_iter().map(|o| o.expect("every region validated once")).collect(),
+        folds,
+        pred_time_by_seq,
+    })
+}
 
-        for &r in validation {
-            let static_label = sm.predict(&dataset, r);
+/// A validation region's outcome and its per-sequence prediction times.
+type ScoredRegion = (RegionOutcome, Vec<f64>);
+
+/// Train fold `fi`'s models on the other folds and score its validation
+/// regions.
+fn run_fold(
+    cfg: &PipelineConfig,
+    dataset: &Dataset,
+    folds_idx: &[Vec<usize>],
+    fi: usize,
+) -> (FoldModels, Vec<ScoredRegion>) {
+    let validation = &folds_idx[fi];
+    let train: Vec<usize> = irnuma_ml::cv::train_indices(folds_idx, fi);
+    let sm = StaticModel::train(dataset, &train, cfg.static_params);
+    let dm = DynamicModel::train(dataset, &train);
+    let hm = (!cfg.light)
+        .then(|| HybridModel::train(dataset, &sm, &train, cfg.hybrid, cfg.static_params));
+    let fm = (!cfg.light).then(|| FlagModel::train(dataset, &sm, &train, cfg.flags));
+
+    let scored = validation
+        .iter()
+        .map(|&r| {
+            let static_label = sm.predict(dataset, r);
             let static_time = dataset.label_time(r, static_label);
-            let dynamic_label = dm.predict(&dataset, r);
+            let dynamic_label = dm.predict(dataset, r);
             let dynamic_time = dataset.label_time(r, dynamic_label);
             let route_dyn =
-                hm.as_ref().map(|h| h.route_to_dynamic(&dataset, &sm, r)).unwrap_or(false);
+                hm.as_ref().map(|h| h.route_to_dynamic(dataset, &sm, r)).unwrap_or(false);
             let hybrid_time = if route_dyn { dynamic_time } else { static_time };
-            let needs = static_needs_profiling(&dataset, &sm, r, cfg.hybrid.error_threshold);
+            let needs = static_needs_profiling(dataset, &sm, r, cfg.hybrid.error_threshold);
             let full = dataset.regions[r].full_best_time();
             let pseq =
-                fm.as_ref().map(|f| f.predict_seq(&dataset, &sm, r)).unwrap_or(sm.explored_seq);
-            let plabel = sm.predict_with_seq(&dataset, r, pseq);
+                fm.as_ref().map(|f| f.predict_seq(dataset, &sm, r)).unwrap_or(sm.explored_seq);
+            let plabel = sm.predict_with_seq(dataset, r, pseq);
 
-            outcomes[r] = Some(RegionOutcome {
+            let outcome = RegionOutcome {
                 region: r,
                 name: dataset.regions[r].spec.name.clone(),
                 fold: fi,
@@ -230,36 +277,30 @@ pub fn evaluate_on(cfg: &PipelineConfig, dataset: Dataset) -> Result<Evaluation,
                 dynamic_error: relative_difference(full, dynamic_time),
                 predicted_seq: pseq,
                 predicted_seq_time: dataset.label_time(r, plabel),
-            });
+            };
 
             // Per-sequence prediction times (validation view): the region's
             // graphs are sequence-ordered, so one batched inference pass
             // covers every sequence.
-            pred_time_by_seq[r] = sm
+            let times = sm
                 .clf
                 .model
                 .infer_batch(&dataset.regions[r].graphs)
                 .iter()
                 .map(|o| dataset.label_time(r, o.label()))
                 .collect();
-        }
+            (outcome, times)
+        })
+        .collect();
 
-        folds.push(FoldModels {
-            fold: fi,
-            validation: validation.clone(),
-            train,
-            static_model: sm,
-            dynamic_model: dm,
-            hybrid_model: hm,
-            flag_model: fm,
-        });
-    }
-
-    Ok(Evaluation {
-        cfg: *cfg,
-        dataset,
-        outcomes: outcomes.into_iter().map(|o| o.expect("every region validated once")).collect(),
-        folds,
-        pred_time_by_seq,
-    })
+    let fold = FoldModels {
+        fold: fi,
+        validation: validation.clone(),
+        train,
+        static_model: sm,
+        dynamic_model: dm,
+        hybrid_model: hm,
+        flag_model: fm,
+    };
+    (fold, scored)
 }

@@ -8,6 +8,7 @@ use crate::models::static_gnn::StaticModel;
 use irnuma_ml::{
     loo_predictions, relative_difference, DecisionTree, Ga, GaParams, Presorted, TreeParams,
 };
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Hybrid-model hyper-parameters.
@@ -68,20 +69,38 @@ pub fn inner_cv_needs_labels(
     static_params: crate::models::static_gnn::StaticParams,
 ) -> (Vec<Vec<f32>>, Vec<usize>) {
     let inner_folds = inner_folds.clamp(2, train_idx.len());
+    let held_out = |f: usize| (f..train_idx.len()).step_by(inner_folds);
+    // The inner fits are independent: one ordered parallel map runs them,
+    // each under the caller's trace context so their spans stay children
+    // of the caller's.
+    let ctx = irnuma_obs::TraceContext::capture();
+    let scored: Vec<Vec<(bool, Vec<f32>)>> = (0..inner_folds)
+        .into_par_iter()
+        .map(|f| {
+            let _ctx = ctx.attach();
+            let sub_train: Vec<usize> = train_idx
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % inner_folds != f)
+                .map(|(_, &r)| r)
+                .collect();
+            let sub_model = StaticModel::train(ds, &sub_train, static_params);
+            held_out(f)
+                .map(|i| {
+                    let r = train_idx[i];
+                    let needs = static_needs_profiling(ds, &sub_model, r, threshold);
+                    (needs, sub_model.router_features(ds, r))
+                })
+                .collect()
+        })
+        .collect();
+
     let mut needs = vec![0usize; train_idx.len()];
     let mut feats: Vec<Vec<f32>> = vec![Vec::new(); train_idx.len()];
-    for f in 0..inner_folds {
-        let sub_train: Vec<usize> = train_idx
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % inner_folds != f)
-            .map(|(_, &r)| r)
-            .collect();
-        let sub_model = StaticModel::train(ds, &sub_train, static_params);
-        for i in (f..train_idx.len()).step_by(inner_folds) {
-            let r = train_idx[i];
-            needs[i] = static_needs_profiling(ds, &sub_model, r, threshold) as usize;
-            feats[i] = sub_model.router_features(ds, r);
+    for (f, fold) in scored.into_iter().enumerate() {
+        for (i, (need, feat)) in held_out(f).zip(fold) {
+            needs[i] = need as usize;
+            feats[i] = feat;
         }
     }
     (feats, needs)

@@ -37,6 +37,19 @@ fn zero_flag_sequences_are_a_clean_error() {
 }
 
 #[test]
+fn zero_model_width_is_a_clean_error() {
+    for args in [vec!["train", "--hidden", "0"], vec!["train", "--hidden", "wide"]] {
+        let out = irnuma(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: bad --hidden (need a positive width)"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn list_regions_prints_all_56() {
     let out = irnuma(&["list-regions"]);
     assert!(out.status.success());

@@ -35,13 +35,18 @@
 //!   CSC mirror ([`GraphData::csc`]) so `dx[src]` rows accumulate
 //!   independently, in original edge order.
 //! * **Flat gradient accumulation.** Gradients for one graph land in a
-//!   [`GradBuffer`] — one flat `Vec<f32>` spanning every parameter — not a
-//!   `Vec<Option<Tensor>>` per graph.
+//!   [`GradBuffer`] — one flat `Vec<f32>` spanning every parameter but the
+//!   embedding, plus the embedding rows the graph's tokens touch — not a
+//!   `Vec<Option<Tensor>>` per graph. A graph's gradient is exactly +0.0 on
+//!   every other embedding row, and a row sum that starts from +0.0 never
+//!   becomes −0.0, so leaving those rows out changes no bit of any sum.
 //! * **Deterministic reduction.** [`FusedEngine::batch_grads`] assigns
 //!   graph `chunk[i]` to pool buffer `i` (fixed assignment, independent of
 //!   thread scheduling) and combines the buffers with an ordered pairwise
-//!   tree reduce whose shape depends only on the chunk length — training is
-//!   bit-for-bit reproducible for a given seed at any thread count.
+//!   tree reduce whose shape depends only on the chunk length, merging
+//!   embedding rows by token id; the reduced buffer is written once into a
+//!   dense gradient for the optimizer. Training is bit-for-bit reproducible
+//!   for a given seed at any thread count.
 //!
 //! The tape stays as the reference oracle: `tests/proptest_backprop.rs`
 //! asserts fused gradients match `Tape::backward` within `1e-4` across
@@ -171,43 +176,100 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut TrainScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Flat per-parameter gradient accumulator: one contiguous `Vec<f32>`
-/// spanning every parameter tensor of a model, addressed by parameter index.
+/// Flat per-parameter gradient accumulator, addressed by parameter index.
+///
+/// The embedding table's gradient is kept by row: `rows` lists, ascending,
+/// the token ids whose `width`-float rows `embed` holds. A dense buffer
+/// ([`GradBuffer::for_model`]) holds every row of the table; a per-graph
+/// buffer in [`FusedEngine`]'s pool holds only the rows its graph's tokens
+/// touch (about 26 of 644 on the region graphs), since a graph's gradient
+/// is exactly +0.0 on every other row. Every other parameter lives in one
+/// contiguous `Vec<f32>`.
 #[derive(Debug, Clone)]
 pub struct GradBuffer {
+    /// Embedding row width (the model's hidden size).
+    width: usize,
+    /// Token ids of the embedding rows held in `embed`, ascending, unique.
+    rows: Vec<u32>,
+    /// `rows.len()` rows of `width` floats.
+    embed: Vec<f32>,
+    /// Every parameter but the embedding: `offsets[i]..offsets[i+1]` is
+    /// parameter `i`'s slice (empty for [`ParamLayout::EMBED`]).
     data: Vec<f32>,
-    /// `offsets[i]..offsets[i+1]` is parameter `i`'s slice.
     offsets: Vec<usize>,
 }
 
 impl GradBuffer {
-    /// A zeroed buffer laid out for `model`'s parameter list.
+    /// A zeroed buffer laid out for `model`'s parameter list, holding every
+    /// embedding row.
     pub fn for_model(model: &GnnModel) -> GradBuffer {
+        let mut gb = GradBuffer::without_rows(model);
+        let table = &model.params[ParamLayout::EMBED];
+        gb.rows = (0..table.rows as u32).collect();
+        gb.embed = vec![0.0; table.data.len()];
+        gb
+    }
+
+    /// A zeroed buffer for `model` that holds no embedding rows yet
+    /// ([`GradBuffer::reset_for_graph`] sizes it per graph).
+    fn without_rows(model: &GnnModel) -> GradBuffer {
         let mut offsets = Vec::with_capacity(model.params.len() + 1);
         let mut total = 0usize;
         offsets.push(0);
-        for p in &model.params {
-            total += p.data.len();
+        for (i, p) in model.params.iter().enumerate() {
+            if i != ParamLayout::EMBED {
+                total += p.data.len();
+            }
             offsets.push(total);
         }
-        GradBuffer { data: vec![0.0; total], offsets }
+        GradBuffer {
+            width: model.cfg.hidden,
+            rows: Vec::new(),
+            embed: Vec::new(),
+            data: vec![0.0; total],
+            offsets,
+        }
     }
 
+    /// Whether the non-embedding layout and the row width fit `model`.
     fn matches(&self, model: &GnnModel) -> bool {
-        self.offsets.len() == model.params.len() + 1
-            && self.offsets.windows(2).zip(&model.params).all(|(o, p)| o[1] - o[0] == p.data.len())
+        self.width == model.cfg.hidden
+            && self.offsets.len() == model.params.len() + 1
+            && self.offsets.windows(2).zip(&model.params).enumerate().all(|(i, (o, p))| {
+                o[1] - o[0] == if i == ParamLayout::EMBED { 0 } else { p.data.len() }
+            })
     }
 
-    pub fn zero(&mut self) {
+    /// Whether every embedding row of `model`'s table is held.
+    fn is_dense_for(&self, model: &GnnModel) -> bool {
+        self.matches(model) && self.rows.len() == model.params[ParamLayout::EMBED].rows
+    }
+
+    /// Zero the buffer and hold exactly the embedding rows of `g`'s tokens.
+    fn reset_for_graph(&mut self, g: &GraphData) {
+        self.rows.clear();
+        self.rows.extend_from_slice(&g.node_text);
+        self.rows.sort_unstable();
+        self.rows.dedup();
+        self.embed.clear();
+        self.embed.resize(self.rows.len() * self.width, 0.0);
         self.data.fill(0.0);
     }
 
     pub fn view(&self, i: usize) -> &[f32] {
-        &self.data[self.offsets[i]..self.offsets[i + 1]]
+        if i == ParamLayout::EMBED {
+            &self.embed
+        } else {
+            &self.data[self.offsets[i]..self.offsets[i + 1]]
+        }
     }
 
     pub fn view_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[self.offsets[i]..self.offsets[i + 1]]
+        if i == ParamLayout::EMBED {
+            &mut self.embed
+        } else {
+            &mut self.data[self.offsets[i]..self.offsets[i + 1]]
+        }
     }
 
     /// One read-only slice per parameter, aligned with `model.params`.
@@ -215,21 +277,104 @@ impl GradBuffer {
         (0..self.offsets.len() - 1).map(|i| self.view(i)).collect()
     }
 
-    pub fn add_assign(&mut self, other: &GradBuffer) {
-        debug_assert_eq!(self.data.len(), other.data.len());
-        dispatch::vec_add_assign(&mut self.data, &other.data);
+    /// Token `id`'s embedding-gradient row. Panics if the buffer does not
+    /// hold it.
+    fn embed_row_mut(&mut self, id: u32) -> &mut [f32] {
+        // Rows are ascending and unique, so `rows[id] == id` means rows
+        // `0..=id` are all present (always true of a dense buffer).
+        let at = if self.rows.get(id as usize) == Some(&id) {
+            id as usize
+        } else {
+            self.rows
+                .binary_search(&id)
+                .unwrap_or_else(|_| panic!("no gradient row for token {id}"))
+        };
+        &mut self.embed[at * self.width..(at + 1) * self.width]
     }
 
-    pub fn scale(&mut self, alpha: f32) {
-        for v in &mut self.data {
-            *v *= alpha;
+    /// `self += other`, element by element. Embedding rows merge by token
+    /// id: a row only one side holds is copied, which is exact because the
+    /// other side's absent row is +0.0 and a held row is never −0.0 (every
+    /// row sum starts from +0.0, and a sum that starts from +0.0 cannot
+    /// reach −0.0). The result is therefore bit-identical to adding the two
+    /// buffers densified to the full table.
+    pub fn add_assign(&mut self, other: &GradBuffer) {
+        debug_assert_eq!(self.data.len(), other.data.len());
+        debug_assert_eq!(self.width, other.width);
+        dispatch::vec_add_assign(&mut self.data, &other.data);
+        if self.rows == other.rows {
+            dispatch::vec_add_assign(&mut self.embed, &other.embed);
+            return;
+        }
+        // Merge from the back, in place: the write cursor never passes the
+        // unread part of `self`, since it stays ahead by the number of
+        // `other`-only rows still to place.
+        let d = self.width;
+        let shared = count_shared(&self.rows, &other.rows);
+        let (mut i, mut j) = (self.rows.len(), other.rows.len());
+        let mut w = i + j - shared;
+        self.rows.resize(w, 0);
+        self.embed.resize(w * d, 0.0);
+        while j > 0 {
+            w -= 1;
+            let theirs = other.rows[j - 1];
+            if i > 0 && self.rows[i - 1] >= theirs {
+                i -= 1;
+                self.rows[w] = self.rows[i];
+                self.embed.copy_within(i * d..(i + 1) * d, w * d);
+                if self.rows[w] == theirs {
+                    j -= 1;
+                    dispatch::vec_add_assign(
+                        &mut self.embed[w * d..(w + 1) * d],
+                        &other.embed[j * d..(j + 1) * d],
+                    );
+                }
+            } else {
+                j -= 1;
+                self.rows[w] = theirs;
+                self.embed[w * d..(w + 1) * d].copy_from_slice(&other.embed[j * d..(j + 1) * d]);
+            }
+        }
+        debug_assert_eq!(w, i, "rows left in `self` are already in place");
+    }
+
+    /// Write `alpha · self` into the dense buffer `out`, rows absent here
+    /// as +0.0 (exactly `alpha · 0.0` for a positive `alpha`).
+    fn scale_into_dense(&self, alpha: f32, out: &mut GradBuffer) {
+        let d = self.width;
+        out.embed.fill(0.0);
+        for (k, &id) in self.rows.iter().enumerate() {
+            let src = &self.embed[k * d..(k + 1) * d];
+            for (o, &g) in out.embed[id as usize * d..(id as usize + 1) * d].iter_mut().zip(src) {
+                *o = g * alpha;
+            }
+        }
+        for (o, &g) in out.data.iter_mut().zip(&self.data) {
+            *o = g * alpha;
         }
     }
 
     /// Sum of squared entries (for gradient-norm telemetry).
     pub fn squared_norm(&self) -> f64 {
-        self.data.iter().map(|&g| g as f64 * g as f64).sum()
+        self.embed.iter().chain(&self.data).map(|&g| g as f64 * g as f64).sum()
     }
+}
+
+/// How many ids two ascending, duplicate-free lists share.
+fn count_shared(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
 }
 
 impl GnnModel {
@@ -514,21 +659,22 @@ impl GnnModel {
             std::mem::swap(&mut s.ga, &mut s.gh);
         }
 
-        // Embedding gather backward: scatter rows in ascending order.
-        let de = grads.view_mut(ParamLayout::EMBED);
+        // Embedding gather backward: scatter rows in ascending node order.
         for (grow, &id) in s.ga.chunks_exact(d).zip(&g.node_text) {
-            dispatch::vec_add_assign(&mut de[id as usize * d..(id as usize + 1) * d], grow);
+            dispatch::vec_add_assign(grads.embed_row_mut(id), grow);
         }
         loss
     }
 }
 
-/// Minibatch gradient driver: a pool of [`GradBuffer`]s (one per in-flight
-/// graph, reused across batches and epochs) and the deterministic ordered
-/// tree reduction that combines them.
+/// Minibatch gradient driver: a pool of per-graph [`GradBuffer`]s (one per
+/// in-flight graph, each holding only its graph's embedding rows, reused
+/// across batches and epochs), the deterministic ordered tree reduction
+/// that combines them, and the dense mean gradient the optimizer reads.
 #[derive(Default)]
 pub struct FusedEngine {
     pool: Vec<GradBuffer>,
+    mean: Option<GradBuffer>,
 }
 
 impl FusedEngine {
@@ -537,8 +683,8 @@ impl FusedEngine {
     }
 
     /// Compute the mean gradient over `chunk` (indices into
-    /// `graphs`/`labels`). Returns the summed loss and the reduced, scaled
-    /// gradient (borrowing the engine's pool). Deterministic at any thread
+    /// `graphs`/`labels`). Returns the summed loss and the reduced, scaled,
+    /// dense gradient (borrowing the engine). Deterministic at any thread
     /// count: graph `chunk[i]` always lands in pool buffer `i`, and the
     /// pairwise reduction tree depends only on `chunk.len()`.
     pub fn batch_grads<'a>(
@@ -554,7 +700,7 @@ impl FusedEngine {
             self.pool.clear();
         }
         while self.pool.len() < k {
-            self.pool.push(GradBuffer::for_model(model));
+            self.pool.push(GradBuffer::without_rows(model));
         }
 
         let t0 = irnuma_obs::telemetry_enabled().then(std::time::Instant::now);
@@ -573,7 +719,7 @@ impl FusedEngine {
             .zip(chunk.par_iter())
             .map(|(buf, &i)| {
                 let _g = irnuma_obs::span_fanout!(ctx, "train.graph_grads");
-                buf.zero();
+                buf.reset_for_graph(&graphs[i]);
                 let loss = with_scratch(|s| {
                     model.fused_loss_grads(&graphs[i], labels[i], s, buf, Some(&plan))
                 });
@@ -585,8 +731,9 @@ impl FusedEngine {
             .collect();
 
         // Ordered pairwise tree reduce: level by level, buffer `i` absorbs
-        // buffer `i + gap`. The summation tree is a function of `k` alone,
-        // so the reduced gradient is bit-identical at any thread count.
+        // buffer `i + gap`, merging their embedding rows. The summation tree
+        // is a function of `k` alone, so the reduced gradient is
+        // bit-identical at any thread count.
         let mut gap = 1;
         while gap < k {
             self.pool[..k].par_chunks_mut(2 * gap).for_each(|pair| {
@@ -597,12 +744,16 @@ impl FusedEngine {
             });
             gap *= 2;
         }
-        self.pool[0].scale(1.0 / k as f32);
+        if !self.mean.as_ref().is_some_and(|m| m.is_dense_for(model)) {
+            self.mean = Some(GradBuffer::for_model(model));
+        }
+        let mean = self.mean.as_mut().expect("mean buffer sized above");
+        self.pool[0].scale_into_dense(1.0 / k as f32, mean);
         if let Some(t0) = t0 {
             irnuma_obs::histogram!("train.fused_batch_ns").record_duration(t0.elapsed());
         }
         // Canonical-order loss sum (chunk order, not completion order).
-        (losses.iter().sum(), &self.pool[0])
+        (losses.iter().sum(), mean)
     }
 }
 
@@ -658,6 +809,15 @@ mod tests {
         m.loss_and_grads(g, label)
     }
 
+    /// Every gradient of a buffer, embedding first, at full table width.
+    fn dense(gb: &GradBuffer) -> Vec<f32> {
+        gb.views().concat()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn assert_grads_close(m: &GnnModel, fused: &GradBuffer, tape: &[Tensor], tol: f32) {
         for (i, t) in tape.iter().enumerate() {
             for (j, (&a, &b)) in fused.view(i).iter().zip(&t.data).enumerate() {
@@ -711,7 +871,7 @@ mod tests {
         for (g, fresh) in [(&big, &grads_big), (&small, &grads_small), (&big, &grads_big)] {
             let mut gb = GradBuffer::for_model(&m);
             m.fused_loss_grads(g, 1, &mut s, &mut gb, None);
-            assert_eq!(gb.data, fresh.data, "recycled scratch must match a fresh one bitwise");
+            assert_eq!(dense(&gb), dense(fresh), "recycled scratch must match a fresh one bitwise");
         }
 
         // Inference and training share this thread's one workspace: big
@@ -726,7 +886,7 @@ mod tests {
             assert_eq!(out.probs, fresh.probs, "infer after train: probs");
             let mut gb = GradBuffer::for_model(&m);
             fused_loss_grads_threadlocal(&m, &small, 1, &mut gb);
-            assert_eq!(gb.data, grads_small.data, "train after infer");
+            assert_eq!(dense(&gb), dense(&grads_small), "train after infer");
         }
     }
 
@@ -742,7 +902,7 @@ mod tests {
         let mut both = GradBuffer::for_model(&m);
         fused_loss_grads_threadlocal(&m, &g0, 0, &mut both);
         fused_loss_grads_threadlocal(&m, &g1, 2, &mut both);
-        for ((a, b), c) in both.data.iter().zip(&separate0.data).zip(&separate1.data) {
+        for ((a, b), c) in dense(&both).iter().zip(&dense(&separate0)).zip(&dense(&separate1)) {
             assert!((a - (b + c)).abs() <= 1e-5, "{a} vs {} + {c}", b);
         }
     }
@@ -760,12 +920,89 @@ mod tests {
         let mut e2 = FusedEngine::new();
         let (l2, g2) = e2.batch_grads(&m, &graphs, &labels, &chunk);
         assert_eq!(l1, l2);
-        assert_eq!(g1.data, g2.data, "reduction must be bit-for-bit reproducible");
+        assert_eq!(
+            bits(&dense(&g1)),
+            bits(&dense(g2)),
+            "reduction must be bit-for-bit reproducible"
+        );
 
         // Reusing the same engine (warm pool) must also reproduce bitwise.
         let (l3, g3) = e1.batch_grads(&m, &graphs, &labels, &chunk);
         assert_eq!(l1, l3);
-        assert_eq!(g1.data, g3.data);
+        assert_eq!(bits(&dense(&g1)), bits(&dense(g3)));
+    }
+
+    /// A chain over `tokens` with edges in every relation.
+    fn token_graph(tokens: Vec<u32>) -> GraphData {
+        let n = tokens.len() as u32;
+        let mut edges: [Vec<(u32, u32)>; NUM_RELATIONS] = Default::default();
+        for i in 1..n {
+            edges[0].push((i - 1, i));
+            edges[1].push((i, i - 1));
+        }
+        edges[2].push((0, n - 1));
+        GraphData::from_edge_lists(tokens, edges)
+    }
+
+    #[test]
+    fn batch_grads_equals_a_dense_level_order_tree() {
+        // Even graphs draw (with repeats) from a 12-token pool they all
+        // share; odd graphs each own 6 tokens no other graph uses.
+        let m = GnnModel::new(GnnConfig {
+            vocab_size: 12 + 6 * 20,
+            hidden: 8,
+            classes: 4,
+            layers: 2,
+            layer_norm: true,
+            seed: 3,
+        });
+        let graphs: Vec<GraphData> = (0..40u32)
+            .map(|i| {
+                let tokens = if i % 2 == 0 {
+                    (0..5 + i % 7).map(|j| (i + 3 * j) % 12).collect()
+                } else {
+                    (0..6 + i % 3).map(|j| 12 + 6 * (i / 2) + j % 6).collect()
+                };
+                token_graph(tokens)
+            })
+            .collect();
+        let labels: Vec<usize> = (0..40).map(|i| i % 4).collect();
+        let plan = ModelPlan::build_training(&m);
+        let per_graph: Vec<Vec<f32>> = graphs
+            .iter()
+            .zip(&labels)
+            .map(|(g, &label)| {
+                let mut gb = GradBuffer::for_model(&m);
+                m.fused_loss_grads(g, label, &mut TrainScratch::new(), &mut gb, Some(&plan));
+                dense(&gb)
+            })
+            .collect();
+
+        // One engine across every length: its pool stays warm while each
+        // buffer's rows change from batch to batch.
+        let mut engine = FusedEngine::new();
+        for k in 1..=40usize {
+            // The reference: a level-order pairwise tree over full-width
+            // gradients, then the mean.
+            let mut tree = per_graph[..k].to_vec();
+            let mut gap = 1;
+            while gap < k {
+                for i in (0..k).step_by(2 * gap) {
+                    if i + gap < k {
+                        let (a, b) = tree.split_at_mut(i + gap);
+                        for (x, &y) in a[i].iter_mut().zip(&b[0]) {
+                            *x += y;
+                        }
+                    }
+                }
+                gap *= 2;
+            }
+            let alpha = 1.0 / k as f32;
+            let want: Vec<f32> = tree[0].iter().map(|&x| x * alpha).collect();
+            let chunk: Vec<usize> = (0..k).collect();
+            let (_, got) = engine.batch_grads(&m, &graphs, &labels, &chunk);
+            assert_eq!(bits(&dense(got)), bits(&want), "chunk length {k}");
+        }
     }
 
     #[test]
@@ -783,7 +1020,7 @@ mod tests {
             manual_loss += fused_loss_grads_threadlocal(&m, &graphs[i], labels[i], &mut manual);
         }
         assert!((loss - manual_loss).abs() < 1e-9);
-        for (a, &b) in gb.data.iter().zip(&manual.data) {
+        for (a, &b) in dense(gb).iter().zip(&dense(&manual)) {
             assert!((a - b / 3.0).abs() <= 1e-6, "{a} vs {}", b / 3.0);
         }
     }

@@ -45,6 +45,19 @@ impl GnnConfig {
     pub fn new(vocab_size: usize, hidden: usize, classes: usize) -> GnnConfig {
         GnnConfig { vocab_size, hidden, classes, layers: 2, layer_norm: true, seed: 0xC0FFEE }
     }
+
+    /// Each parameter's `(rows, cols)`, in [`GnnModel::new`]'s push order.
+    fn param_shapes(&self) -> Vec<(usize, usize)> {
+        let d = self.hidden;
+        let mut shapes = vec![(self.vocab_size, d)];
+        for _ in 0..self.layers {
+            shapes.push((d, d));
+            shapes.extend([(d, d); NUM_RELATIONS]);
+            shapes.push((1, d));
+        }
+        shapes.extend([(1, d), (1, d), (d, d), (1, d), (d, self.classes), (1, self.classes)]);
+        shapes
+    }
 }
 
 /// Parameter store, indexed by [`ParamLayout`]. Training and inference run
@@ -139,7 +152,48 @@ impl GnnModel {
         push(Tensor::glorot(d, cfg.classes, &mut rng), "fc2.w".into(), &mut params, &mut names);
         push(Tensor::zeros(1, cfg.classes), "fc2.b".into(), &mut params, &mut names);
         debug_assert_eq!(params.len(), ParamLayout::new(cfg.layers).b2 + 1);
+        debug_assert!(params.iter().map(|p| (p.rows, p.cols)).eq(cfg.param_shapes()));
         GnnModel { cfg, params, names }
+    }
+
+    /// Check a model read from outside the process: every size in its
+    /// config is positive, and its parameters (and their names) are laid
+    /// out exactly as [`GnnModel::new`] lays them out for that config.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        let c = &self.cfg;
+        for (name, v) in [
+            ("vocab_size", c.vocab_size),
+            ("hidden", c.hidden),
+            ("classes", c.classes),
+            ("layers", c.layers),
+        ] {
+            if v == 0 {
+                return Err(format!("model config has a zero `{name}`"));
+            }
+        }
+        // Count before laying out: `layers` comes from the file, so the
+        // layout is built only once it matches what the file holds.
+        let count = c.layers.checked_mul(2 + NUM_RELATIONS).and_then(|n| n.checked_add(7));
+        if count != Some(self.params.len()) || self.names.len() != self.params.len() {
+            return Err(format!(
+                "model has {} parameters ({} names) where its config lays out {}",
+                self.params.len(),
+                self.names.len(),
+                count.map_or_else(|| "more than fit in memory".into(), |n| n.to_string())
+            ));
+        }
+        for (i, (p, (rows, cols))) in self.params.iter().zip(c.param_shapes()).enumerate() {
+            if (p.rows, p.cols) != (rows, cols) || rows.checked_mul(cols) != Some(p.data.len()) {
+                return Err(format!(
+                    "parameter {i} ({}) is {}x{} with {} values where its config needs {rows}x{cols}",
+                    self.names[i],
+                    p.rows,
+                    p.cols,
+                    p.data.len()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The index map of [`GnnModel::params`].

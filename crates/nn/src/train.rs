@@ -407,9 +407,13 @@ impl GnnClassifier {
     }
 
     /// Load a classifier saved with [`GnnClassifier::save_json`]. Truncated
-    /// or bit-flipped files fail with [`io::ErrorKind::InvalidData`].
+    /// or bit-flipped files fail with [`io::ErrorKind::InvalidData`], as do
+    /// intact files whose model has a zero size in its config or parameter
+    /// shapes that config does not lay out ([`GnnModel::check_shapes`]).
     pub fn load_json(path: &Path) -> io::Result<GnnClassifier> {
-        irnuma_store::load_json(path, "model")
+        let clf: GnnClassifier = irnuma_store::load_json(path, "model")?;
+        clf.model.check_shapes().map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+        Ok(clf)
     }
 
     /// Fraction of graphs classified correctly (one batched inference
@@ -783,6 +787,40 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("no training graphs"), "{err}");
+    }
+
+    #[test]
+    fn intact_model_file_with_a_bad_shape_is_invalid_data() {
+        let dir = ckpt_dir("model-shape");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        let good = GnnClassifier::new(cfg());
+        good.save_json(&path).unwrap();
+        assert!(GnnClassifier::load_json(&path).is_ok());
+
+        let breaks: [fn(&mut GnnClassifier); 9] = [
+            |c| c.model.cfg.hidden = 0,
+            |c| c.model.cfg.classes = 0,
+            |c| c.model.cfg.layers = 0,
+            |c| c.model.cfg.vocab_size = 0,
+            |c| c.model.cfg.vocab_size += 1,
+            |c| c.model.cfg.layers += 1,
+            |c| c.model.cfg.layers = usize::MAX,
+            |c| {
+                c.model.params.last_mut().unwrap().data.pop();
+            },
+            |c| {
+                c.model.params.pop();
+            },
+        ];
+        for (i, brk) in breaks.iter().enumerate() {
+            let mut bad = good.clone();
+            brk(&mut bad);
+            bad.save_json(&path).unwrap();
+            let err = GnnClassifier::load_json(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "case {i}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

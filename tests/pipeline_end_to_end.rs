@@ -2,8 +2,9 @@
 //! all four models) at test scale, checking structural invariants of the
 //! result rather than headline numbers (those live in `paper_claims.rs`).
 
-use irnuma_core::evaluation::{evaluate, PipelineConfig};
+use irnuma_core::evaluation::{evaluate, Evaluation, PipelineConfig, RegionOutcome};
 use irnuma_sim::MicroArch;
+use rayon::prelude::*;
 
 #[test]
 fn full_pipeline_runs_and_is_coherent() {
@@ -55,15 +56,71 @@ fn full_pipeline_runs_and_is_coherent() {
     assert!(stat >= 0.8, "static should not be catastrophic: {stat}");
 }
 
+/// Every field of an outcome, floats as their bits.
+type OutcomeBits = (usize, String, usize, [u64; 9], [usize; 4], [bool; 2]);
+
+fn outcome_bits(o: &RegionOutcome) -> OutcomeBits {
+    let RegionOutcome {
+        region,
+        name,
+        fold,
+        default_time,
+        full_best_time,
+        oracle_time,
+        oracle_label,
+        static_label,
+        static_time,
+        dynamic_label,
+        dynamic_time,
+        hybrid_used_dynamic,
+        hybrid_time,
+        needs_profiling,
+        static_error,
+        dynamic_error,
+        predicted_seq,
+        predicted_seq_time,
+    } = o;
+    let floats = [
+        default_time,
+        full_best_time,
+        oracle_time,
+        static_time,
+        dynamic_time,
+        hybrid_time,
+        static_error,
+        dynamic_error,
+        predicted_seq_time,
+    ]
+    .map(|x| x.to_bits());
+    (
+        *region,
+        name.clone(),
+        *fold,
+        floats,
+        [*oracle_label, *static_label, *dynamic_label, *predicted_seq],
+        [*hybrid_used_dynamic, *needs_profiling],
+    )
+}
+
 #[test]
 fn pipeline_is_deterministic() {
     let cfg = PipelineConfig::fast(MicroArch::Skylake);
+    // Top level: the folds fan out across the pool.
     let a = evaluate(&cfg).expect("pipeline evaluates");
-    let b = evaluate(&cfg).expect("pipeline evaluates");
+    // Inside a parallel map, nested calls run inline: the same evaluate runs
+    // its folds one after another on one thread.
+    let b = (0..2usize)
+        .into_par_iter()
+        .map(|i| (i == 0).then(|| evaluate(&cfg).expect("pipeline evaluates")))
+        .collect::<Vec<_>>()
+        .swap_remove(0)
+        .expect("item 0 evaluates");
+    assert_eq!(a.outcomes.len(), b.outcomes.len());
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.static_label, y.static_label, "{}", x.name);
-        assert_eq!(x.dynamic_label, y.dynamic_label);
-        assert_eq!(x.hybrid_used_dynamic, y.hybrid_used_dynamic);
-        assert_eq!(x.predicted_seq, y.predicted_seq);
+        assert_eq!(outcome_bits(x), outcome_bits(y), "{}", x.name);
     }
+    let seq_bits = |e: &Evaluation| -> Vec<Vec<u64>> {
+        e.pred_time_by_seq.iter().map(|row| row.iter().map(|t| t.to_bits()).collect()).collect()
+    };
+    assert_eq!(seq_bits(&a), seq_bits(&b));
 }

@@ -1,19 +1,21 @@
-//! The out-of-core dataset store: JSON-cache parse vs binary pack decode on
-//! the same corpus, plus a streaming training epoch over a replicated
-//! (~100x) pack to price the double-buffered shard prefetcher. Results land
-//! in `BENCH_dataset.json` at the repo root, including the headline
-//! `speedup_binary_vs_json_load`, `graphs_per_sec_ingest`,
-//! `epoch_wall_s_100x` and `prefetch_stall_frac` entries.
+//! The out-of-core dataset store: loading a whole pack back into memory,
+//! plus a streaming training epoch over a replicated (~100x) pack to price
+//! the double-buffered shard prefetcher. Results land in
+//! `BENCH_dataset.json` at the repo root, including the headline
+//! `graphs_per_sec_ingest`, `epoch_wall_s_100x` and `prefetch_stall_frac`
+//! entries.
 //!
 //! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to shrink the corpus (2 flag
 //! sequences, 2 sampled calls, 20x replication) so the whole benchmark runs
 //! in seconds. Regression gating lives in `irnuma bench-check` (rules in
-//! `results/bench_baselines.json`): binary load must stay >= 3x the JSON
-//! parse and the prefetch stall under 10% of the epoch wall; the bench
-//! itself always exits zero so a noisy run can't mask the numbers.
+//! `results/bench_baselines.json`): the pack load must keep its ingest rate
+//! in graphs per second and the prefetch stall under 10% of the epoch wall;
+//! the bench itself always exits zero so a noisy run can't mask the numbers.
 
 use criterion::{black_box, Criterion};
-use irnuma_core::{build_dataset, open_stream, pack_dataset, read_meta, Dataset, DatasetParams};
+use irnuma_core::{
+    build_dataset, load_packed, open_stream, pack_dataset, read_meta, DatasetParams,
+};
 use irnuma_graph::Vocab;
 use irnuma_nn::{GnnClassifier, GnnConfig, TrainParams};
 use irnuma_sim::MicroArch;
@@ -27,34 +29,17 @@ fn main() {
 
     let root = std::env::temp_dir().join(format!("irnuma-bench-dataset-{}", std::process::id()));
     std::fs::create_dir_all(&root).expect("bench tmp dir");
-    let json_path = root.join("dataset.json");
     let pack_dir = root.join("pack");
-    ds.save_json(&json_path).expect("json cache");
     let summary = pack_dataset(&ds, &pack_dir, 64).expect("pack");
 
     let mut c = Criterion::default().configure_from_args();
     {
         let mut grp = c.benchmark_group("dataset");
         grp.sample_size(samples);
-        // Both sides are measured to the same end state: a dataset whose
-        // graphs are ready to train on. The JSON cache stores only edge
-        // lists, so its cost includes materializing the CSR/CSC adjacency
-        // the engines consume; the pack stores those views verbatim and
-        // decodes them near-zero-copy.
-        grp.bench_function("json_load", |b| {
-            b.iter(|| {
-                let ds = Dataset::load_json(black_box(&json_path)).expect("json load");
-                for r in &ds.regions {
-                    for g in &r.graphs {
-                        black_box(g.csr());
-                        black_box(g.csc());
-                    }
-                }
-                black_box(ds)
-            })
-        });
+        // Measured to a dataset whose graphs are ready to train on: the pack
+        // stores the CSR/CSC adjacency the engines consume verbatim.
         grp.bench_function("binary_load", |b| {
-            b.iter(|| black_box(Dataset::load_auto(black_box(&pack_dir)).expect("binary load")))
+            b.iter(|| black_box(load_packed(black_box(&pack_dir)).expect("binary load")))
         });
         grp.finish();
     }
@@ -101,13 +86,10 @@ fn main() {
     let get = |id: &str| {
         medians.iter().find(|(k, _)| k == id).map(|&(_, v)| v).expect("bench id present")
     };
-    let json_ns = get("dataset/json_load");
     let bin_ns = get("dataset/binary_load");
-    let speedup = json_ns / bin_ns;
     let graphs_per_sec = summary.graphs as f64 / (bin_ns / 1e9);
 
     let mut entries = medians.clone();
-    entries.push(("dataset/speedup_binary_vs_json_load".into(), speedup));
     entries.push(("dataset/graphs_per_sec_ingest".into(), graphs_per_sec));
     entries.push(("dataset/epoch_wall_s_100x".into(), wall.as_secs_f64()));
     entries.push(("dataset/prefetch_stall_frac".into(), stall_frac));
@@ -115,9 +97,8 @@ fn main() {
     entries.push(("dataset/pack_bytes".into(), summary.bytes as f64));
     let path = irnuma_bench::write_bench_json("dataset", &entries).expect("write bench json");
     println!(
-        "binary load {:.1} ms vs JSON {:.1} ms -> {speedup:.2}x ({graphs_per_sec:.0} graphs/s) -> {}",
+        "binary load {:.1} ms ({graphs_per_sec:.0} graphs/s) -> {}",
         bin_ns / 1e6,
-        json_ns / 1e6,
         path.display()
     );
     println!(
@@ -127,9 +108,6 @@ fn main() {
         wall.as_secs_f64(),
         stall_frac * 100.0
     );
-    if speedup < 3.0 {
-        eprintln!("warning: binary load only {speedup:.2}x faster than JSON (gate: >= 3x)");
-    }
     if stall_frac >= 0.10 {
         eprintln!(
             "warning: prefetch stall {:.1}% of epoch wall exceeds the 10% budget",

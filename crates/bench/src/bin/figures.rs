@@ -43,18 +43,12 @@ fn parse_args() -> Args {
             "--smoke" => args.smoke = true,
             "--paper-scale" => args.paper_scale = true,
             "--flags" => {
-                args.flags_override = it.next().and_then(|v| v.parse().ok());
+                args.flags_override = Some(count(&mut it, "--flags", 1, "a positive count"))
             }
-            "--epochs" => {
-                args.epochs_override = it.next().and_then(|v| v.parse().ok());
+            "--epochs" => args.epochs_override = Some(count(&mut it, "--epochs", 0, "a count")),
+            "--hidden" => {
+                args.hidden_override = Some(count(&mut it, "--hidden", 1, "a positive width"))
             }
-            "--hidden" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(0) | None => {
-                    eprintln!("error: bad --hidden (need a positive width)");
-                    std::process::exit(1);
-                }
-                h => args.hidden_override = h,
-            },
             other => {
                 args.figs.insert(other.to_string());
             }
@@ -64,6 +58,19 @@ fn parse_args() -> Args {
         args.figs.insert("summary".to_string());
     }
     args
+}
+
+/// The number after `flag`, at least `min`. Anything else exits 1 naming
+/// the flag, before any evaluation: a typo must not silently run the
+/// defaults, and a zero flag-sequence count has no graphs to train on.
+fn count(it: &mut impl Iterator<Item = String>, flag: &str, min: usize, need: &str) -> usize {
+    match it.next().and_then(|v| v.parse().ok()) {
+        Some(n) if n >= min => n,
+        _ => {
+            eprintln!("error: bad {flag} (need {need})");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn config_for(args: &Args, arch: MicroArch) -> PipelineConfig {

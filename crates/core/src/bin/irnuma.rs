@@ -6,13 +6,11 @@
 //! irnuma graph cg.spmv [--dot out.dot]        # ProGraML graph stats / DOT
 //! irnuma sweep cg.spmv --arch skylake         # top/bottom configurations
 //! irnuma interp cg.spmv --n 64                # run under the interpreter
-//! irnuma dataset --arch skylake --seqs 12 --out ds.json
-//! irnuma predict cg.spmv --arch skylake [--dataset ds.json]
+//! irnuma dataset --arch skylake --seqs 12 --out ds/  # a pack directory
+//! irnuma predict cg.spmv --arch skylake [--dataset ds/]
 //! ```
 
-use irnuma_core::dataset::{
-    build_dataset, build_dataset_report, BuildOptions, Dataset, DatasetParams,
-};
+use irnuma_core::dataset::{build_dataset, BuildOptions, Dataset, DatasetParams};
 use irnuma_core::models::static_gnn::{training_sequence_ids, StaticModel, StaticParams};
 use irnuma_core::{bench_check, dataset_pack, top as top_view, trace_report, trace_tree};
 use irnuma_graph::{build_module_graph, to_dot, Vocab};
@@ -84,16 +82,15 @@ USAGE:
   irnuma graph <region> [--dot <file>]
   irnuma sweep <region> [--arch skylake|sandybridge|xeongold]
   irnuma interp <region> [--n <elements>]
-  irnuma dataset [--arch <a>] [--seqs <n>] [--calls <n>] --out <file|dir>
-                 [--strict] [--fault <region>[:once]] [--json]
-                 [--pack [--shard-regions <n>]]
-  irnuma dataset pack --in <dataset.json> --out <dir> [--shard-graphs <n>]
+  irnuma dataset [--arch <a>] [--seqs <n>] [--calls <n>] --out <dir>
+                 [--shard-regions <n>] [--strict] [--fault <region>[:once]]
+                 [--json]
   irnuma dataset info <dir> [--verify]
-  irnuma train   [--arch <a>] [--dataset <file.json|pack-dir>] [--seqs <n>]
+  irnuma train   [--arch <a>] [--dataset <pack-dir>] [--seqs <n>]
                  [--epochs <n>] [--hidden <n>] [--seed <n>]
                  [--ckpt-dir <dir>] [--every <n>] [--resume]
-                 [--in-memory] [--out <model.json>]
-  irnuma predict <region> [--arch <a>] [--dataset <file.json|pack-dir>]
+                 [--out <model.json>]
+  irnuma predict <region> [--arch <a>] [--dataset <pack-dir>]
                  [--seqs <n>] [--epochs <n>]
   irnuma report <trace.jsonl> [--require stage1,stage2,...] [--json]
                  [--sort total|p99|count]
@@ -110,6 +107,9 @@ USAGE:
                  [--requests <n>] [--clients <n>] [--out-json]
   irnuma bench-check [--quick] [--baselines <file.json>] [--root <dir>]
 
+`dataset` writes a pack directory (binary graph shards, region tables,
+meta, manifest); `train` and `predict` read one with --dataset, or build
+a fresh dataset without it.
 `report` is the flat per-stage profile; `trace analyze` rebuilds the
 causal span forest and reports each root span's critical path,
 parallelism efficiency, and queue-vs-compute split. `trace export
@@ -305,18 +305,18 @@ fn dataset_build_summary(
 }
 
 fn dataset(rest: &[String]) -> Result<(), String> {
-    match rest.first().map(String::as_str) {
-        Some("pack") => return dataset_pack_cmd(&rest[1..]),
-        Some("info") => return dataset_info(&rest[1..]),
-        _ => {}
+    if rest.first().map(String::as_str) == Some("info") {
+        return dataset_info(&rest[1..]);
     }
     let arch = parse_arch(rest)?;
     let seqs = parse_seqs(rest, "12")?;
     let calls: u32 =
         opt_value(rest, "--calls").unwrap_or("6").parse().map_err(|_| "bad --calls")?;
-    let out = opt_value(rest, "--out").ok_or("missing --out <file.json|dir>")?;
-    let pack = rest.iter().any(|a| a == "--pack");
-    let json = rest.iter().any(|a| a == "--json");
+    let out = opt_value(rest, "--out").ok_or("missing --out <dir>")?;
+    let shard_regions: usize = opt_value(rest, "--shard-regions")
+        .unwrap_or("8")
+        .parse()
+        .map_err(|_| "bad --shard-regions")?;
     let opts = BuildOptions {
         strict: rest.iter().any(|a| a == "--strict"),
         fault: opt_value(rest, "--fault").map(String::from),
@@ -324,44 +324,28 @@ fn dataset(rest: &[String]) -> Result<(), String> {
     let params = DatasetParams { num_sequences: seqs, calls, ..Default::default() };
     irnuma_obs::info!("building dataset for {arch:?} ({seqs} sequences)…");
 
-    let (regions, graphs, configs, coverage, skips) = if pack {
-        let shard_regions: usize = opt_value(rest, "--shard-regions")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "bad --shard-regions")?;
-        let built =
-            dataset_pack::build_packed_dataset(arch, &params, &opts, Path::new(out), shard_regions)
-                .map_err(|e| e.to_string())?;
-        let configs =
-            dataset_pack::read_meta(Path::new(out)).map_err(|e| e.to_string())?.configs.len();
-        if !json {
-            println!(
-                "packed {out}: {} regions, {} graphs in {} shards",
-                built.regions, built.graphs, built.shards
-            );
-        }
-        (built.regions, built.graphs, configs, built.label_coverage, built.skips)
-    } else {
-        let build = build_dataset_report(arch, &params, &opts).map_err(|e| e.to_string())?;
-        let ds = &build.dataset;
-        ds.save_json(Path::new(out)).map_err(|e| e.to_string())?;
-        let graphs = ds.regions.iter().map(|r| r.graphs.len()).sum();
-        (ds.regions.len(), graphs, ds.configs.len(), ds.label_coverage(), build.skips)
-    };
-
-    if json {
-        let skip_lines: Vec<String> = skips.iter().map(|s| s.to_string()).collect();
-        let summary = dataset_build_summary(out, regions, graphs, configs, coverage, &skip_lines);
+    let dir = Path::new(out);
+    let built = dataset_pack::build_packed_dataset(arch, &params, &opts, dir, shard_regions)
+        .map_err(|e| e.to_string())?;
+    let configs = dataset_pack::read_meta(dir).map_err(|e| e.to_string())?.configs.len();
+    let skips: Vec<String> = built.skips.iter().map(|s| s.to_string()).collect();
+    if rest.iter().any(|a| a == "--json") {
+        let summary = dataset_build_summary(
+            out,
+            built.regions,
+            built.graphs,
+            configs,
+            built.label_coverage,
+            &skips,
+        );
         println!("{}", serde_json::value_to_string(&summary));
         return Ok(());
     }
-    if !pack {
-        println!(
-            "wrote {out}: {regions} regions × {} graphs, {configs} configs, \
-             label coverage {coverage:.3}",
-            graphs / regions.max(1),
-        );
-    }
+    println!(
+        "wrote pack {out}: {} regions, {} graphs in {} shards, {configs} configs, \
+         label coverage {:.3}",
+        built.regions, built.graphs, built.shards, built.label_coverage
+    );
     if skips.is_empty() {
         println!("skipped 0 regions");
     } else {
@@ -370,27 +354,6 @@ fn dataset(rest: &[String]) -> Result<(), String> {
             println!("  {s}");
         }
     }
-    Ok(())
-}
-
-/// `irnuma dataset pack`: re-encode an existing JSON dataset as a pack
-/// directory (binary shards + meta + manifest).
-fn dataset_pack_cmd(rest: &[String]) -> Result<(), String> {
-    let input = opt_value(rest, "--in").ok_or("missing --in <dataset.json>")?;
-    let out = opt_value(rest, "--out").ok_or("missing --out <dir>")?;
-    let shard_graphs: usize = opt_value(rest, "--shard-graphs")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| "bad --shard-graphs")?;
-    let ds = Dataset::load_json(Path::new(input)).map_err(|e| e.to_string())?;
-    let summary =
-        dataset_pack::pack_dataset(&ds, Path::new(out), shard_graphs).map_err(|e| e.to_string())?;
-    println!(
-        "packed {out}: {} graphs in {} shards ({} KiB)",
-        summary.graphs,
-        summary.shards,
-        summary.bytes >> 10
-    );
     Ok(())
 }
 
@@ -438,113 +401,72 @@ fn train(rest: &[String]) -> Result<(), String> {
         every,
         resume,
     });
-    let ds: Dataset = match opt_value(rest, "--dataset") {
-        Some(path) if Path::new(path).is_dir() => {
-            // A pack directory: stream shards through the prefetch loader
-            // instead of materializing the corpus.
-            return train_streaming(rest, Path::new(path), epochs, hidden, seed, ckpt);
-        }
-        Some(path) => Dataset::load_auto(Path::new(path)).map_err(|e| e.to_string())?,
-        None => {
-            irnuma_obs::info!("building dataset (pass --dataset file.json to reuse one)…");
-            build_dataset(arch, &DatasetParams { num_sequences: seqs, ..Default::default() })
-        }
-    };
-    // Flatten every region's training-sequence graphs into one labelled set,
-    // exactly as `StaticModel::train` does over a fold.
-    let seq_ids = training_sequence_ids(ds.sequences.len(), 4.min(ds.sequences.len()));
-    let mut graphs = Vec::new();
-    let mut labels = Vec::new();
-    for (r, reg) in ds.regions.iter().enumerate() {
-        for &s in &seq_ids {
-            graphs.push(reg.graphs[s].clone());
-            labels.push(ds.labels[r]);
-        }
-    }
+    // The training set is every region's training-sequence graphs, labelled
+    // by region, exactly as `StaticModel::train` takes them over a fold: a
+    // pack's shards streamed through the prefetch loader, or a fresh build
+    // held as one resident shard. Both run the same loop, so a one-shard
+    // pack trains the model its resident build does.
+    let (mut source, classes, origin): (Box<dyn ShardSource>, usize, String) =
+        match opt_value(rest, "--dataset") {
+            Some(path) => {
+                let dir = Path::new(path);
+                let meta = dataset_pack::read_meta(dir).map_err(|e| e.to_string())?;
+                let seq_ids =
+                    training_sequence_ids(meta.sequences.len(), 4.min(meta.sequences.len()));
+                let stream =
+                    dataset_pack::open_stream(dir, &meta, &seq_ids).map_err(|e| e.to_string())?;
+                let origin = format!("pack {path} ({} shards)", stream.num_shards());
+                (Box::new(stream), meta.chosen_configs.len(), origin)
+            }
+            None => {
+                irnuma_obs::info!("building dataset (pass --dataset <pack-dir> to reuse one)…");
+                let params = DatasetParams { num_sequences: seqs, ..Default::default() };
+                let ds = build_dataset(arch, &params);
+                let seq_ids = training_sequence_ids(ds.sequences.len(), 4.min(ds.sequences.len()));
+                let (mut graphs, mut labels) = (Vec::new(), Vec::new());
+                for (reg, &label) in ds.regions.iter().zip(&ds.labels) {
+                    for &s in &seq_ids {
+                        graphs.push(reg.graphs[s].clone());
+                        labels.push(label);
+                    }
+                }
+                let source = MemorySource::from_shards(vec![(graphs, labels)]);
+                (Box::new(source), ds.chosen_configs.len(), "a fresh build".to_string())
+            }
+        };
     let mut clf = GnnClassifier::new(GnnConfig {
         vocab_size: Vocab::full().len(),
         hidden,
-        classes: ds.chosen_configs.len(),
+        classes,
         layers: 2,
         layer_norm: true,
         seed,
     });
     let p = TrainParams { epochs, batch_size: 16, lr: 3e-3, seed };
-    // The same loop as a pack, over one resident shard: a one-shard pack of
-    // this dataset trains the identical model.
-    let mut source = MemorySource::from_shards(vec![(graphs, labels)]);
-    let t0 = std::time::Instant::now();
-    let history = clf.fit_streaming(&mut source, p, ckpt.as_ref()).map_err(|e| e.to_string())?;
-    let elapsed = t0.elapsed().as_secs_f64();
-    // Check the training set back out of the source for the accuracy pass.
-    source.begin_epoch(&[0]);
-    let set = source.next_shard().map_err(|e| e.to_string())?;
-    let acc = clf.accuracy(&set.graphs, &set.labels);
-    println!(
-        "trained {} epochs on {} graphs: loss {:.4} → {:.4}, train accuracy {} \
-         ({:.2} epochs/sec, fused engine)",
-        history.len(),
-        set.len(),
-        history.first().copied().unwrap_or(f64::NAN),
-        history.last().copied().unwrap_or(f64::NAN),
-        acc.map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}")),
-        history.len() as f64 / elapsed.max(1e-9),
-    );
-    if let Some(out) = opt_value(rest, "--out") {
-        clf.save_json(Path::new(out)).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
-    }
-    Ok(())
-}
-
-/// `irnuma train --dataset <pack-dir>`: the out-of-core epoch loop over a
-/// pack directory. `--in-memory` decodes the pack once and trains resident
-/// — same seeded trajectory, so both modes produce bit-identical models
-/// (CI compares them byte for byte).
-fn train_streaming(
-    rest: &[String],
-    dir: &Path,
-    epochs: usize,
-    hidden: usize,
-    seed: u64,
-    ckpt: Option<CheckpointConfig>,
-) -> Result<(), String> {
-    let meta = dataset_pack::read_meta(dir).map_err(|e| e.to_string())?;
-    let seq_ids = training_sequence_ids(meta.sequences.len(), 4.min(meta.sequences.len()));
-    let mut stream = dataset_pack::open_stream(dir, &meta, &seq_ids).map_err(|e| e.to_string())?;
-    let mut clf = GnnClassifier::new(GnnConfig {
-        vocab_size: Vocab::full().len(),
-        hidden,
-        classes: meta.chosen_configs.len(),
-        layers: 2,
-        layer_norm: true,
-        seed,
-    });
-    let p = TrainParams { epochs, batch_size: 16, lr: 3e-3, seed };
-    let in_memory = rest.iter().any(|a| a == "--in-memory");
     let stall0 = irnuma_obs::registry().counter("loader.prefetch_stall_ns").get();
     let t0 = std::time::Instant::now();
-    let history = if in_memory {
-        let mut mem = MemorySource::from_source(&mut stream).map_err(|e| e.to_string())?;
-        drop(stream);
-        clf.fit_streaming(&mut mem, p, ckpt.as_ref())
-    } else {
-        clf.fit_streaming(&mut stream, p, ckpt.as_ref())
-    }
-    .map_err(|e| e.to_string())?;
+    let history =
+        clf.fit_streaming(source.as_mut(), p, ckpt.as_ref()).map_err(|e| e.to_string())?;
     let elapsed = t0.elapsed().as_secs_f64();
     let stall_ms =
         (irnuma_obs::registry().counter("loader.prefetch_stall_ns").get() - stall0) as f64 / 1e6;
+    // One more pass over the source for the training accuracy.
+    let (mut graphs, mut correct) = (0, 0);
+    source.begin_epoch(&(0..source.num_shards()).collect::<Vec<_>>());
+    for _ in 0..source.num_shards() {
+        let batch = source.next_shard().map_err(|e| e.to_string())?;
+        let outputs = clf.model.infer_batch(&batch.graphs);
+        correct += outputs.iter().zip(&batch.labels).filter(|(o, &l)| o.label() == l).count();
+        graphs += batch.len();
+        source.recycle(batch);
+    }
     println!(
-        "trained {} epochs streaming from {} ({} regions, {} shards, {} mode): \
-         loss {:.4} → {:.4} ({:.2} epochs/sec, prefetch stall {stall_ms:.1}ms)",
+        "trained {} epochs on {graphs} graphs from {origin}: loss {:.4} → {:.4}, \
+         train accuracy {:.3} ({:.2} epochs/sec, prefetch stall {stall_ms:.1}ms)",
         history.len(),
-        dir.display(),
-        meta.regions.len(),
-        irnuma_store::shard::ShardManifest::load(dir).map_err(|e| e.to_string())?.entries.len(),
-        if in_memory { "in-memory" } else { "streaming" },
         history.first().copied().unwrap_or(f64::NAN),
         history.last().copied().unwrap_or(f64::NAN),
+        correct as f64 / graphs.max(1) as f64,
         history.len() as f64 / elapsed.max(1e-9),
     );
     if let Some(out) = opt_value(rest, "--out") {
@@ -561,9 +483,9 @@ fn predict(rest: &[String]) -> Result<(), String> {
     let epochs: usize =
         opt_value(rest, "--epochs").unwrap_or("10").parse().map_err(|_| "bad --epochs")?;
     let ds: Dataset = match opt_value(rest, "--dataset") {
-        Some(path) => Dataset::load_auto(std::path::Path::new(path)).map_err(|e| e.to_string())?,
+        Some(path) => dataset_pack::load_packed(Path::new(path)).map_err(|e| e.to_string())?,
         None => {
-            irnuma_obs::info!("building dataset (pass --dataset file.json to reuse one)…");
+            irnuma_obs::info!("building dataset (pass --dataset <pack-dir> to reuse one)…");
             build_dataset(arch, &DatasetParams { num_sequences: seqs, ..Default::default() })
         }
     };

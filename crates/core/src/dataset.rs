@@ -47,7 +47,7 @@ impl Default for DatasetParams {
 }
 
 /// Everything known about one region after steps A–C.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionData {
     pub spec: RegionSpec,
     /// One graph per flag sequence (aligned with [`Dataset::sequences`]).
@@ -68,8 +68,9 @@ impl RegionData {
     }
 }
 
-/// The complete experiment dataset for one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The complete experiment dataset for one machine. On disk it is a pack
+/// directory ([`crate::dataset_pack`]).
+#[derive(Debug, Clone)]
 pub struct Dataset {
     pub machine: Machine,
     pub size: InputSize,
@@ -83,36 +84,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Serialize the dataset to a JSON cache (steps A–C dominate wall time
-    /// at paper scale). Atomic, versioned, checksummed: a crash mid-write
-    /// leaves any previous cache intact.
-    pub fn save_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        irnuma_store::save_json(path, "dataset", self)
-    }
-
-    /// Load a dataset cached with [`Dataset::save_json`]. A truncated or
-    /// corrupt cache, or one without flag sequences, fails with
-    /// [`std::io::ErrorKind::InvalidData`] instead of parsing into a garbage
-    /// dataset.
-    pub fn load_json(path: &std::path::Path) -> std::io::Result<Dataset> {
-        let ds: Dataset = irnuma_store::load_json(path, "dataset")?;
-        require_sequences(ds.sequences.len())?;
-        Ok(ds)
-    }
-
-    /// Load a dataset from either storage format: a pack directory written
-    /// by `irnuma dataset pack` (shard manifest + binary graph records) or
-    /// the legacy single-file JSON cache. Detection is structural — a
-    /// directory containing a shard manifest is a pack; anything else goes
-    /// through [`Dataset::load_json`].
-    pub fn load_auto(path: &std::path::Path) -> std::io::Result<Dataset> {
-        if path.is_dir() && irnuma_store::shard::ShardManifest::exists(path) {
-            crate::dataset_pack::load_packed(path)
-        } else {
-            Dataset::load_json(path)
-        }
-    }
-
     /// Time of `region` under label class `label`.
     pub fn label_time(&self, region: usize, label: usize) -> f64 {
         self.regions[region].sweep[self.chosen_configs[label]]
@@ -131,16 +102,6 @@ impl Dataset {
         let base: Vec<f64> = self.regions.iter().map(|r| r.default_time).collect();
         irnuma_ml::coverage(&times, &base, &self.chosen_configs)
     }
-}
-
-/// Training subsamples a dataset's flag sequences, so a dataset (or pack
-/// meta) without any is [`std::io::ErrorKind::InvalidData`] at load rather
-/// than a panic once training starts.
-pub(crate) fn require_sequences(count: usize) -> std::io::Result<()> {
-    if count == 0 {
-        return Err(irnuma_store::invalid("dataset has no flag sequences"));
-    }
-    Ok(())
 }
 
 /// One recorded per-region failure from a tolerant dataset build.
@@ -197,7 +158,7 @@ impl fmt::Display for DatasetError {
                     None => write!(f, "<none recorded>"),
                 }
             }
-            DatasetError::Io(e) => write!(f, "dataset pack I/O failed: {e}"),
+            DatasetError::Io(e) => write!(f, "pack I/O failed: {e}"),
         }
     }
 }
@@ -493,29 +454,6 @@ mod tests {
             let cov = ds.label_coverage();
             assert!(cov > 0.97, "{arch:?}: 13-label coverage {cov}");
         }
-    }
-
-    #[test]
-    fn dataset_caches_to_json_and_back() {
-        let ds = build_dataset(MicroArch::Skylake, &tiny());
-        let dir = std::env::temp_dir().join("irnuma-test-cache");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ds.json");
-        ds.save_json(&path).unwrap();
-        let loaded = Dataset::load_json(&path).unwrap();
-        assert_eq!(loaded.labels, ds.labels);
-        assert_eq!(loaded.chosen_configs, ds.chosen_configs);
-        assert_eq!(loaded.regions.len(), 56);
-        assert_eq!(loaded.regions[3].sweep, ds.regions[3].sweep);
-        assert_eq!(loaded.regions[3].graphs[0].node_text, ds.regions[3].graphs[0].node_text);
-
-        // A truncated cache (torn write, partial download) must fail with
-        // InvalidData — never parse into a garbage dataset.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 100]).unwrap();
-        let err = Dataset::load_json(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
     }
 
     fn tinier() -> DatasetParams {

@@ -1,6 +1,8 @@
-//! Packed (out-of-core) dataset storage: binary graph shards + JSON meta.
+//! The on-disk dataset: a pack directory of binary graph shards, binary
+//! region tables and a JSON meta. `irnuma dataset --out <dir>` writes one;
+//! `train`/`predict --dataset <dir>` read it back.
 //!
-//! A pack directory holds three kinds of files:
+//! A pack directory holds four kinds of files:
 //!
 //! - `shard-NNNN.bin` — `irnuma_store::shard` files of kind `graph-shard`;
 //!   each record is `[u32 region][u32 sequence]` followed by one
@@ -24,16 +26,20 @@
 //! resident: survivors are encoded into the group's shard and dropped before
 //! the next group builds, so peak memory is bounded by the group size, not
 //! the corpus.
+//!
+//! Every file is untrusted on the way back in. Frames, record checksums and
+//! the graph decoder catch damaged bytes; [`read_meta`] additionally checks
+//! the meta's tables against each other, so intact-looking but inconsistent
+//! data is [`io::ErrorKind::InvalidData`] before anything indexes by it.
 
 use crate::dataset::{
-    build_grouped, require_sequences, BuildOptions, Dataset, DatasetError, DatasetParams,
-    RegionData, SkipRecord,
+    build_grouped, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData, SkipRecord,
 };
 use irnuma_nn::stream::{RecordMap, ShardStream, GRAPH_SHARD_KIND, RECORD_PREFIX};
 use irnuma_nn::{decode_graph, encode_graph, GraphData};
 use irnuma_passes::FlagSequence;
 use irnuma_sim::{Config, Machine, MicroArch};
-use irnuma_store::shard::{parse_shard, ShardEntry, ShardManifest, ShardWriter};
+use irnuma_store::shard::{parse_shard, ShardEntry, ShardManifest, ShardWriter, MANIFEST_FILE};
 use irnuma_store::{corruption, invalid};
 use irnuma_workloads::InputSize;
 use serde::{Deserialize, Serialize};
@@ -78,17 +84,90 @@ impl PackedMeta {
         irnuma_store::save_json(&dir.join(META_FILE), META_KIND, self)
     }
 
-    pub fn total_graphs(&self) -> usize {
-        self.regions.iter().map(|r| r.graph_count).sum()
+    /// The cross-table invariants every reader indexes by: at least one flag
+    /// sequence (training subsamples them), one label per region, labels
+    /// inside the label set, label configs inside the config space, one
+    /// graph per (region, sequence), and a followable `regions.bin` entry.
+    fn check(&self) -> io::Result<()> {
+        if self.sequences.is_empty() {
+            return Err(invalid("dataset has no flag sequences"));
+        }
+        if self.labels.len() != self.regions.len() {
+            return Err(invalid(format!(
+                "meta lists {} labels for {} regions",
+                self.labels.len(),
+                self.regions.len()
+            )));
+        }
+        if let Some(l) = self.labels.iter().find(|&&l| l >= self.chosen_configs.len()) {
+            return Err(invalid(format!(
+                "label {l} out of range for {} label configs",
+                self.chosen_configs.len()
+            )));
+        }
+        if let Some(c) = self.chosen_configs.iter().find(|&&c| c >= self.configs.len()) {
+            return Err(invalid(format!(
+                "label config {c} out of range for {} configs",
+                self.configs.len()
+            )));
+        }
+        if let Some((i, r)) =
+            self.regions.iter().enumerate().find(|(_, r)| r.graph_count != self.sequences.len())
+        {
+            return Err(invalid(format!(
+                "region {i} lists {} graphs for {} flag sequences",
+                r.graph_count,
+                self.sequences.len()
+            )));
+        }
+        self.region_tables.validate()
     }
 }
 
-/// Load a pack directory's meta (no graphs touched). A meta without flag
-/// sequences is [`io::ErrorKind::InvalidData`].
+/// Load a pack directory's meta (no graphs touched) and check its tables
+/// against each other. A path without a manifest is not a pack and is
+/// refused by name; a meta that fails the checks is
+/// [`io::ErrorKind::InvalidData`].
 pub fn read_meta(dir: &Path) -> io::Result<PackedMeta> {
+    if !ShardManifest::exists(dir) {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "`{}` is not a pack directory (no {MANIFEST_FILE}); \
+                 write one with `irnuma dataset --out <dir>`",
+                dir.display()
+            ),
+        ));
+    }
     let meta: PackedMeta = irnuma_store::load_json(&dir.join(META_FILE), META_KIND)?;
-    require_sequences(meta.sequences.len())?;
+    meta.check()?;
     Ok(meta)
+}
+
+/// Read a file the pack lists (a shard in the manifest, `regions.bin` in
+/// the meta) and gate it against its entry's length. A listed file that is
+/// missing is [`io::ErrorKind::InvalidData`]: the pack contradicts itself.
+/// Byte integrity is left to the per-record checksums [`parse_shard`]
+/// verifies, so each payload byte is hashed once on this hot path; the
+/// whole-file checksum stays re-derivable via [`ShardManifest::verify`]
+/// (`irnuma dataset info --verify`).
+fn read_listed(dir: &Path, entry: &ShardEntry) -> io::Result<Vec<u8>> {
+    let bytes = std::fs::read(dir.join(&entry.file)).map_err(|e| {
+        let kind = match e.kind() {
+            io::ErrorKind::NotFound => io::ErrorKind::InvalidData,
+            kind => kind,
+        };
+        io::Error::new(kind, format!("reading `{}` listed in the pack: {e}", entry.file))
+    })?;
+    if bytes.len() as u64 != entry.bytes {
+        return Err(corruption(format!(
+            "`{}` is {} bytes, the pack lists {}",
+            entry.file,
+            bytes.len(),
+            entry.bytes
+        )));
+    }
+    Ok(bytes)
 }
 
 /// What [`pack_dataset`] wrote.
@@ -197,34 +276,33 @@ fn save_tables_and_meta(
     meta.save(dir)
 }
 
-/// Read and verify `regions.bin` against its meta entry: structural length
-/// gate, per-record checksums via [`parse_shard`], and an exact region
-/// count match.
-fn read_region_tables(
-    dir: &Path,
-    entry: &ShardEntry,
-    expected: usize,
-) -> io::Result<Vec<RegionTables>> {
-    let bytes = std::fs::read(dir.join(&entry.file))
-        .map_err(|e| io::Error::new(e.kind(), format!("reading `{}`: {e}", entry.file)))?;
-    if bytes.len() as u64 != entry.bytes {
-        return Err(corruption(format!(
-            "`{}` is {} bytes, meta says {}",
-            entry.file,
-            bytes.len(),
-            entry.bytes
-        )));
-    }
-    entry.checksum()?; // reject malformed meta checksums up front
+/// Read and verify `regions.bin` against its meta: length gate, per-record
+/// checksums via [`parse_shard`], one record per region, and one sweep time
+/// per config.
+fn read_region_tables(dir: &Path, meta: &PackedMeta) -> io::Result<Vec<RegionTables>> {
+    let entry = &meta.region_tables;
+    let bytes = read_listed(dir, entry)?;
     let ranges = parse_shard(REGION_TABLE_KIND, &bytes)?;
-    if ranges.len() != expected {
+    if ranges.len() != meta.regions.len() {
         return Err(invalid(format!(
-            "`{}` holds {} region records, meta lists {expected} regions",
+            "`{}` holds {} region records, meta lists {} regions",
             entry.file,
-            ranges.len()
+            ranges.len(),
+            meta.regions.len()
         )));
     }
-    ranges.into_iter().map(|r| decode_region_tables(&bytes[r])).collect()
+    let tables: Vec<RegionTables> =
+        ranges.into_iter().map(|r| decode_region_tables(&bytes[r])).collect::<Result<_, _>>()?;
+    if let Some((i, (sweep, ..))) =
+        tables.iter().enumerate().find(|(_, (sweep, ..))| sweep.len() != meta.configs.len())
+    {
+        return Err(invalid(format!(
+            "region {i} sweeps {} configs, meta lists {}",
+            sweep.len(),
+            meta.configs.len()
+        )));
+    }
+    Ok(tables)
 }
 
 /// Pack an in-memory [`Dataset`] into `dir`: binary graph shards of
@@ -257,15 +335,15 @@ pub fn pack_dataset(ds: &Dataset, dir: &Path, shard_graphs: usize) -> io::Result
     Ok(PackSummary { shards: manifest.entries.len(), graphs, bytes })
 }
 
-/// Load a whole pack back into an in-memory [`Dataset`] (the legacy-path
-/// bridge: `predict`, evaluation, and small-corpus training all take a
-/// resident dataset). Every shard is checksum-verified; a record for an
-/// unknown `(region, sequence)`, a duplicate, or a missing graph is
+/// Load a whole pack back into an in-memory [`Dataset`] (`predict` and
+/// evaluation take a resident dataset). Every record is checksum-verified;
+/// a record for an unknown `(region, sequence)`, a duplicate, a missing
+/// graph, or a graph with a token outside the vocabulary is
 /// [`io::ErrorKind::InvalidData`].
 pub fn load_packed(dir: &Path) -> io::Result<Dataset> {
     let meta = read_meta(dir)?;
     let manifest = ShardManifest::load(dir)?;
-    let tables = read_region_tables(dir, &meta.region_tables, meta.regions.len())?;
+    let tables = read_region_tables(dir, &meta)?;
     let mut regions: Vec<RegionData> = meta
         .regions
         .iter()
@@ -283,24 +361,9 @@ pub fn load_packed(dir: &Path) -> io::Result<Dataset> {
     let mut filled: Vec<Vec<bool>> =
         meta.regions.iter().map(|p| vec![false; p.graph_count]).collect();
 
+    let vocab_size = irnuma_graph::Vocab::full().len();
     for entry in &manifest.entries {
-        let bytes = std::fs::read(dir.join(&entry.file)).map_err(|e| {
-            io::Error::new(e.kind(), format!("reading shard `{}`: {e}", entry.file))
-        })?;
-        // Cheap structural gate against the manifest; byte integrity is
-        // covered by the per-record checksums `parse_shard` verifies, so
-        // the payload is hashed exactly once on this hot path. The
-        // whole-file checksum is re-derivable via [`ShardManifest::verify`]
-        // (`irnuma dataset info --verify`).
-        if bytes.len() as u64 != entry.bytes {
-            return Err(corruption(format!(
-                "shard `{}` is {} bytes, manifest says {}",
-                entry.file,
-                bytes.len(),
-                entry.bytes
-            )));
-        }
-        entry.checksum()?; // reject malformed manifest checksums up front
+        let bytes = read_listed(dir, entry)?;
         for range in parse_shard(GRAPH_SHARD_KIND, &bytes)? {
             let rec = &bytes[range];
             if rec.len() < RECORD_PREFIX {
@@ -323,7 +386,13 @@ pub fn load_packed(dir: &Path) -> io::Result<Dataset> {
                     entry.file
                 )));
             }
-            regions[r].graphs[s] = decode_graph(&rec[RECORD_PREFIX..])?;
+            let g = decode_graph(&rec[RECORD_PREFIX..])?;
+            // Models embed `Vocab::full()`, so an out-of-vocabulary token
+            // would index past the embedding table.
+            g.validate(vocab_size).map_err(|e| {
+                invalid(format!("shard `{}`: (region {r}, sequence {s}): {e}", entry.file))
+            })?;
+            regions[r].graphs[s] = g;
             *slot = true;
         }
     }
@@ -428,8 +497,11 @@ pub fn build_packed_dataset(
 mod tests {
     use super::*;
     use crate::dataset::{build_dataset_report, BuildOptions};
+    use irnuma_nn::stream::ShardSource;
+    use proptest::prelude::*;
     use std::fs;
     use std::path::PathBuf;
+    use std::sync::OnceLock;
 
     fn tdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join("irnuma-pack-test").join(name);
@@ -440,6 +512,12 @@ mod tests {
 
     fn tiny() -> DatasetParams {
         DatasetParams { num_sequences: 2, calls: 2, num_labels: 3, ..Default::default() }
+    }
+
+    /// The tiny dataset, built once for every test that only packs it.
+    fn tiny_ds() -> &'static Dataset {
+        static DS: OnceLock<Dataset> = OnceLock::new();
+        DS.get_or_init(|| crate::dataset::build_dataset(MicroArch::Skylake, &tiny()))
     }
 
     fn assert_datasets_identical(a: &Dataset, b: &Dataset) {
@@ -464,18 +542,15 @@ mod tests {
 
     #[test]
     fn pack_then_load_round_trips_bit_identically() {
-        let ds = crate::dataset::build_dataset(MicroArch::Skylake, &tiny());
+        let ds = tiny_ds();
         let d = tdir("roundtrip");
-        let summary = pack_dataset(&ds, &d, 16).unwrap();
+        let summary = pack_dataset(ds, &d, 16).unwrap();
         assert_eq!(summary.graphs, 56 * 2);
         assert_eq!(summary.shards, summary.graphs.div_ceil(16));
         ShardManifest::load(&d).unwrap().verify(&d).unwrap();
 
         let back = load_packed(&d).unwrap();
-        assert_datasets_identical(&ds, &back);
-        // And via the auto-detecting loader.
-        let auto = Dataset::load_auto(&d).unwrap();
-        assert_eq!(auto.labels, ds.labels);
+        assert_datasets_identical(ds, &back);
     }
 
     #[test]
@@ -518,33 +593,97 @@ mod tests {
     }
 
     #[test]
-    fn datasets_without_flag_sequences_fail_load_with_typed_errors() {
-        // What `irnuma dataset --seqs 0` used to write: every region, no
-        // sequences, no graphs. Training on it panicked in
-        // `training_sequence_ids`; both formats must now refuse it at load.
-        let mut ds = crate::dataset::build_dataset(MicroArch::Skylake, &tiny());
-        ds.sequences.clear();
-        ds.regions.iter_mut().for_each(|r| r.graphs.clear());
-        let d = tdir("no-seqs");
-        let json = d.join("ds.json");
-        ds.save_json(&json).unwrap();
-        let pack = d.join("pack");
-        pack_dataset(&ds, &pack, 16).unwrap();
-        for err in [
-            Dataset::load_auto(&json).unwrap_err(),
-            Dataset::load_auto(&pack).unwrap_err(),
-            read_meta(&pack).unwrap_err(),
-        ] {
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("no flag sequences"), "{err}");
+    fn a_path_without_a_manifest_is_refused_by_name() {
+        let d = tdir("not-a-pack");
+        let file = d.join("ds.json");
+        fs::write(&file, b"{}").unwrap();
+        for path in [&d, &file] {
+            for err in [read_meta(path).unwrap_err(), load_packed(path).unwrap_err()] {
+                assert!(err.to_string().contains("not a pack directory"), "{err}");
+                assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
+            }
+        }
+    }
+
+    /// Pack `ds` into a fresh `name` directory, then apply `edit` to its
+    /// meta (read back unchecked, saved with a valid frame).
+    fn pack_with_meta(name: &str, ds: &Dataset, edit: impl FnOnce(&mut PackedMeta)) -> PathBuf {
+        let d = tdir(name);
+        pack_dataset(ds, &d, 16).unwrap();
+        let mut meta: PackedMeta = irnuma_store::load_json(&d.join(META_FILE), META_KIND).unwrap();
+        edit(&mut meta);
+        meta.save(&d).unwrap();
+        d
+    }
+
+    /// `read_meta` and `load_packed` both refuse the pack with `InvalidData`
+    /// naming `what`.
+    fn assert_meta_refused(d: &Path, what: &str) {
+        for err in [read_meta(d).unwrap_err(), load_packed(d).unwrap_err()] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(what), "{err}");
         }
     }
 
     #[test]
+    fn datasets_without_flag_sequences_fail_load_with_typed_errors() {
+        // What `irnuma dataset --seqs 0` used to write: every region, no
+        // sequences, no graphs. Training on it panicked in
+        // `training_sequence_ids`; the pack must now refuse it at load.
+        let mut ds = tiny_ds().clone();
+        ds.sequences.clear();
+        ds.regions.iter_mut().for_each(|r| r.graphs.clear());
+        let d = pack_with_meta("no-seqs", &ds, |_| {});
+        assert_meta_refused(&d, "no flag sequences");
+    }
+
+    #[test]
+    fn meta_with_fewer_labels_than_regions_is_invalid_data() {
+        let d = pack_with_meta("labels-short", tiny_ds(), |m| {
+            m.labels.pop();
+        });
+        assert_meta_refused(&d, "55 labels for 56 regions");
+    }
+
+    #[test]
+    fn meta_label_outside_the_label_set_is_invalid_data() {
+        let d = pack_with_meta("label-range", tiny_ds(), |m| m.labels[0] = 99);
+        assert_meta_refused(&d, "label 99 out of range for 3 label configs");
+    }
+
+    #[test]
+    fn meta_label_config_outside_the_config_space_is_invalid_data() {
+        let d =
+            pack_with_meta("config-range", tiny_ds(), |m| m.chosen_configs[1] = m.configs.len());
+        assert_meta_refused(&d, "label config 288 out of range for 288 configs");
+    }
+
+    #[test]
+    fn meta_graph_count_other_than_the_sequence_count_is_invalid_data() {
+        // A huge count is refused before `load_packed` sizes its graph
+        // slots by it.
+        for (name, count) in [("graph-count", 1), ("graph-count-huge", usize::MAX)] {
+            let d = pack_with_meta(name, tiny_ds(), |m| m.regions[5].graph_count = count);
+            assert_meta_refused(&d, &format!("region 5 lists {count} graphs for 2 flag sequences"));
+        }
+    }
+
+    #[test]
+    fn region_sweep_of_the_wrong_length_is_invalid_data() {
+        let mut ds = tiny_ds().clone();
+        ds.regions[3].sweep.pop();
+        let d = pack_with_meta("sweep-len", &ds, |_| {});
+        read_meta(&d).unwrap();
+        let err = load_packed(&d).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("region 3 sweeps 287 configs, meta lists 288"), "{err}");
+    }
+
+    #[test]
     fn corrupt_or_missing_shards_fail_load_with_typed_errors() {
-        let ds = crate::dataset::build_dataset(MicroArch::Skylake, &tiny());
+        let ds = tiny_ds();
         let d = tdir("corrupt");
-        pack_dataset(&ds, &d, 16).unwrap();
+        pack_dataset(ds, &d, 16).unwrap();
 
         // Truncated shard.
         let shard = d.join("shard-0000.bin");
@@ -565,6 +704,7 @@ mod tests {
         // Missing shard still listed in the manifest.
         fs::remove_file(&shard).unwrap();
         let err = load_packed(&d).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("shard-0000.bin"), "{err}");
         // The streaming opener rejects it up front too.
         let meta = read_meta(&d).unwrap();
@@ -574,7 +714,7 @@ mod tests {
         // Damaged region-tables sidecar: truncation trips the length gate,
         // a bit flip trips the per-record checksum.
         let d2 = tdir("corrupt-tables");
-        pack_dataset(&ds, &d2, 16).unwrap();
+        pack_dataset(ds, &d2, 16).unwrap();
         let tables = d2.join(REGIONS_FILE);
         let tbytes = fs::read(&tables).unwrap();
         fs::write(&tables, &tbytes[..tbytes.len() - 3]).unwrap();
@@ -591,22 +731,212 @@ mod tests {
 
     #[test]
     fn stream_labels_come_from_the_region_label_table() {
-        let ds = crate::dataset::build_dataset(MicroArch::Skylake, &tiny());
+        let ds = tiny_ds();
         let d = tdir("stream-labels");
-        pack_dataset(&ds, &d, 32).unwrap();
+        pack_dataset(ds, &d, 32).unwrap();
         let meta = read_meta(&d).unwrap();
         let mut stream = open_stream(&d, &meta, &[0]).unwrap(); // sequence 0 only
-        let n = irnuma_nn::stream::ShardSource::num_shards(&stream);
+        let n = stream.num_shards();
         let order: Vec<usize> = (0..n).collect();
-        irnuma_nn::stream::ShardSource::begin_epoch(&mut stream, &order);
+        stream.begin_epoch(&order);
         let mut labels_seen = Vec::new();
         for _ in 0..n {
-            let b = irnuma_nn::stream::ShardSource::next_shard(&mut stream).unwrap();
+            let b = stream.next_shard().unwrap();
             labels_seen.extend_from_slice(&b.labels);
-            irnuma_nn::stream::ShardSource::recycle(&mut stream, b);
+            stream.recycle(b);
         }
         // One record per region survives the sequence filter, in region
         // order (records were packed region-major).
         assert_eq!(labels_seen, meta.labels);
+    }
+
+    /// The file of a pack a mutation case damages.
+    #[derive(Debug, Clone, Copy)]
+    enum Target {
+        Meta,
+        Regions,
+        Shard,
+        Manifest,
+    }
+
+    /// One byte-level mutation: flip bit `bit` of the byte at `at`, or
+    /// truncate to `at` bytes (both taken modulo the length).
+    #[derive(Debug, Clone, Copy)]
+    enum Mutation {
+        Flip { at: usize, bit: u8 },
+        Truncate { at: usize },
+    }
+
+    impl Mutation {
+        fn apply(self, bytes: &mut Vec<u8>) {
+            match self {
+                Mutation::Flip { at, bit } if !bytes.is_empty() => {
+                    let i = at % bytes.len();
+                    bytes[i] ^= 1 << bit;
+                }
+                Mutation::Flip { .. } => {}
+                Mutation::Truncate { at } => bytes.truncate(at % (bytes.len() + 1)),
+            }
+        }
+    }
+
+    /// A small three-shard pack of four regions: the pristine copy every
+    /// mutation case starts from.
+    fn pristine_pack() -> &'static PathBuf {
+        static PACK: OnceLock<PathBuf> = OnceLock::new();
+        PACK.get_or_init(|| {
+            let mut ds = tiny_ds().clone();
+            ds.regions.truncate(4);
+            ds.labels.truncate(4);
+            let d = tdir("mutation-pristine");
+            pack_dataset(&ds, &d, 3).unwrap();
+            d
+        })
+    }
+
+    /// Replace a store-framed file's payload with `mutate(payload)` under a
+    /// fresh, valid frame of the same kind.
+    fn reframe(path: &Path, mutate: Mutation) {
+        let bytes = fs::read(path).unwrap();
+        let header =
+            String::from_utf8_lossy(&bytes[..bytes.iter().position(|&b| b == b'\n').unwrap()])
+                .into_owned();
+        let kind = header.split(' ').find_map(|f| f.strip_prefix("kind=")).unwrap().to_string();
+        let mut payload = irnuma_store::parse_frame(&kind, &bytes).unwrap().to_vec();
+        mutate.apply(&mut payload);
+        fs::write(path, irnuma_store::frame(&kind, &payload)).unwrap();
+    }
+
+    /// Rewrite one record of the shard-format file `entry` names with
+    /// valid record checksums, returning the file's new entry.
+    fn rewrite_record(
+        dir: &Path,
+        entry: &ShardEntry,
+        kind: &str,
+        record: usize,
+        mutate: Mutation,
+    ) -> ShardEntry {
+        let bytes = fs::read(dir.join(&entry.file)).unwrap();
+        let ranges = parse_shard(kind, &bytes).unwrap();
+        let target = record % ranges.len();
+        let mut writer = ShardWriter::new(kind);
+        for (i, r) in ranges.into_iter().enumerate() {
+            let mut rec = bytes[r].to_vec();
+            if i == target {
+                mutate.apply(&mut rec);
+            }
+            writer.push(&rec);
+        }
+        writer.finish(dir, &entry.file).unwrap()
+    }
+
+    /// Damage `target` in a copy of the pristine pack. With `valid_checksums`
+    /// the damage goes inside the frame or record and every checksum is
+    /// recomputed, so the decoders behind the checksums see it.
+    fn mutated_pack(
+        target: Target,
+        mutation: Mutation,
+        valid_checksums: bool,
+        record: usize,
+    ) -> PathBuf {
+        let d = tdir("mutation-case");
+        for e in fs::read_dir(pristine_pack()).unwrap() {
+            let e = e.unwrap();
+            fs::copy(e.path(), d.join(e.file_name())).unwrap();
+        }
+        let mut meta: PackedMeta = irnuma_store::load_json(&d.join(META_FILE), META_KIND).unwrap();
+        let mut manifest = ShardManifest::load(&d).unwrap();
+        let shard = record % manifest.entries.len();
+        let file = match target {
+            Target::Meta => META_FILE.to_string(),
+            Target::Regions => REGIONS_FILE.to_string(),
+            Target::Shard => manifest.entries[shard].file.clone(),
+            Target::Manifest => MANIFEST_FILE.to_string(),
+        };
+        match (target, valid_checksums) {
+            (_, false) => {
+                let mut bytes = fs::read(d.join(&file)).unwrap();
+                mutation.apply(&mut bytes);
+                fs::write(d.join(&file), bytes).unwrap();
+            }
+            (Target::Meta | Target::Manifest, true) => reframe(&d.join(&file), mutation),
+            (Target::Regions, true) => {
+                meta.region_tables =
+                    rewrite_record(&d, &meta.region_tables, REGION_TABLE_KIND, record, mutation);
+                meta.save(&d).unwrap();
+            }
+            (Target::Shard, true) => {
+                manifest.entries[shard] = rewrite_record(
+                    &d,
+                    &manifest.entries[shard],
+                    GRAPH_SHARD_KIND,
+                    record,
+                    mutation,
+                );
+                manifest.save(&d).unwrap();
+            }
+        }
+        d
+    }
+
+    /// Read the meta, open a stream over every sequence and run one epoch.
+    fn stream_one_epoch(dir: &Path) -> io::Result<usize> {
+        let meta = read_meta(dir)?;
+        let all: Vec<usize> = (0..meta.sequences.len()).collect();
+        let mut stream = open_stream(dir, &meta, &all)?;
+        let order: Vec<usize> = (0..stream.num_shards()).collect();
+        stream.begin_epoch(&order);
+        let mut graphs = 0;
+        for _ in 0..order.len() {
+            let batch = stream.next_shard()?;
+            graphs += batch.len();
+            stream.recycle(batch);
+        }
+        Ok(graphs)
+    }
+
+    fn ok_or_invalid<T>(what: &str, r: io::Result<T>) -> Result<(), String> {
+        match r {
+            Ok(_) => Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(()),
+            Err(e) => Err(format!("{what}: {:?} error instead of InvalidData: {e}", e.kind())),
+        }
+    }
+
+    fn target() -> impl Strategy<Value = Target> {
+        prop::sample::select(vec![Target::Meta, Target::Regions, Target::Shard, Target::Manifest])
+    }
+
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        prop_oneof![
+            (0usize..1 << 20, 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
+            (0usize..1 << 20).prop_map(|at| Mutation::Truncate { at }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Damage anywhere in a pack, behind valid checksums or not, is
+        /// `Ok` or `InvalidData` from every reader, never a panic.
+        #[test]
+        fn damaged_packs_load_ok_or_invalid_data(
+            target in target(),
+            mutation in mutation(),
+            valid_checksums in prop::sample::select(vec![false, true]),
+            record in 0usize..64,
+        ) {
+            let d = mutated_pack(target, mutation, valid_checksums, record);
+            ok_or_invalid("read_meta", read_meta(&d))?;
+            ok_or_invalid("load_packed", load_packed(&d))?;
+            ok_or_invalid("stream epoch", stream_one_epoch(&d))?;
+        }
+    }
+
+    #[test]
+    fn the_pristine_pack_passes_every_reader() {
+        let d = pristine_pack();
+        assert_eq!(load_packed(d).unwrap().regions.len(), 4);
+        assert_eq!(stream_one_epoch(d).unwrap(), 4 * 2);
     }
 }

@@ -128,7 +128,7 @@ fn unknown_region_is_a_clean_error() {
 fn dataset_fault_injection_skips_one_region() {
     let dir = std::env::temp_dir().join("irnuma-cli-fault");
     std::fs::create_dir_all(&dir).unwrap();
-    let out_file = dir.join("ds.json");
+    let out_file = dir.join("ds");
     let out = irnuma(&[
         "dataset",
         "--seqs",
@@ -157,11 +157,11 @@ fn dataset_fault_injection_skips_one_region() {
         "--fault",
         "cg.spmv",
         "--out",
-        dir.join("ds-strict.json").to_str().unwrap(),
+        dir.join("ds-strict").to_str().unwrap(),
     ]);
     assert!(!strict.status.success());
     assert!(String::from_utf8_lossy(&strict.stderr).contains("strict"));
-    assert!(!dir.join("ds-strict.json").exists(), "no partial artifact on failure");
+    assert!(!dir.join("ds-strict").exists(), "no partial artifact on failure");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -171,9 +171,22 @@ fn train_resume_is_bit_identical_to_an_uninterrupted_run() {
     let dir = std::env::temp_dir().join("irnuma-cli-train");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let ds = dir.join("ds.json");
-    let out = irnuma(&["dataset", "--seqs", "2", "--calls", "2", "--out", ds.to_str().unwrap()]);
+    let ds = dir.join("ds");
+    let out = irnuma(&[
+        "dataset",
+        "--seqs",
+        "2",
+        "--calls",
+        "2",
+        "--shard-regions",
+        "16",
+        "--out",
+        ds.to_str().unwrap(),
+    ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let info = irnuma(&["dataset", "info", ds.to_str().unwrap(), "--verify"]);
+    assert!(info.status.success(), "{}", String::from_utf8_lossy(&info.stderr));
+    assert!(String::from_utf8_lossy(&info.stdout).contains("verify ok"));
 
     // Reference: 4 uninterrupted epochs.
     let full = dir.join("model-full.json");
@@ -239,7 +252,7 @@ fn dataset_json_build_reports_skip_and_retry_counters() {
     let dir = std::env::temp_dir().join("irnuma-cli-fault-json");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let out_file = dir.join("ds.json");
+    let out_file = dir.join("ds");
     let out = irnuma(&[
         "dataset",
         "--seqs",
@@ -264,93 +277,22 @@ fn dataset_json_build_reports_skip_and_retry_counters() {
 }
 
 #[test]
-fn packed_streaming_train_matches_in_memory_and_resumes_bit_for_bit() {
-    let dir = std::env::temp_dir().join("irnuma-cli-pack-train");
+fn a_dataset_that_is_not_a_pack_is_a_clean_error() {
+    let dir = std::env::temp_dir().join("irnuma-cli-not-a-pack");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let ds = dir.join("ds.json");
-    let out = irnuma(&["dataset", "--seqs", "2", "--calls", "2", "--out", ds.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    // JSON cache -> binary pack, then verify every checksum.
-    let pack = dir.join("pack");
-    let out = irnuma(&[
-        "dataset",
-        "pack",
-        "--in",
-        ds.to_str().unwrap(),
-        "--out",
-        pack.to_str().unwrap(),
-        "--shard-graphs",
-        "16",
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let info = irnuma(&["dataset", "info", pack.to_str().unwrap(), "--verify"]);
-    assert!(info.status.success(), "{}", String::from_utf8_lossy(&info.stderr));
-    assert!(String::from_utf8_lossy(&info.stdout).contains("verify ok"));
-
-    // Streaming vs the in-memory source over the same pack: byte-identical
-    // models (the determinism contract of the double-buffered loader).
-    let m_stream = dir.join("m-stream.json");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
-        "2",
-        "--out",
-        m_stream.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let m_mem = dir.join("m-mem.json");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
-        "2",
-        "--in-memory",
-        "--out",
-        m_mem.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let a = std::fs::read(&m_stream).unwrap();
-    let b = std::fs::read(&m_mem).unwrap();
-    assert_eq!(a, b, "streaming model differs from the in-memory source");
-
-    // Interrupt at epoch 1, resume to 2: bit-for-bit the uninterrupted run.
-    let ckpt = dir.join("ckpt");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
-        "1",
-        "--ckpt-dir",
-        ckpt.to_str().unwrap(),
-        "--every",
-        "1",
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let m_resumed = dir.join("m-resumed.json");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
-        "2",
-        "--ckpt-dir",
-        ckpt.to_str().unwrap(),
-        "--every",
-        "1",
-        "--resume",
-        "--out",
-        m_resumed.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let c = std::fs::read(&m_resumed).unwrap();
-    assert_eq!(a, c, "resumed streaming model differs from the uninterrupted run");
-
+    let json = dir.join("some.json");
+    std::fs::write(&json, b"{}").unwrap();
+    let json = json.to_str().unwrap();
+    for args in [vec!["train", "--dataset", json], vec!["predict", "cg.axpy", "--dataset", json]] {
+        let out = irnuma(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{json}` is not a pack directory")),
+            "{args:?}: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

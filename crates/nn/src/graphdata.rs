@@ -4,7 +4,6 @@
 //! relation).
 
 use irnuma_graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -13,8 +12,8 @@ pub const NUM_RELATIONS: usize = 3;
 
 /// Why a graph is not safe to feed into the GNN kernels. Internally-built
 /// graphs ([`GraphData::from_graph`]) are valid by construction; graphs
-/// arriving from untrusted input (the serve wire protocol, deserialized
-/// files) must pass [`GraphData::validate`] first — the CSR build and the
+/// arriving from untrusted input (the serve wire protocol, decoded pack
+/// records) must pass [`GraphData::validate`] first — the CSR build and the
 /// embedding gather index with edge endpoints and token ids directly, so an
 /// out-of-range value is an index panic, not a recoverable error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +99,7 @@ impl Csr {
 }
 
 /// A GNN-ready graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphData {
     /// Vocabulary index per node.
     pub node_text: Vec<u32>,
@@ -109,17 +108,15 @@ pub struct GraphData {
     /// Per relation: `1/c_{dst,r}` per edge, aligned with `edges`.
     pub norm: [Vec<f32>; NUM_RELATIONS],
     /// Destination-grouped adjacency, built on first use by the inference
-    /// engine and reused across every later forward pass of this graph.
-    /// Skipped by serde and rebuilt lazily after deserialization. Code that
-    /// mutates `edges`/`norm` in place must construct a fresh `GraphData`
-    /// (see [`GraphData::from_parts`]) instead, or the cache goes stale.
-    #[serde(skip)]
+    /// engine and reused across every later forward pass of this graph
+    /// (the pack decoder installs it prebuilt). Code that mutates
+    /// `edges`/`norm` in place must construct a fresh `GraphData` (see
+    /// [`GraphData::from_parts`]) instead, or the cache goes stale.
     csr: OnceLock<[Csr; NUM_RELATIONS]>,
     /// Source-grouped mirror of `csr` (a CSC view of the same edges), built
     /// on first use by the fused backward pass: the SpMM gradient scatters
     /// `w · dy[dst]` into `dx[src]`, so grouping by source turns it into an
     /// independent-per-row gather with no transpose ever materialized.
-    #[serde(skip)]
     csc: OnceLock<[Csr; NUM_RELATIONS]>,
 }
 
@@ -180,7 +177,7 @@ impl GraphData {
     /// Check that this graph is safe to feed into the kernels: every edge
     /// endpoint in range, every `norm` array aligned with its edge list,
     /// and every node token within `vocab_size`. Empty graphs and empty
-    /// relations are valid. Required at trust boundaries (deserialized or
+    /// relations are valid. Required at trust boundaries (decoded or
     /// wire-delivered graphs) — the kernels index without bounds recovery.
     pub fn validate(&self, vocab_size: usize) -> Result<(), GraphError> {
         let n = self.num_nodes();
@@ -382,15 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn csr_cache_survives_clone_and_is_rebuilt_after_serde() {
+    fn csr_cache_survives_clone() {
         let d = GraphData::from_graph(&toy());
         let _ = d.csr();
         let cloned = d.clone();
         assert_eq!(cloned.csr()[0].src, d.csr()[0].src);
-        let json = serde_json::to_string(&d).unwrap();
-        let back: GraphData = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.csr()[1].src, d.csr()[1].src);
-        assert_eq!(back.node_text, d.node_text);
+        assert_eq!(cloned.node_text, d.node_text);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Streaming minibatch loader over packed dataset shards.
 //!
-//! [`ShardStream`] reads shards written by `irnuma dataset pack`
-//! (`irnuma_store::shard` framing, [`crate::binfmt`] record payloads) on a
+//! [`ShardStream`] reads the graph shards of a pack directory (the one
+//! `irnuma dataset --out <dir>` writes; `irnuma_store::shard` framing, [`crate::binfmt`] record payloads) on a
 //! single prefetch thread, double-buffered: while the trainer runs
 //! `FusedEngine::batch_grads` over one decoded shard, the worker reads and
 //! decodes the next into the second buffer, so epoch wall-clock stays
@@ -101,8 +101,8 @@ pub struct ShardStream {
 }
 
 impl ShardStream {
-    /// Open a pack directory: load + sanity-check its manifest and spawn
-    /// the prefetch worker. Every listed shard must exist (a missing shard
+    /// Open a pack directory: load its manifest (which validates every
+    /// entry) and spawn the prefetch worker. Every listed shard must exist (a missing shard
     /// is an immediate typed error, not a mid-epoch surprise); contents are
     /// verified incrementally as shards are read.
     pub fn open(dir: &Path, map: RecordMap) -> io::Result<ShardStream> {
@@ -116,7 +116,6 @@ impl ShardStream {
                     dir.display()
                 )));
             }
-            e.checksum()?; // reject malformed manifest checksums up front
         }
         let (to_worker, jobs) = mpsc::channel::<Job>();
         let (results, from_worker) = mpsc::channel::<io::Result<ShardBatch>>();
@@ -135,10 +134,6 @@ impl ShardStream {
             spare: vec![ShardBatch::empty(), ShardBatch::empty()],
             in_flight: 0,
         })
-    }
-
-    pub fn manifest(&self) -> &ShardManifest {
-        &self.manifest
     }
 
     fn dispatch(&mut self, batch: ShardBatch) {
@@ -299,7 +294,8 @@ fn load_shard(
 
 /// An in-memory [`ShardSource`]: all shards held resident and handed out by
 /// move, never copied. `GnnClassifier::fit` trains resident graphs as one
-/// shard of it; `irnuma train --in-memory` decodes a whole pack into it.
+/// shard of it, and so does `irnuma train` without `--dataset`, over the
+/// dataset it builds.
 pub struct MemorySource {
     shards: Vec<Option<(Vec<GraphData>, Vec<usize>)>>,
     order: VecDeque<usize>,
@@ -323,11 +319,6 @@ impl MemorySource {
     /// Build directly from per-shard `(graphs, labels)` arrays.
     pub fn from_shards(shards: Vec<(Vec<GraphData>, Vec<usize>)>) -> MemorySource {
         MemorySource { shards: shards.into_iter().map(Some).collect(), order: VecDeque::new() }
-    }
-
-    /// Total graphs across all shards.
-    pub fn num_graphs(&self) -> usize {
-        self.shards.iter().flatten().map(|(g, _)| g.len()).sum()
     }
 }
 
@@ -431,7 +422,8 @@ mod tests {
         let map = || Box::new(|r: u32, s: u32| (s != 1).then_some(r as usize)) as RecordMap;
         let mut stream = ShardStream::open(&d, map()).unwrap();
         let mut mem = MemorySource::from_source(&mut stream).unwrap();
-        assert_eq!(mem.num_graphs(), 4); // 2 shards × (3 - 1) records
+        let graphs: usize = mem.shards.iter().flatten().map(|(g, _)| g.len()).sum();
+        assert_eq!(graphs, 4); // 2 shards × (3 - 1) records
 
         let mut stream = ShardStream::open(&d, map()).unwrap();
         let order = vec![1, 0];
@@ -450,6 +442,42 @@ mod tests {
             }
             stream.recycle(a);
             mem.recycle(b);
+        }
+    }
+
+    #[test]
+    fn streaming_and_memory_source_train_bit_identical_models() {
+        use crate::model::GnnConfig;
+        use crate::train::{GnnClassifier, TrainParams};
+        let d = tdir("train-equivalence");
+        write_pack(&d, 3, 8);
+        let map = || Box::new(|r: u32, s: u32| Some(((r + s) % 2) as usize)) as RecordMap;
+        let cfg = GnnConfig {
+            vocab_size: 8,
+            hidden: 12,
+            classes: 2,
+            layers: 2,
+            layer_norm: true,
+            seed: 3,
+        };
+        let p = TrainParams { epochs: 3, batch_size: 5, lr: 3e-3, seed: 9 };
+
+        let mut streamed = GnnClassifier::new(cfg);
+        let mut stream = ShardStream::open(&d, map()).unwrap();
+        let h_stream = streamed.fit_streaming(&mut stream, p, None).unwrap();
+
+        let mut resident = GnnClassifier::new(cfg);
+        let mut mem =
+            MemorySource::from_source(&mut ShardStream::open(&d, map()).unwrap()).unwrap();
+        let h_mem = resident.fit_streaming(&mut mem, p, None).unwrap();
+
+        assert_eq!(h_stream.len(), 3);
+        let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&h_stream), bits(&h_mem), "loss history differs");
+        for (a, b) in streamed.model.params.iter().zip(&resident.model.params) {
+            let bits = |t: &crate::tensor::Tensor| t.data.iter().map(|x| x.to_bits()).collect();
+            let (a, b): (Vec<u32>, Vec<u32>) = (bits(a), bits(b));
+            assert_eq!(a, b, "streamed and resident parameters differ");
         }
     }
 

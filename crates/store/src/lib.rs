@@ -1,7 +1,7 @@
 //! # irnuma-store — crash-safe artifact persistence
 //!
 //! Every artifact the pipeline persists (trained models, training
-//! checkpoints, dataset caches, experiment CSVs, bench medians) goes through
+//! checkpoints, pack directories, experiment CSVs, bench medians) goes through
 //! this crate, which provides two independent guarantees:
 //!
 //! * **Atomicity** — [`atomic_write`] writes to a `.<name>.tmp` sibling,
@@ -22,8 +22,8 @@
 //! {...payload bytes...}
 //! ```
 //!
-//! Files that predate the store (no magic prefix) are accepted as legacy
-//! payloads without integrity checking, so old JSON caches keep loading.
+//! A file without the header is [`std::io::ErrorKind::InvalidData`] like any
+//! other damage: every load checks kind, length and checksum.
 
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -149,14 +149,14 @@ pub fn frame(kind: &str, payload: &[u8]) -> Vec<u8> {
 
 /// Validate a framed artifact and return its payload slice.
 ///
-/// Files without the magic prefix are returned whole (legacy, unchecked).
-/// Everything else must carry a well-formed `v1` header whose kind matches
+/// The bytes must carry a well-formed `v1` header whose kind matches
 /// `expected_kind`, whose length matches the remaining bytes (truncation),
-/// and whose checksum matches the payload (corruption) — any mismatch is an
-/// [`io::ErrorKind::InvalidData`] error naming the failure.
+/// and whose checksum matches the payload (corruption) — a missing header
+/// or any mismatch is an [`io::ErrorKind::InvalidData`] error naming the
+/// failure.
 pub fn parse_frame<'a>(expected_kind: &str, bytes: &'a [u8]) -> io::Result<&'a [u8]> {
     if !bytes.starts_with(MAGIC.as_bytes()) {
-        return Ok(bytes); // legacy pre-store artifact
+        return Err(corruption("store header: missing magic (unframed or torn file)"));
     }
     let nl = bytes
         .iter()
@@ -287,12 +287,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unframed_files_still_load() {
-        let d = tdir("legacy");
+    fn unframed_files_are_invalid_data() {
+        let d = tdir("unframed");
         let path = d.join("old.json");
-        fs::write(&path, b"[1,2,3]").unwrap();
-        let back: Vec<u32> = load_json(&path, "vec").unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
+        for bytes in [&b"[1,2,3]"[..], b"", b"irnuma-stor"] {
+            fs::write(&path, bytes).unwrap();
+            let err = load_json::<Vec<u32>>(&path, "vec").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bytes:?}");
+            assert!(err.to_string().contains("missing magic"), "{err}");
+        }
     }
 
     #[test]

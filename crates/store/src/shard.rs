@@ -25,7 +25,7 @@ use crate::{corruption, fnv1a64, invalid};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Component, Path};
 
 /// Shard format version, independent of the store frame version.
 pub const SHARD_VERSION: u32 = 1;
@@ -128,7 +128,9 @@ pub fn parse_shard(expected_kind: &str, bytes: &[u8]) -> io::Result<Vec<Range<us
         )));
     }
 
-    let mut out = Vec::with_capacity(records);
+    // Every record takes at least its prefix, so the header's count cannot
+    // reserve more than the bytes could hold.
+    let mut out = Vec::with_capacity(records.min((bytes.len() - nl) / RECORD_PREFIX));
     let mut pos = nl + 1;
     for i in 0..records {
         if bytes.len() - pos < RECORD_PREFIX {
@@ -176,6 +178,17 @@ pub struct ShardEntry {
 }
 
 impl ShardEntry {
+    /// Reject an entry no reader should follow: a file name that is not a
+    /// plain name inside the pack directory (empty, `.`, `..`, or with a
+    /// path separator), or a malformed checksum.
+    pub fn validate(&self) -> io::Result<()> {
+        let mut parts = Path::new(&self.file).components();
+        if !matches!((parts.next(), parts.next()), (Some(Component::Normal(_)), None)) {
+            return Err(invalid(format!("manifest: `{}` is not a plain file name", self.file)));
+        }
+        self.checksum().map(drop)
+    }
+
     /// The stored whole-file checksum, parsed from hex.
     pub fn checksum(&self) -> io::Result<u64> {
         u64::from_str_radix(&self.fnv1a, 16).map_err(|_| {
@@ -199,8 +212,11 @@ impl ShardManifest {
         crate::save_json(&dir.join(MANIFEST_FILE), MANIFEST_KIND, self)
     }
 
+    /// Load and validate every entry ([`ShardEntry::validate`]).
     pub fn load(dir: &Path) -> io::Result<ShardManifest> {
-        crate::load_json(&dir.join(MANIFEST_FILE), MANIFEST_KIND)
+        let manifest: ShardManifest = crate::load_json(&dir.join(MANIFEST_FILE), MANIFEST_KIND)?;
+        manifest.entries.iter().try_for_each(ShardEntry::validate)?;
+        Ok(manifest)
     }
 
     /// Whether `dir` looks like a pack directory (has a manifest).
@@ -345,6 +361,25 @@ mod tests {
         assert_eq!(back.total_records(), 3);
         assert_eq!(back.total_bytes(), manifest.total_bytes());
         back.verify(&d).unwrap();
+    }
+
+    #[test]
+    fn manifest_entries_must_name_plain_files_with_hex_checksums() {
+        let d = tdir("manifest-names");
+        let good = write_shard(&d, &[b"r0"]);
+        for (file, sum) in [
+            ("../shard-0000.bin", good.fnv1a.as_str()),
+            ("/etc/hostname", good.fnv1a.as_str()),
+            ("", good.fnv1a.as_str()),
+            ("..", good.fnv1a.as_str()),
+            ("sub/shard.bin", good.fnv1a.as_str()),
+            (good.file.as_str(), "not-hex"),
+        ] {
+            let entry = ShardEntry { file: file.into(), fnv1a: sum.into(), ..good.clone() };
+            ShardManifest { entries: vec![good.clone(), entry] }.save(&d).unwrap();
+            let err = ShardManifest::load(&d).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{file:?} {sum:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Step D cost: RGCN forward, backward, and a full training epoch on
-//! realistic region graphs.
+//! Step D cost: RGCN inference (label and embedding) and a full training
+//! epoch on realistic region graphs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use irnuma_graph::{build_module_graph, Vocab};
@@ -14,7 +14,7 @@ fn region_graph(name: &str, vocab: &Vocab) -> GraphData {
     GraphData::from_graph(&build_module_graph(&e, vocab))
 }
 
-fn bench_forward_backward(c: &mut Criterion) {
+fn bench_inference(c: &mut Criterion) {
     let vocab = Vocab::full();
     let g = region_graph("lulesh.calc_fb", &vocab);
     let model = GnnClassifier::new(GnnConfig {
@@ -31,9 +31,6 @@ fn bench_forward_backward(c: &mut Criterion) {
     });
     grp.bench_function("embedding", |b| {
         b.iter(|| model.model.infer(std::hint::black_box(&g)).pooled)
-    });
-    grp.bench_function("loss_and_grads", |b| {
-        b.iter(|| model.model.loss_and_grads(std::hint::black_box(&g), 3))
     });
     grp.finish();
 }
@@ -65,5 +62,5 @@ fn bench_epoch(c: &mut Criterion) {
     grp.finish();
 }
 
-criterion_group!(benches, bench_forward_backward, bench_epoch);
+criterion_group!(benches, bench_inference, bench_epoch);
 criterion_main!(benches);

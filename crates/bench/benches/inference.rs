@@ -1,9 +1,8 @@
-//! The RGCN inference hot path: tape-based forward (the old `predict` path)
-//! vs the tape-free engine, per graph and batched, at the paper width
-//! (hidden = 256) and the common small width (hidden = 64). The batched
-//! path's absolute medians (`infer_batch_8_graphs_h{64,256}`) land in
-//! `BENCH_inference.json` at the repo root, next to the
-//! `speedup_batch_vs_tape` ratios.
+//! The RGCN inference hot path: the engine per graph and batched, at the
+//! paper width (hidden = 256) and the common small width (hidden = 64).
+//! The batched path's absolute medians (`infer_batch_8_graphs_h{64,256}`)
+//! land in `BENCH_inference.json` at the repo root, next to the serial
+//! loop's median and the tracing-overhead ratio.
 //!
 //! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to time only the h64 batch
 //! with small sample counts. Regression gating lives in `irnuma
@@ -29,34 +28,6 @@ fn region_graphs(vocab: &Vocab, count: usize) -> Vec<GraphData> {
         .collect()
 }
 
-/// The pre-engine prediction path: full autograd tape per graph.
-fn tape_predict(model: &GnnModel, g: &GraphData) -> usize {
-    let f = model.forward(g);
-    let l = f.tape.value(f.logits);
-    l.data.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap()
-}
-
-/// What downstream callers actually paid per region before the engine:
-/// `predict` + `embedding` + `embedding_with_confidence`, each a separate
-/// tape forward (label, flag-model features, router features).
-fn tape_triple_forward(model: &GnnModel, g: &GraphData) -> (usize, Vec<f32>, Vec<f32>) {
-    let label = tape_predict(model, g);
-    let fe = model.forward(g);
-    let pooled = fe.tape.value(fe.pooled).data.clone();
-    let f = model.forward(g);
-    let logits = f.tape.value(f.logits);
-    let mut features = f.tape.value(f.pooled).data.clone();
-    let max = logits.data.iter().cloned().fold(f32::MIN, f32::max);
-    let exps: Vec<f32> = logits.data.iter().map(|v| (v - max).exp()).collect();
-    let z: f32 = exps.iter().sum();
-    let probs: Vec<f32> = exps.iter().map(|e| e / z).collect();
-    let mut sorted = probs.clone();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    features.extend_from_slice(&probs);
-    features.push(sorted[0] - sorted.get(1).copied().unwrap_or(0.0));
-    (label, pooled, features)
-}
-
 fn main() {
     let quick = std::env::var("IRNUMA_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
     let vocab = Vocab::full();
@@ -75,37 +46,16 @@ fn main() {
     let model256 = mk(256);
 
     let mut c = Criterion::default().configure_from_args();
-    {
+    if !quick {
         let mut grp = c.benchmark_group("inference");
-        grp.sample_size(if quick { 4 } else { 10 });
-        if !quick {
-            grp.bench_function("tape_triple_forward_loop_8_graphs_h256", |b| {
-                b.iter(|| {
-                    graphs
-                        .iter()
-                        .map(|g| tape_triple_forward(&model256, black_box(g)).0)
-                        .sum::<usize>()
-                })
-            });
-            grp.bench_function("tape_single_forward_loop_8_graphs_h256", |b| {
-                b.iter(|| {
-                    graphs.iter().map(|g| tape_predict(&model256, black_box(g))).sum::<usize>()
-                })
-            });
-            grp.bench_function("infer_serial_loop_8_graphs_h256", |b| {
-                b.iter(|| {
-                    graphs.iter().map(|g| model256.infer(black_box(g)).label()).sum::<usize>()
-                })
-            });
-        }
+        grp.sample_size(10);
+        grp.bench_function("infer_serial_loop_8_graphs_h256", |b| {
+            b.iter(|| graphs.iter().map(|g| model256.infer(black_box(g)).label()).sum::<usize>())
+        });
         grp.finish();
     }
 
-    let medians = c.medians().to_vec();
-    let get = |id: &str| {
-        medians.iter().find(|(k, _)| k == id).map(|&(_, v)| v).expect("bench id present")
-    };
-    let mut entries = medians.clone();
+    let mut entries = c.medians().to_vec();
 
     // The batched call's absolute time per width: the median of repeated
     // runs, the first of which is warmup (scratch growth, cold branches).
@@ -135,7 +85,6 @@ fn main() {
         let sink =
             std::sync::Arc::new(irnuma_obs::JsonlSink::create(&trace_path).expect("trace file"));
         let mut trace_ratios = Vec::with_capacity(pairs);
-        let mut batch_ns = Vec::with_capacity(pairs);
         for i in 0..=pairs {
             let t0 = std::time::Instant::now();
             black_box(model256.infer_batch(black_box(&graphs)).len());
@@ -147,30 +96,12 @@ fn main() {
             irnuma_obs::clear_sink();
             if i > 0 {
                 trace_ratios.push(traced / plain);
-                batch_ns.push(plain * 1e9);
             }
         }
         std::fs::remove_file(&trace_path).ok();
-        let med = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.total_cmp(b));
-            v[v.len() / 2]
-        };
-        let trace_ratio = med(&mut trace_ratios);
-        let batch = med(&mut batch_ns);
-
-        let triple = get("inference/tape_triple_forward_loop_8_graphs_h256");
-        let single = get("inference/tape_single_forward_loop_8_graphs_h256");
-        let serial = get("inference/infer_serial_loop_8_graphs_h256");
-        entries.push(("inference/speedup_batch_vs_tape_triple".into(), triple / batch));
-        entries.push(("inference/speedup_batch_vs_tape_single".into(), single / batch));
-        entries.push(("inference/speedup_serial_vs_tape_single".into(), single / serial));
+        trace_ratios.sort_by(|a, b| a.total_cmp(b));
+        let trace_ratio = trace_ratios[trace_ratios.len() / 2];
         entries.push(("inference/tracing_overhead_ratio".into(), trace_ratio));
-        println!(
-            "speedup vs triple-forward {:.2}x, vs single forward {:.2}x (serial {:.2}x)",
-            triple / batch,
-            single / batch,
-            single / serial,
-        );
         let overhead_pct = (trace_ratio - 1.0) * 100.0;
         println!("tracing overhead on batched inference: {overhead_pct:+.2}% (budget <2%)");
         if overhead_pct >= 2.0 {

@@ -141,14 +141,17 @@ fn main() {
         emit(fig5::run(skl.as_ref().unwrap(), snb.as_ref().unwrap()).report());
     }
     if want("fig6") {
-        for arch in [MicroArch::Skylake, MicroArch::SandyBridge] {
-            info!("[figures] fig6 label sweep on {arch:?}…");
-            let mut cfg = config_for(&args, arch);
-            cfg.light = true; // only static/dynamic needed for the sweep
-            let ds = build_dataset(arch, &cfg.dataset);
-            let (fig, _) = fig6::run(&cfg, &ds, &[2, 6, 13]);
-            emit(fig.report());
-        }
+        let figs: Vec<fig6::Fig6> = [MicroArch::Skylake, MicroArch::SandyBridge]
+            .into_iter()
+            .map(|arch| {
+                info!("[figures] fig6 label sweep on {arch:?}…");
+                let mut cfg = config_for(&args, arch);
+                cfg.light = true; // only static/dynamic needed for the sweep
+                let ds = build_dataset(arch, &cfg.dataset);
+                fig6::run(&cfg, &ds, &[2, 6, 13]).0
+            })
+            .collect();
+        emit(fig6::report(&figs));
     }
     if want("fig7") {
         // Skylake, 6 labels (re-label + re-evaluate).

@@ -58,19 +58,55 @@ fn main() -> ExitCode {
         "serve" => serve(rest),
         "serve-bench" => serve_bench(rest),
         "bench-check" => run_bench_check(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        "--help" | "-h" | "help" => write_stdout(&format!("{USAGE}\n")),
+        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(()) | Err(Failure::ClosedStdout) => ExitCode::SUCCESS,
+        Err(Failure::Error(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why a command stopped before finishing.
+enum Failure {
+    /// Printed as `error: …`; the process exits 1.
+    Error(String),
+    /// Stdout's reader went away (`irnuma list-regions | head -3`): the
+    /// command stops printing and the process exits quietly.
+    ClosedStdout,
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Error(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Failure {
+        Failure::Error(e.to_string())
+    }
+}
+
+type CmdResult = Result<(), Failure>;
+
+/// Write command output. Unlike `print!`, which panics on a closed pipe,
+/// this ends the command with [`Failure::ClosedStdout`].
+fn write_stdout(text: &str) -> CmdResult {
+    use std::io::{ErrorKind, Write};
+    std::io::stdout().write_all(text.as_bytes()).map_err(|e| match e.kind() {
+        ErrorKind::BrokenPipe => Failure::ClosedStdout,
+        _ => Failure::Error(format!("cannot write to stdout: {e}")),
+    })
+}
+
+/// `println!` through [`write_stdout`], returning early from the command on
+/// failure.
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(&format!("{}\n", format_args!($($arg)*)))? };
 }
 
 const USAGE: &str = "irnuma — static NUMA/prefetcher tuning from IR graphs
@@ -172,10 +208,10 @@ fn parse_arch(rest: &[String]) -> Result<MicroArch, String> {
     }
 }
 
-fn list_regions() -> Result<(), String> {
-    println!("{:<28} {:<10} {:>8} {:>6}  shape", "region", "suite", "ws", "calls");
+fn list_regions() -> CmdResult {
+    outln!("{:<28} {:<10} {:>8} {:>6}  shape", "region", "suite", "ws", "calls");
     for r in all_regions() {
-        println!(
+        outln!(
             "{:<28} {:<10} {:>6}MB {:>6}  {:?}",
             r.name,
             format!("{:?}", r.suite),
@@ -187,24 +223,24 @@ fn list_regions() -> Result<(), String> {
     Ok(())
 }
 
-fn show_ir(rest: &[String]) -> Result<(), String> {
+fn show_ir(rest: &[String]) -> CmdResult {
     let r = find_region(rest.first().ok_or("missing region name")?)?;
     let mut m = r.module();
     if rest.iter().any(|a| a == "--o3") {
         run_sequence(&mut m, &o3_sequence()).map_err(|e| e.to_string())?;
     }
-    print!("{}", print_module(&m));
+    write_stdout(&print_module(&m))?;
     Ok(())
 }
 
-fn show_source(rest: &[String]) -> Result<(), String> {
+fn show_source(rest: &[String]) -> CmdResult {
     let r = find_region(rest.first().ok_or("missing region name")?)?;
-    println!("// {} ({:?}, ws {} MiB)", r.name, r.suite, r.profile.working_set_bytes >> 20);
-    println!("{}", irnuma_workloads::pseudo_source(&r.shape));
+    outln!("// {} ({:?}, ws {} MiB)", r.name, r.suite, r.profile.working_set_bytes >> 20);
+    outln!("{}", irnuma_workloads::pseudo_source(&r.shape));
     Ok(())
 }
 
-fn graph(rest: &[String]) -> Result<(), String> {
+fn graph(rest: &[String]) -> CmdResult {
     let r = find_region(rest.first().ok_or("missing region name")?)?;
     let vocab = Vocab::full();
     let m = r.module();
@@ -213,17 +249,17 @@ fn graph(rest: &[String]) -> Result<(), String> {
     if let Some(path) = opt_value(rest, "--dot") {
         irnuma_store::atomic_write(Path::new(path), to_dot(&g, &vocab).as_bytes())
             .map_err(|e| e.to_string())?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     } else {
         use irnuma_graph::{EdgeKind, NodeKind};
-        println!("region {}: {} nodes, {} edges", r.name, g.num_nodes(), g.num_edges());
-        println!(
+        outln!("region {}: {} nodes, {} edges", r.name, g.num_nodes(), g.num_edges());
+        outln!(
             "  nodes: {} instruction / {} variable / {} constant",
             g.count_nodes(NodeKind::Instruction),
             g.count_nodes(NodeKind::Variable),
             g.count_nodes(NodeKind::Constant)
         );
-        println!(
+        outln!(
             "  edges: {} control / {} data / {} call",
             g.count_edges(EdgeKind::Control),
             g.count_edges(EdgeKind::Data),
@@ -233,7 +269,7 @@ fn graph(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn sweep(rest: &[String]) -> Result<(), String> {
+fn sweep(rest: &[String]) -> CmdResult {
     let r = find_region(rest.first().ok_or("missing region name")?)?;
     let m = Machine::new(parse_arch(rest)?);
     let space = config_space(&m);
@@ -242,7 +278,7 @@ fn sweep(rest: &[String]) -> Result<(), String> {
     let t_def = times[space.iter().position(|c| *c == def).unwrap()];
     let mut ranked: Vec<_> = space.iter().zip(&times).collect();
     ranked.sort_by(|a, b| a.1.total_cmp(b.1));
-    println!(
+    outln!(
         "{} on {:?}: default {} = {:.3}ms over {} configurations",
         r.name,
         m.arch,
@@ -250,18 +286,18 @@ fn sweep(rest: &[String]) -> Result<(), String> {
         t_def * 1e3,
         times.len()
     );
-    println!("top 5:");
+    outln!("top 5:");
     for &(c, t) in ranked.iter().take(5) {
-        println!("  {:<28} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
+        outln!("  {:<28} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
     }
-    println!("bottom 3:");
+    outln!("bottom 3:");
     for &(c, t) in ranked.iter().rev().take(3) {
-        println!("  {:<28} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
+        outln!("  {:<28} {:>9.3}ms  x{:.2}", c.label(), t * 1e3, t_def / t);
     }
     Ok(())
 }
 
-fn interp(rest: &[String]) -> Result<(), String> {
+fn interp(rest: &[String]) -> CmdResult {
     let r = find_region(rest.first().ok_or("missing region name")?)?;
     let n: i64 = opt_value(rest, "--n").unwrap_or("64").parse().map_err(|_| "bad --n")?;
     // Execute a small-footprint build of the region so this stays instant.
@@ -269,7 +305,7 @@ fn interp(rest: &[String]) -> Result<(), String> {
     let mut it = Interp::new(&m, InterpConfig::default());
     it.seed_globals(1);
     let out = it.call(&r.region_fn(), &[Value::I(n)]).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "@{}(n={n}) executed {} interpreter steps; memory digest {:016x}",
         r.region_fn(),
         out.steps,
@@ -304,7 +340,7 @@ fn dataset_build_summary(
     ])
 }
 
-fn dataset(rest: &[String]) -> Result<(), String> {
+fn dataset(rest: &[String]) -> CmdResult {
     if rest.first().map(String::as_str) == Some("info") {
         return dataset_info(&rest[1..]);
     }
@@ -338,20 +374,23 @@ fn dataset(rest: &[String]) -> Result<(), String> {
             built.label_coverage,
             &skips,
         );
-        println!("{}", serde_json::value_to_string(&summary));
+        outln!("{}", serde_json::value_to_string(&summary));
         return Ok(());
     }
-    println!(
+    outln!(
         "wrote pack {out}: {} regions, {} graphs in {} shards, {configs} configs, \
          label coverage {:.3}",
-        built.regions, built.graphs, built.shards, built.label_coverage
+        built.regions,
+        built.graphs,
+        built.shards,
+        built.label_coverage
     );
     if skips.is_empty() {
-        println!("skipped 0 regions");
+        outln!("skipped 0 regions");
     } else {
-        println!("skipped {} regions:", skips.len());
+        outln!("skipped {} regions:", skips.len());
         for s in &skips {
-            println!("  {s}");
+            outln!("  {s}");
         }
     }
     Ok(())
@@ -359,11 +398,11 @@ fn dataset(rest: &[String]) -> Result<(), String> {
 
 /// `irnuma dataset info`: describe a pack directory; `--verify` reads every
 /// shard back, checking manifest checksums and decoding every record.
-fn dataset_info(rest: &[String]) -> Result<(), String> {
+fn dataset_info(rest: &[String]) -> CmdResult {
     let dir = Path::new(rest.first().ok_or("missing pack directory")?.as_str());
     let meta = dataset_pack::read_meta(dir).map_err(|e| e.to_string())?;
     let manifest = irnuma_store::shard::ShardManifest::load(dir).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "pack {}: {} regions, {} sequences, {} configs ({} labels)",
         dir.display(),
         meta.regions.len(),
@@ -371,7 +410,7 @@ fn dataset_info(rest: &[String]) -> Result<(), String> {
         meta.configs.len(),
         meta.chosen_configs.len()
     );
-    println!(
+    outln!(
         "{} shards, {} records, {} KiB",
         manifest.entries.len(),
         manifest.total_records(),
@@ -381,12 +420,12 @@ fn dataset_info(rest: &[String]) -> Result<(), String> {
         manifest.verify(dir).map_err(|e| e.to_string())?;
         let ds = dataset_pack::load_packed(dir).map_err(|e| e.to_string())?;
         let graphs: usize = ds.regions.iter().map(|r| r.graphs.len()).sum();
-        println!("verify ok: {graphs} graphs decoded, all checksums match");
+        outln!("verify ok: {graphs} graphs decoded, all checksums match");
     }
     Ok(())
 }
 
-fn train(rest: &[String]) -> Result<(), String> {
+fn train(rest: &[String]) -> CmdResult {
     let arch = parse_arch(rest)?;
     let seqs = parse_seqs(rest, "4")?;
     let epochs: usize =
@@ -460,7 +499,12 @@ fn train(rest: &[String]) -> Result<(), String> {
         graphs += batch.len();
         source.recycle(batch);
     }
-    println!(
+    // Save before reporting, so a closed stdout cannot lose the model.
+    let out = opt_value(rest, "--out");
+    if let Some(out) = out {
+        clf.save_json(Path::new(out)).map_err(|e| e.to_string())?;
+    }
+    outln!(
         "trained {} epochs on {graphs} graphs from {origin}: loss {:.4} → {:.4}, \
          train accuracy {:.3} ({:.2} epochs/sec, prefetch stall {stall_ms:.1}ms)",
         history.len(),
@@ -469,14 +513,13 @@ fn train(rest: &[String]) -> Result<(), String> {
         correct as f64 / graphs.max(1) as f64,
         history.len() as f64 / elapsed.max(1e-9),
     );
-    if let Some(out) = opt_value(rest, "--out") {
-        clf.save_json(Path::new(out)).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
+    if let Some(out) = out {
+        outln!("wrote {out}");
     }
     Ok(())
 }
 
-fn predict(rest: &[String]) -> Result<(), String> {
+fn predict(rest: &[String]) -> CmdResult {
     let target = rest.first().ok_or("missing region name")?.clone();
     let arch = parse_arch(rest)?;
     let seqs = parse_seqs(rest, "8")?;
@@ -505,11 +548,11 @@ fn predict(rest: &[String]) -> Result<(), String> {
     let cfg = ds.configs[ds.chosen_configs[label]];
     let t = ds.label_time(ti, label);
     let reg = &ds.regions[ti];
-    println!("region:        {target}");
-    println!("prediction:    {}", cfg.label());
-    println!("default time:  {:.3}ms", reg.default_time * 1e3);
-    println!("predicted:     {:.3}ms  (x{:.2})", t * 1e3, reg.default_time / t);
-    println!(
+    outln!("region:        {target}");
+    outln!("prediction:    {}", cfg.label());
+    outln!("default time:  {:.3}ms", reg.default_time * 1e3);
+    outln!("predicted:     {:.3}ms  (x{:.2})", t * 1e3, reg.default_time / t);
+    outln!(
         "best possible: {:.3}ms  (x{:.2}, full exploration)",
         reg.full_best_time() * 1e3,
         reg.default_time / reg.full_best_time()
@@ -517,7 +560,7 @@ fn predict(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn report(rest: &[String]) -> Result<(), String> {
+fn report(rest: &[String]) -> CmdResult {
     let path = rest.first().ok_or("missing trace file (irnuma report <trace.jsonl>)")?;
     let mut r = trace_report::load(std::path::Path::new(path))?;
     if let Some(key) = opt_value(rest, "--sort") {
@@ -529,22 +572,22 @@ fn report(rest: &[String]) -> Result<(), String> {
         eprintln!("report.malformed_lines: {} (skipped)", r.malformed_lines);
     }
     if rest.iter().any(|a| a == "--json") {
-        println!("{}", r.to_json());
+        outln!("{}", r.to_json());
     } else {
-        print!("{}", r.render());
+        write_stdout(&r.render())?;
     }
     if let Some(required) = opt_value(rest, "--require") {
         let stages: Vec<&str> =
             required.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
         r.require(&stages)?;
         if !rest.iter().any(|a| a == "--json") {
-            println!("\nall required stages present: {}", stages.join(", "));
+            outln!("\nall required stages present: {}", stages.join(", "));
         }
     }
     Ok(())
 }
 
-fn trace(rest: &[String]) -> Result<(), String> {
+fn trace(rest: &[String]) -> CmdResult {
     let sub = rest.first().map(String::as_str);
     let args = rest.get(1..).unwrap_or(&[]);
     let split_names = |v: &str| -> Vec<String> {
@@ -560,7 +603,7 @@ fn trace(rest: &[String]) -> Result<(), String> {
                     .map(split_names)
                     .unwrap_or_default(),
             };
-            print!("{}", trace_tree::analyze(spans, &opts)?);
+            write_stdout(&trace_tree::analyze(spans, &opts)?)?;
             Ok(())
         }
         Some("export") => {
@@ -568,18 +611,18 @@ fn trace(rest: &[String]) -> Result<(), String> {
             let out = opt_value(args, "--perfetto").ok_or("missing --perfetto <out.json>")?;
             let spans = trace_tree::load_spans(Path::new(path))?;
             trace_tree::export_perfetto(&spans, Path::new(out))?;
-            println!(
+            outln!(
                 "wrote {out}: {} spans ({} skipped lines) — load in ui.perfetto.dev",
                 spans.records.len(),
                 spans.skipped_lines
             );
             Ok(())
         }
-        _ => Err("usage: irnuma trace analyze|export <trace.jsonl> …".to_string()),
+        _ => Err("usage: irnuma trace analyze|export <trace.jsonl> …".into()),
     }
 }
 
-fn top(rest: &[String]) -> Result<(), String> {
+fn top(rest: &[String]) -> CmdResult {
     let watch: Option<f64> = match opt_value(rest, "--watch") {
         Some(v) => Some(v.parse().map_err(|_| "bad --watch (seconds)")?),
         None => None,
@@ -591,7 +634,7 @@ fn top(rest: &[String]) -> Result<(), String> {
         Some(addr) => {
             let s = irnuma_obs::export::serve(addr)
                 .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-            println!("serving telemetry on {}", s.addr());
+            outln!("serving telemetry on {}", s.addr());
             Some(s)
         }
         None => None,
@@ -610,15 +653,15 @@ fn top(rest: &[String]) -> Result<(), String> {
         top_view::parse_snapshot(&body)
     };
     match watch {
-        None => print!("{}", top_view::render(&grab()?, None)),
+        None => write_stdout(&top_view::render(&grab()?, None))?,
         Some(secs) => {
             let interval = std::time::Duration::from_secs_f64(secs.clamp(0.1, 3600.0));
             let mut prev: Option<top_view::Snapshot> = None;
             loop {
                 let snap = grab()?;
                 // Clear the screen, home the cursor, render one frame.
-                print!("\x1b[2J\x1b[Hirnuma top — every {secs}s (ctrl-c to quit)\n\n");
-                print!("{}", top_view::render(&snap, prev.as_ref()));
+                outln!("\x1b[2J\x1b[Hirnuma top — every {secs}s (ctrl-c to quit)\n");
+                write_stdout(&top_view::render(&snap, prev.as_ref()))?;
                 prev = Some(snap);
                 std::thread::sleep(interval);
             }
@@ -630,7 +673,7 @@ fn top(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn serve(rest: &[String]) -> Result<(), String> {
+fn serve(rest: &[String]) -> CmdResult {
     let model = opt_value(rest, "--model").ok_or("missing --model <model.json>")?;
     let mut cfg = irnuma_serve::ServeConfig::new(model);
     if let Some(addr) = opt_value(rest, "--addr") {
@@ -655,7 +698,7 @@ fn serve(rest: &[String]) -> Result<(), String> {
         None => 0,
     };
     let server = irnuma_serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
-    println!("serving on {} (model {model})", server.addr());
+    outln!("serving on {} (model {model})", server.addr());
     if max_requests == 0 {
         server.wait();
         return Ok(());
@@ -667,7 +710,7 @@ fn serve(rest: &[String]) -> Result<(), String> {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     server.shutdown();
-    println!(
+    outln!(
         "served {} responses ({} bad requests, {} rejected); exiting after --max-requests {}",
         responses.get(),
         errors.get(),
@@ -677,7 +720,7 @@ fn serve(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn serve_bench(rest: &[String]) -> Result<(), String> {
+fn serve_bench(rest: &[String]) -> CmdResult {
     let params = irnuma_core::serve_bench::ServeBenchParams {
         model: opt_value(rest, "--model").map(PathBuf::from),
         connect: opt_value(rest, "--connect").map(String::from),
@@ -691,7 +734,7 @@ fn serve_bench(rest: &[String]) -> Result<(), String> {
             .map_err(|_| "bad --clients")?,
     };
     let report = irnuma_core::serve_bench::run(&params)?;
-    println!(
+    outln!(
         "serve-bench: {} served / {} rejected over {} clients\n\
          latency p50 {:.1}us  p99 {:.1}us  mean {:.1}us\n\
          throughput {:.0} req/s",
@@ -705,21 +748,22 @@ fn serve_bench(rest: &[String]) -> Result<(), String> {
     );
     if rest.iter().any(|a| a == "--out-json") {
         let path = irnuma_core::serve_bench::write_report(&report).map_err(|e| e.to_string())?;
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
     Ok(())
 }
 
-fn run_bench_check(rest: &[String]) -> Result<(), String> {
+fn run_bench_check(rest: &[String]) -> CmdResult {
     let quick = rest.iter().any(|a| a == "--quick");
     let baselines_path = opt_value(rest, "--baselines").unwrap_or("results/bench_baselines.json");
     let root = opt_value(rest, "--root").unwrap_or(".");
     let baselines = bench_check::load_baselines(Path::new(baselines_path))?;
     let (results, ok) = bench_check::check(&baselines, Path::new(root), quick);
-    print!("{}", bench_check::render(&results, ok));
+    // A failed gate fails the command even when nobody reads the table.
+    let shown = write_stdout(&bench_check::render(&results, ok));
     if ok {
-        Ok(())
+        shown
     } else {
-        Err("benchmark regression detected".to_string())
+        Err("benchmark regression detected".into())
     }
 }

@@ -5,9 +5,9 @@
 //! The paper measures a 1.51× native vs 1.46× transferred average (≈0.05
 //! loss), strongly region-dependent.
 
-use crate::experiments::{f3, FigureReport};
+use crate::experiments::{f3, size_transfer, FigureReport};
 use irnuma_sim::{config_space, default_config, Machine, MicroArch};
-use irnuma_workloads::{all_regions, InputSize};
+use irnuma_workloads::all_regions;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -44,28 +44,9 @@ pub fn run(calls: u32) -> Fig10 {
         .map(|r| {
             let _scope = ctx.attach();
             let _rs = irnuma_obs::span!("exp.fig10_region", region = r.name.as_str());
-            let sweep = |size: InputSize| -> Vec<f64> {
-                configs
-                    .iter()
-                    .map(|c| {
-                        (0..calls)
-                            .map(|k| {
-                                irnuma_sim::simulate(&r.name, &r.profile, &m, c, size, k).seconds
-                            })
-                            .sum::<f64>()
-                            / calls as f64
-                    })
-                    .collect()
-            };
-            let s1 = sweep(InputSize::Size1);
-            let s2 = sweep(InputSize::Size2);
-            let best_idx = |v: &[f64]| {
-                v.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap()
-            };
-            let b1 = best_idx(&s1);
-            let b2 = best_idx(&s2);
-            let native_gain = s1[def_idx] / s1[b1];
-            let transferred_gain = s1[def_idx] / s1[b2];
+            let t = size_transfer(&r, &m, calls);
+            let native_gain = t.size1[def_idx] / t.size1[t.native];
+            let transferred_gain = t.size1[def_idx] / t.size1[t.transferred];
             Fig10Row {
                 region: r.name,
                 native_gain,

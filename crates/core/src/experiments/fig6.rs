@@ -67,22 +67,26 @@ pub fn run(cfg: &PipelineConfig, ds: &Dataset, label_counts: &[usize]) -> (Fig6,
     (Fig6 { arch: format!("{:?}", cfg.arch), points }, evals)
 }
 
-impl Fig6 {
-    pub fn report(&self) -> FigureReport {
-        let mut r = FigureReport::new(
-            "fig6",
-            &format!("Gains and accuracy vs number of labels ({})", self.arch),
-            &[
-                "labels",
-                "explored_gain",
-                "overall_gain",
-                "label_oracle",
-                "full_exploration",
-                "accuracy",
-            ],
-        );
-        for p in &self.points {
+/// One table for every machine swept: the `arch` column tells the rows
+/// apart, so both architectures land in the same `fig6.csv`.
+pub fn report(figs: &[Fig6]) -> FigureReport {
+    let mut r = FigureReport::new(
+        "fig6",
+        "Gains and accuracy vs number of labels",
+        &[
+            "arch",
+            "labels",
+            "explored_gain",
+            "overall_gain",
+            "label_oracle",
+            "full_exploration",
+            "accuracy",
+        ],
+    );
+    for fig in figs {
+        for p in &fig.points {
             r.push_row(vec![
+                fig.arch.clone(),
                 p.labels.to_string(),
                 f3(p.explored_gain),
                 f3(p.overall_gain),
@@ -91,16 +95,16 @@ impl Fig6 {
                 f3(p.accuracy),
             ]);
         }
-        if let (Some(first), Some(last)) = (self.points.first(), self.points.last()) {
+        if let (Some(first), Some(last)) = (fig.points.first(), fig.points.last()) {
             r.note(format!(
-                "accuracy {:.2} with {} labels vs {:.2} with {} (paper: fewer labels → higher accuracy)",
-                first.accuracy, first.labels, last.accuracy, last.labels
+                "{}: accuracy {:.2} with {} labels vs {:.2} with {} (paper: fewer labels → higher accuracy)",
+                fig.arch, first.accuracy, first.labels, last.accuracy, last.labels
             ));
             r.note(format!(
-                "label-oracle ceiling {:.2}x with {} labels vs {:.2}x with {} (paper: fewer labels → lower ceiling)",
-                first.label_oracle_gain, first.labels, last.label_oracle_gain, last.labels
+                "{}: label-oracle ceiling {:.2}x with {} labels vs {:.2}x with {} (paper: fewer labels → lower ceiling)",
+                fig.arch, first.label_oracle_gain, first.labels, last.label_oracle_gain, last.labels
             ));
         }
-        r
     }
+    r
 }

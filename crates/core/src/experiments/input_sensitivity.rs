@@ -9,11 +9,10 @@
 //! configuration for all inputs.
 
 use crate::dataset::Dataset;
-use crate::experiments::{f3, FigureReport};
+use crate::experiments::{f3, size_transfer, FigureReport};
 use crate::models::static_gnn::StaticModel;
 use irnuma_ml::{kfold, DecisionTree, TreeParams};
-use irnuma_sim::{config_space, simulate, Machine, MicroArch};
-use irnuma_workloads::InputSize;
+use irnuma_sim::{Machine, MicroArch};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +31,6 @@ pub struct InputSensitivity {
 /// the Xeon Gold (the paper's input-size machine).
 fn transfer_losses(ds: &Dataset, calls: u32) -> Vec<f64> {
     let m = Machine::new(MicroArch::XeonGold);
-    let configs = config_space(&m);
     // Capture the caller's open span (`exp.input_sensitivity`) and attach
     // it on each worker so the per-region sweeps nest under it causally.
     let ctx = irnuma_obs::TraceContext::capture();
@@ -41,27 +39,9 @@ fn transfer_losses(ds: &Dataset, calls: u32) -> Vec<f64> {
         .map(|r| {
             let _scope = ctx.attach();
             let _rs = irnuma_obs::span!("exp.transfer_loss", region = r.spec.name.as_str());
-            let sweep = |size: InputSize| -> Vec<f64> {
-                configs
-                    .iter()
-                    .map(|c| {
-                        (0..calls)
-                            .map(|k| {
-                                simulate(&r.spec.name, &r.spec.profile, &m, c, size, k).seconds
-                            })
-                            .sum::<f64>()
-                            / calls as f64
-                    })
-                    .collect()
-            };
-            let s1 = sweep(InputSize::Size1);
-            let s2 = sweep(InputSize::Size2);
-            let best = |v: &[f64]| {
-                v.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap()
-            };
-            let b1 = best(&s1);
-            let b2 = best(&s2);
-            (s1[b2] - s1[b1]) / s1[b1] // fractional slowdown from transferring
+            let t = size_transfer(&r.spec, &m, calls);
+            // Fractional slowdown from transferring.
+            (t.size1[t.transferred] - t.size1[t.native]) / t.size1[t.native]
         })
         .collect()
 }

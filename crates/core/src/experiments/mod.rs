@@ -16,6 +16,8 @@ pub mod fig8;
 pub mod fig9;
 pub mod input_sensitivity;
 
+use irnuma_sim::{sweep_region, Machine};
+use irnuma_workloads::{InputSize, RegionSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -81,6 +83,29 @@ impl fmt::Display for FigureReport {
         }
         Ok(())
     }
+}
+
+/// One region tuned on each input size (§IV-E): its size-1 time under
+/// every configuration of the machine's space, and the indices of the
+/// configurations that are fastest on size 1 (native tuning) and on size 2
+/// (the tuning transferred to size 1).
+pub(crate) struct SizeTransfer {
+    pub size1: Vec<f64>,
+    pub native: usize,
+    pub transferred: usize,
+}
+
+/// Sweep `r` over `m`'s configuration space on both input sizes, `calls`
+/// sampled calls per configuration.
+pub(crate) fn size_transfer(r: &RegionSpec, m: &Machine, calls: u32) -> SizeTransfer {
+    let sweep = |size| sweep_region(r, m, size, calls).expect("every configuration simulates");
+    let best = |v: &[f64]| {
+        let fastest = v.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1));
+        fastest.map(|(i, _)| i).expect("a machine has configurations")
+    };
+    let size1 = sweep(InputSize::Size1);
+    let transferred = best(&sweep(InputSize::Size2));
+    SizeTransfer { native: best(&size1), transferred, size1 }
 }
 
 /// Format a float with 3 decimals (uniform across reports).

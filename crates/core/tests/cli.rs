@@ -408,3 +408,25 @@ fn trace_analyze_and_perfetto_export_on_a_traced_sweep() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    use std::process::Stdio;
+    // `list-regions | head` closes the pipe while the command prints;
+    // `top --watch` prints a frame every 0.1 s until a write fails, so it
+    // meets the closed pipe on every run.
+    for args in [vec!["list-regions"], vec!["top", "--watch", "0.1"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_irnuma"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+    }
+}

@@ -1,17 +1,85 @@
-//! Reverse-mode automatic differentiation on a tape.
+//! The autograd tape: a second, op-by-op implementation of the RGCN that
+//! the fused engine ([`crate::backprop`]) is tested against. Test builds
+//! only; no library path runs it.
 //!
 //! Each forward op appends a node holding its output value and enough
 //! information to propagate gradients. [`Tape::backward`] walks the tape in
-//! reverse, producing a gradient per node; leaf gradients are read back and
-//! accumulated into the parameter store by the trainer.
+//! reverse, producing a gradient per node. [`GnnModel::forward`] builds the
+//! whole model (Eq. 1 and the Fig. 2 head) from these ops, and
+//! [`GnnModel::loss_and_grads`] reads the parameter gradients back.
 //!
 //! The op set is exactly what the paper's architecture needs: embedding
 //! gather, sparse typed-edge message passing (the RGCN aggregation of
 //! Eq. 1), dense affine layers, relu, mean pooling, residual add, layer
-//! normalization, and softmax cross-entropy.
+//! normalization, and softmax cross-entropy. The dense [`Tensor`] helpers
+//! below (`matmul`, `transpose`, `axpy`, …) exist for the tape and its
+//! tests; production kernels work on flat slices.
 
-use crate::tensor::Tensor;
+use crate::graphdata::{GraphData, NUM_RELATIONS};
+use crate::model::GnnModel;
+use crate::tensor::{matmul_accumulate, Tensor};
 use std::rc::Rc;
+
+impl Tensor {
+    #[inline]
+    pub fn at(&self, r: usize, c: usize) -> f32 {
+        self.data[r * self.cols + c]
+    }
+
+    #[inline]
+    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
+        &mut self.data[r * self.cols + c]
+    }
+
+    pub fn same_shape(&self, other: &Tensor) -> bool {
+        self.rows == other.rows && self.cols == other.cols
+    }
+
+    /// `self @ other`, via the blocked kernel of [`matmul_accumulate`].
+    pub fn matmul(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        matmul_accumulate(&self.data, self.rows, self.cols, &other.data, other.cols, &mut out.data);
+        out
+    }
+
+    pub fn transpose(&self) -> Tensor {
+        let mut out = Tensor::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                *out.at_mut(c, r) = self.at(r, c);
+            }
+        }
+        out
+    }
+
+    /// Elementwise addition into `self`.
+    pub fn add_assign(&mut self, other: &Tensor) {
+        assert!(self.same_shape(other), "add_assign shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
+    /// `self += alpha * other`.
+    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
+        assert!(self.same_shape(other), "axpy shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a += alpha * b;
+        }
+    }
+
+    pub fn scale(&mut self, alpha: f32) {
+        for a in &mut self.data {
+            *a *= alpha;
+        }
+    }
+
+    /// Frobenius norm.
+    pub fn norm(&self) -> f32 {
+        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+    }
+}
 
 /// Index of a value on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,6 +444,102 @@ impl Tape {
             }
         }
         grads
+    }
+}
+
+/// Indices of a forward pass's interesting nodes on the tape.
+pub struct Forward {
+    pub tape: Tape,
+    /// Tape var per parameter, aligned with `GnnModel::params`.
+    pub param_vars: Vec<Var>,
+    /// The pooled graph embedding (`1×hidden`) — the "vector" of Fig. 2
+    /// consumed by the FCNN head, the hybrid model, and the flag model.
+    pub pooled: Var,
+    /// Class logits (`1×classes`).
+    pub logits: Var,
+}
+
+impl GnnModel {
+    /// Build the forward graph for one program graph.
+    pub fn forward(&self, g: &GraphData) -> Forward {
+        let mut tape = Tape::new();
+        let param_vars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
+
+        let mut idx = 0usize;
+        let mut next = || {
+            let v = param_vars[idx];
+            idx += 1;
+            v
+        };
+        let embed = next();
+
+        let ids = Rc::new(g.node_text.clone());
+        let mut h = tape.gather(embed, ids);
+        let mut first_layer_out = None;
+
+        for _l in 0..self.cfg.layers {
+            let w_self = next();
+            let self_term = tape.matmul(h, w_self);
+            let mut acc = self_term;
+            for r in 0..NUM_RELATIONS {
+                let w_r = next();
+                if g.edges[r].is_empty() {
+                    continue; // no messages along this relation
+                }
+                let (edges, norm) = g.relation(r);
+                let msgs = tape.spmm(h, edges, norm);
+                let term = tape.matmul(msgs, w_r);
+                acc = tape.add(acc, term);
+            }
+            let bias = next();
+            let pre = tape.add_bias(acc, bias);
+            h = tape.relu(pre);
+            if first_layer_out.is_none() {
+                first_layer_out = Some(h);
+            }
+        }
+
+        // Residual connection around the deeper layers, then normalization.
+        let res = match first_layer_out {
+            Some(h1) if self.cfg.layers > 1 => tape.add(h1, h),
+            _ => h,
+        };
+        let gamma = next();
+        let beta = next();
+        let normed = if self.cfg.layer_norm { tape.layer_norm(res, gamma, beta) } else { res };
+        let pooled = tape.mean_pool(normed);
+
+        let fc1 = next();
+        let b1 = next();
+        let z = tape.matmul(pooled, fc1);
+        let z = tape.add_bias(z, b1);
+        let z = tape.relu(z);
+        let fc2 = next();
+        let b2 = next();
+        let logits = tape.matmul(z, fc2);
+        let logits = tape.add_bias(logits, b2);
+
+        debug_assert_eq!(idx, param_vars.len(), "all parameters consumed");
+        Forward { tape, param_vars, pooled, logits }
+    }
+
+    /// Loss and parameter gradients for one labeled graph.
+    pub fn loss_and_grads(&self, g: &GraphData, label: usize) -> (f64, Vec<Tensor>) {
+        let mut f = self.forward(g);
+        let loss = f.tape.softmax_ce(f.logits, label);
+        let loss_val = f.tape.value(loss).data[0] as f64;
+        let grads = f.tape.backward(loss);
+        let out = f
+            .param_vars
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                grads[v.index()]
+                    .clone()
+                    .unwrap_or_else(|| Tensor::zeros(self.params[i].rows, self.params[i].cols))
+            })
+            .collect();
+        (loss_val, out)
     }
 }
 

@@ -1,16 +1,10 @@
-//! Tape-free fused forward+backward for the RGCN — the one forward pass
-//! training and inference share.
-//!
-//! The autograd tape ([`crate::autograd`]) is a faithful but allocating
-//! oracle: every forward op clones tensors onto the tape (including one
-//! clone of *every parameter* per graph), and `Tape::backward` returns a
-//! full gradient vector per graph. Training pushes thousands of augmented
-//! region graphs through that path every epoch, so the allocations — not
-//! the arithmetic — dominate the epoch.
+//! Fused forward+backward for the RGCN — the one implementation of the
+//! model that training and inference run.
 //!
 //! This module runs Eq. 1 and the Fig. 2 head once, in `forward_into`, for
 //! every caller: [`GnnModel::fused_loss_grads`] follows it with the
-//! backward, and [`crate::infer`] copies its outputs out. The design:
+//! backward, and [`crate::infer`] copies its outputs out. It allocates
+//! nothing per graph once its buffers have grown. The design:
 //!
 //! * **Per-thread scratch.** All activations the backward pass needs
 //!   (per-layer hidden states, per-relation message buffers, the residual
@@ -21,15 +15,14 @@
 //!   pre-activation was `<= 0`, which is the tape's masking rule.
 //! * **Fused kernels.** The forward runs the shape-dispatched matmul,
 //!   SpMM and layer-norm kernels ([`crate::dispatch`]) over the cached CSR
-//!   adjacency, so its outputs are bit-identical to the tape's. The
-//!   backward stages weight and activation transposes into the
-//!   scratch (`xt`/`wt`, no allocation — or reads the plan's prepacked
-//!   transposes when [`FusedEngine::batch_grads`] supplies one) and drives
-//!   the large `dW += xᵀ·dy` / `dx += dy·Wᵀ` products through the same
-//!   blocked kernels — the tape's
-//!   transpose-free kernels compute one dependent add chain per output
-//!   element and are FP-latency-bound, which made the backward ~7× the
-//!   forward; staged transposes bring it back to the ~2× the FLOP ratio
+//!   adjacency, so its outputs are bit-identical to the test-only autograd
+//!   tape's. The backward stages activation transposes into the scratch
+//!   (`xt`, no allocation), reads the training plan's prepacked weight
+//!   transposes ([`ModelPlan::build_training`]), and drives the large
+//!   `dW += xᵀ·dy` / `dx += dy·Wᵀ` products through the same blocked
+//!   kernels — transpose-free kernels compute one dependent add chain per
+//!   output element and are FP-latency-bound, which made the backward ~7×
+//!   the forward; staged transposes bring it back to the ~2× the FLOP ratio
 //!   predicts, bit-identically (both orderings match the materialized
 //!   transpose exactly). The SpMM backward walks a cached source-grouped
 //!   CSC mirror ([`GraphData::csc`]) so `dx[src]` rows accumulate
@@ -48,9 +41,10 @@
 //!   dense gradient for the optimizer. Training is bit-for-bit reproducible
 //!   for a given seed at any thread count.
 //!
-//! The tape stays as the reference oracle: `tests/proptest_backprop.rs`
-//! asserts fused gradients match `Tape::backward` within `1e-4` across
-//! random graphs, widths, layer counts, and the layer-norm ablation.
+//! The autograd tape, compiled into test builds only, is the reference
+//! oracle: `src/oracle_tests/proptest_backprop.rs` asserts fused gradients
+//! match `Tape::backward` within `1e-4` across random graphs, widths, layer
+//! counts, and the layer-norm ablation.
 
 use crate::dispatch::{
     self, matmul_accumulate_auto, plan_matmul, ModelPlan, RelView, SpmmStrategy,
@@ -107,8 +101,6 @@ pub struct TrainScratch {
     /// Staged activation transpose (`d×n`): `h_lᵀ` / `msgsᵀ` for the weight
     /// gradients, so they run through the blocked kernel.
     xt: Vec<f32>,
-    /// Staged weight transpose (`d×d`): `Wᵀ` for the input gradients.
-    wt: Vec<f32>,
     /// Layer-norm backward row temporary (`d`).
     dxhat: Vec<f32>,
     /// Layer-norm affine gradients, accumulated across rows then flushed
@@ -155,7 +147,6 @@ impl TrainScratch {
         for buf in [&mut self.gres, &mut self.ga, &mut self.gh, &mut self.gpre, &mut self.xt] {
             buf.resize(nd, 0.0);
         }
-        self.wt.resize(d * d, 0.0);
         for buf in
             [&mut self.dxhat, &mut self.dgamma, &mut self.dbeta, &mut self.gz, &mut self.gpooled]
         {
@@ -382,8 +373,8 @@ impl GnnModel {
     /// gather, RGCN layers, residual, layer norm + mean pool, FC head and
     /// softmax. Saves every activation the backward reads (`hs`, `msgs`,
     /// `res`) and leaves `pooled`, `z`, `logits` and `probs` in `s`,
-    /// bit-identical to the tape's [`GnnModel::forward`]. `plan`, when
-    /// given, must match the model's current parameters. Returns whether
+    /// bit-identical to the test-only tape's forward. `plan`, when given,
+    /// must match the model's current parameters. Returns whether
     /// `s` already had room for this graph (a scratch reuse hit).
     pub(crate) fn forward_into(
         &self,
@@ -482,22 +473,21 @@ impl GnnModel {
     /// Fused forward+backward for one labeled graph: returns the
     /// cross-entropy loss and **adds** (never overwrites) this graph's
     /// parameter gradients into `grads`. The forward pass is bit-identical
-    /// to [`GnnModel::forward`] + `softmax_ce`; gradients match
+    /// to the test-only tape's forward + `softmax_ce`; gradients match
     /// `Tape::backward` to float rounding (≤1e-4 enforced by proptest).
     ///
-    /// With a prebuilt kernel `plan`, forward products use the prepacked
-    /// weight panels and the backward's `dx += dy·Wᵀ` products read the
-    /// plan's prematerialized transposes instead of re-striding `Wᵀ` into
-    /// scratch per graph — bit-identical to `None`. `plan` must match the
-    /// model's current parameters ([`FusedEngine::batch_grads`] rebuilds it
-    /// once per minibatch, after each optimizer step).
+    /// `plan` must come from [`ModelPlan::build_training`] on the model's
+    /// current parameters ([`FusedEngine::batch_grads`] rebuilds it once per
+    /// minibatch, after each optimizer step): forward products use its
+    /// prepacked weight panels and the backward's `dx += dy·Wᵀ` products
+    /// read its prematerialized transposes.
     pub fn fused_loss_grads(
         &self,
         g: &GraphData,
         label: usize,
         s: &mut TrainScratch,
         grads: &mut GradBuffer,
-        plan: Option<&ModelPlan>,
+        plan: &ModelPlan,
     ) -> f64 {
         let _f = irnuma_obs::profile_frame!("train.fused_grads");
         debug_assert!(grads.matches(self), "grad buffer laid out for another model");
@@ -506,7 +496,7 @@ impl GnnModel {
         let classes = self.cfg.classes;
         let layers = self.cfg.layers;
         assert!(label < classes, "label {label} out of range");
-        let forward_hit = self.forward_into(g, s, plan);
+        let forward_hit = self.forward_into(g, s, Some(plan));
         let backward_hit = s.reserve_backward(n, d, classes);
         if irnuma_obs::telemetry_enabled() {
             if forward_hit && backward_hit {
@@ -631,31 +621,16 @@ impl GnnModel {
                 let w_r = ParamLayout::w_rel(l, r);
                 transpose_into(&s.msgs[l * NUM_RELATIONS + r], n, d, &mut s.xt);
                 matmul_accumulate_auto(&s.xt, d, n, &s.gpre, d, grads.view_mut(w_r));
-                // dmsgs = gpre @ W_rᵀ — the plan's prematerialized transpose
-                // when available, a per-graph staged transpose otherwise —
-                // then the SpMM backward scatters w·dmsgs[dst] into dh[src]
-                // under the same strategy the forward used.
-                let wt: &[f32] = match plan.and_then(|pl| pl.weight_t(w_r)) {
-                    Some(t) => t,
-                    None => {
-                        transpose_into(&p[w_r].data, d, d, &mut s.wt);
-                        &s.wt
-                    }
-                };
+                // dmsgs = gpre @ W_rᵀ through the plan's prematerialized
+                // transpose, then the SpMM backward scatters w·dmsgs[dst]
+                // into dh[src] under the same strategy the forward used.
                 s.term.fill(0.0);
-                matmul_accumulate_auto(&s.gpre, n, d, wt, d, &mut s.term);
+                matmul_accumulate_auto(&s.gpre, n, d, plan.weight_t(w_r), d, &mut s.term);
                 let rel = RelView { rows: &g.csc()[r], edges: &g.edges[r], norm: &g.norm[r] };
                 let strategy = SpmmStrategy::for_relation(n, g.edges[r].len());
                 dispatch::spmm_backward(strategy, rel, &s.term, n, d, &mut s.gh);
             }
-            let wt: &[f32] = match plan.and_then(|pl| pl.weight_t(w_self)) {
-                Some(t) => t,
-                None => {
-                    transpose_into(&p[w_self].data, d, d, &mut s.wt);
-                    &s.wt
-                }
-            };
-            matmul_accumulate_auto(&s.gpre, n, d, wt, d, &mut s.gh);
+            matmul_accumulate_auto(&s.gpre, n, d, plan.weight_t(w_self), d, &mut s.gh);
             std::mem::swap(&mut s.ga, &mut s.gh);
         }
 
@@ -720,9 +695,8 @@ impl FusedEngine {
             .map(|(buf, &i)| {
                 let _g = irnuma_obs::span_fanout!(ctx, "train.graph_grads");
                 buf.reset_for_graph(&graphs[i]);
-                let loss = with_scratch(|s| {
-                    model.fused_loss_grads(&graphs[i], labels[i], s, buf, Some(&plan))
-                });
+                let loss =
+                    with_scratch(|s| model.fused_loss_grads(&graphs[i], labels[i], s, buf, &plan));
                 if irnuma_obs::telemetry_enabled() {
                     irnuma_obs::counter!("train.fused_graphs").inc(1);
                 }
@@ -755,17 +729,6 @@ impl FusedEngine {
         // Canonical-order loss sum (chunk order, not completion order).
         (losses.iter().sum(), mean)
     }
-}
-
-/// Fused forward+backward through this thread's cached scratch workspace
-/// (test/bench convenience; the batch path goes through [`FusedEngine`]).
-pub fn fused_loss_grads_threadlocal(
-    model: &GnnModel,
-    g: &GraphData,
-    label: usize,
-    grads: &mut GradBuffer,
-) -> f64 {
-    with_scratch(|s| model.fused_loss_grads(g, label, s, grads, None))
 }
 
 #[cfg(test)]
@@ -804,9 +767,11 @@ mod tests {
         })
     }
 
-    /// Tape-oracle gradients as flat per-param slices.
-    fn tape_grads(m: &GnnModel, g: &GraphData, label: usize) -> (f64, Vec<Tensor>) {
-        m.loss_and_grads(g, label)
+    /// Fused forward+backward on this thread's scratch, through a fresh
+    /// training plan.
+    fn fused(m: &GnnModel, g: &GraphData, label: usize, grads: &mut GradBuffer) -> f64 {
+        let plan = ModelPlan::build_training(m);
+        with_scratch(|s| m.fused_loss_grads(g, label, s, grads, &plan))
     }
 
     /// Every gradient of a buffer, embedding first, at full table width.
@@ -839,9 +804,9 @@ mod tests {
                 for seed in 0..4u32 {
                     let g = toy_graph(seed);
                     let label = (seed as usize) % 4;
-                    let (tape_loss, tape) = tape_grads(&m, &g, label);
+                    let (tape_loss, tape) = m.loss_and_grads(&g, label);
                     let mut gb = GradBuffer::for_model(&m);
-                    let fused_loss = fused_loss_grads_threadlocal(&m, &g, label, &mut gb);
+                    let fused_loss = fused(&m, &g, label, &mut gb);
                     assert_eq!(
                         fused_loss, tape_loss,
                         "forward loss must be bit-identical (layers={layers}, ln={layer_norm})"
@@ -858,9 +823,10 @@ mod tests {
         let big = toy_graph(3); // 8 nodes
         let small = toy_graph(0); // 5 nodes
 
+        let plan = ModelPlan::build_training(&m);
         let fresh_grads = |g: &GraphData| -> GradBuffer {
             let mut gb = GradBuffer::for_model(&m);
-            m.fused_loss_grads(g, 1, &mut TrainScratch::new(), &mut gb, None);
+            m.fused_loss_grads(g, 1, &mut TrainScratch::new(), &mut gb, &plan);
             gb
         };
         let (grads_big, grads_small) = (fresh_grads(&big), fresh_grads(&small));
@@ -870,7 +836,7 @@ mod tests {
         let mut s = TrainScratch::new();
         for (g, fresh) in [(&big, &grads_big), (&small, &grads_small), (&big, &grads_big)] {
             let mut gb = GradBuffer::for_model(&m);
-            m.fused_loss_grads(g, 1, &mut s, &mut gb, None);
+            m.fused_loss_grads(g, 1, &mut s, &mut gb, &plan);
             assert_eq!(dense(&gb), dense(fresh), "recycled scratch must match a fresh one bitwise");
         }
 
@@ -885,7 +851,7 @@ mod tests {
             assert_eq!(out.pooled, fresh.pooled, "infer after train: pooled");
             assert_eq!(out.probs, fresh.probs, "infer after train: probs");
             let mut gb = GradBuffer::for_model(&m);
-            fused_loss_grads_threadlocal(&m, &small, 1, &mut gb);
+            fused(&m, &small, 1, &mut gb);
             assert_eq!(dense(&gb), dense(&grads_small), "train after infer");
         }
     }
@@ -897,11 +863,11 @@ mod tests {
         let g1 = toy_graph(1);
         let mut separate0 = GradBuffer::for_model(&m);
         let mut separate1 = GradBuffer::for_model(&m);
-        fused_loss_grads_threadlocal(&m, &g0, 0, &mut separate0);
-        fused_loss_grads_threadlocal(&m, &g1, 2, &mut separate1);
+        fused(&m, &g0, 0, &mut separate0);
+        fused(&m, &g1, 2, &mut separate1);
         let mut both = GradBuffer::for_model(&m);
-        fused_loss_grads_threadlocal(&m, &g0, 0, &mut both);
-        fused_loss_grads_threadlocal(&m, &g1, 2, &mut both);
+        fused(&m, &g0, 0, &mut both);
+        fused(&m, &g1, 2, &mut both);
         for ((a, b), c) in dense(&both).iter().zip(&dense(&separate0)).zip(&dense(&separate1)) {
             assert!((a - (b + c)).abs() <= 1e-5, "{a} vs {} + {c}", b);
         }
@@ -973,7 +939,7 @@ mod tests {
             .zip(&labels)
             .map(|(g, &label)| {
                 let mut gb = GradBuffer::for_model(&m);
-                m.fused_loss_grads(g, label, &mut TrainScratch::new(), &mut gb, Some(&plan));
+                m.fused_loss_grads(g, label, &mut TrainScratch::new(), &mut gb, &plan);
                 dense(&gb)
             })
             .collect();
@@ -1017,7 +983,7 @@ mod tests {
         let mut manual_loss = 0.0;
         let mut manual = GradBuffer::for_model(&m);
         for i in 0..3 {
-            manual_loss += fused_loss_grads_threadlocal(&m, &graphs[i], labels[i], &mut manual);
+            manual_loss += fused(&m, &graphs[i], labels[i], &mut manual);
         }
         assert!((loss - manual_loss).abs() < 1e-9);
         for (a, &b) in dense(gb).iter().zip(&dense(&manual)) {

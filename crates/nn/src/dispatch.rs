@@ -34,11 +34,11 @@
 //!   scalar tail at the host's tier.
 //!
 //! This is the only kernel path: every host runs its best tier (non-x86
-//! hosts run the baseline strip kernels). The generic
-//! [`tensor::matmul_accumulate`] and the autograd tape stay as test
-//! oracles: every tier [`host_kernel_tiers`] returns is checked against
-//! them, and against scalar reference loops, bit for bit
-//! (`tests/dispatch_equivalence.rs`, `tests/infer_equivalence.rs`).
+//! hosts run the baseline strip kernels). Every tier [`host_kernel_tiers`]
+//! returns is checked bit for bit against the generic
+//! [`tensor::matmul_accumulate`] and scalar reference loops
+//! (`tests/dispatch_equivalence.rs`), and the whole inference pass against
+//! the test-only autograd tape (`src/oracle_tests/infer_equivalence.rs`).
 
 use crate::graphdata::{Csr, NUM_RELATIONS};
 use crate::model::{GnnModel, ParamLayout};
@@ -715,10 +715,14 @@ impl ModelPlan {
         matmul_accumulate_auto(a, rows, w.rows, &w.data, w.cols, out);
     }
 
-    /// Parameter `idx`'s prepacked transpose (row-major `cols × rows`), if
-    /// the plan carries one.
-    pub fn weight_t(&self, idx: usize) -> Option<&[f32]> {
-        self.packed.get(idx).and_then(|p| p.as_ref()).and_then(|p| p.bwd_t.as_deref())
+    /// Layer weight `idx`'s prepacked transpose (row-major `cols × rows`).
+    /// Panics unless the plan came from [`build_training`](Self::build_training).
+    pub fn weight_t(&self, idx: usize) -> &[f32] {
+        self.packed
+            .get(idx)
+            .and_then(|p| p.as_ref())
+            .and_then(|p| p.bwd_t.as_deref())
+            .unwrap_or_else(|| panic!("parameter {idx} has no transpose: not a training plan"))
     }
 }
 

@@ -15,8 +15,8 @@
 //! [`infer_batch`](GnnModel::infer_batch) and
 //! [`infer_batch_planned`](GnnModel::infer_batch_planned) serve batches.
 //!
-//! The outputs equal the autograd tape's [`GnnModel::forward`] bit for
-//! bit; the tests assert exact equality.
+//! The outputs equal the test-only autograd tape's forward bit for bit;
+//! the tests assert exact equality.
 //!
 //! [`infer_batch`](GnnModel::infer_batch) fans graphs out across threads,
 //! each reusing its own thread's workspace; every graph's pass is
@@ -73,7 +73,7 @@ impl InferOutput {
 }
 
 impl GnnModel {
-    /// Tape-free forward pass using this thread's cached scratch workspace.
+    /// The forward pass on this thread's cached scratch workspace.
     /// Single-graph calls skip weight prepacking (the pack would cost more
     /// than it saves) but still go through the shape-dispatched kernels;
     /// batched calls prepack once via [`GnnModel::plan`].

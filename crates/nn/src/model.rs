@@ -10,13 +10,11 @@
 //! with one weight matrix per relation (control/data/call), per-destination
 //! normalization `1/c_{i,r}`, and σ = ReLU.
 
-use crate::autograd::{Tape, Var};
-use crate::graphdata::{GraphData, NUM_RELATIONS};
+use crate::graphdata::NUM_RELATIONS;
 use crate::tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::rc::Rc;
 
 /// Model hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,26 +59,13 @@ impl GnnConfig {
 }
 
 /// Parameter store, indexed by [`ParamLayout`]. Training and inference run
-/// one tape-free forward pass (`forward_into`, in [`crate::backprop`]) that
-/// borrows the weights in place; only the autograd oracle
-/// ([`GnnModel::forward`]) copies them onto a fresh tape as leaves.
+/// one forward pass (`forward_into`, in [`crate::backprop`]) that borrows
+/// the weights in place.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GnnModel {
     pub cfg: GnnConfig,
     pub params: Vec<Tensor>,
     names: Vec<String>,
-}
-
-/// Indices of a forward pass's interesting nodes on the tape.
-pub struct Forward {
-    pub tape: Tape,
-    /// Tape var per parameter, aligned with `GnnModel::params`.
-    pub param_vars: Vec<Var>,
-    /// The pooled graph embedding (`1×hidden`) — the "vector" of Fig. 2
-    /// consumed by the FCNN head, the hybrid model, and the flag model.
-    pub pooled: Var,
-    /// Class logits (`1×classes`).
-    pub logits: Var,
 }
 
 /// Where each tensor sits in [`GnnModel::params`], in [`GnnModel::new`]'s
@@ -217,93 +202,12 @@ impl GnnModel {
     pub fn num_params(&self) -> usize {
         self.params.iter().map(|p| p.data.len()).sum()
     }
-
-    /// Build the forward graph for one program graph.
-    pub fn forward(&self, g: &GraphData) -> Forward {
-        let mut tape = Tape::new();
-        let param_vars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
-
-        let mut idx = 0usize;
-        let mut next = || {
-            let v = param_vars[idx];
-            idx += 1;
-            v
-        };
-        let embed = next();
-
-        let ids = Rc::new(g.node_text.clone());
-        let mut h = tape.gather(embed, ids);
-        let mut first_layer_out = None;
-
-        for _l in 0..self.cfg.layers {
-            let w_self = next();
-            let self_term = tape.matmul(h, w_self);
-            let mut acc = self_term;
-            for r in 0..NUM_RELATIONS {
-                let w_r = next();
-                if g.edges[r].is_empty() {
-                    continue; // no messages along this relation
-                }
-                let (edges, norm) = g.relation(r);
-                let msgs = tape.spmm(h, edges, norm);
-                let term = tape.matmul(msgs, w_r);
-                acc = tape.add(acc, term);
-            }
-            let bias = next();
-            let pre = tape.add_bias(acc, bias);
-            h = tape.relu(pre);
-            if first_layer_out.is_none() {
-                first_layer_out = Some(h);
-            }
-        }
-
-        // Residual connection around the deeper layers, then normalization.
-        let res = match first_layer_out {
-            Some(h1) if self.cfg.layers > 1 => tape.add(h1, h),
-            _ => h,
-        };
-        let gamma = next();
-        let beta = next();
-        let normed = if self.cfg.layer_norm { tape.layer_norm(res, gamma, beta) } else { res };
-        let pooled = tape.mean_pool(normed);
-
-        let fc1 = next();
-        let b1 = next();
-        let z = tape.matmul(pooled, fc1);
-        let z = tape.add_bias(z, b1);
-        let z = tape.relu(z);
-        let fc2 = next();
-        let b2 = next();
-        let logits = tape.matmul(z, fc2);
-        let logits = tape.add_bias(logits, b2);
-
-        debug_assert_eq!(idx, param_vars.len(), "all parameters consumed");
-        Forward { tape, param_vars, pooled, logits }
-    }
-
-    /// Loss and parameter gradients for one labeled graph.
-    pub fn loss_and_grads(&self, g: &GraphData, label: usize) -> (f64, Vec<Tensor>) {
-        let mut f = self.forward(g);
-        let loss = f.tape.softmax_ce(f.logits, label);
-        let loss_val = f.tape.value(loss).data[0] as f64;
-        let grads = f.tape.backward(loss);
-        let out = f
-            .param_vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                grads[v.index()]
-                    .clone()
-                    .unwrap_or_else(|| Tensor::zeros(self.params[i].rows, self.params[i].cols))
-            })
-            .collect();
-        (loss_val, out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graphdata::GraphData;
     use irnuma_graph::{EdgeKind, Graph, NodeKind};
 
     fn toy_graph(seed: u32) -> GraphData {

@@ -1,10 +1,10 @@
-//! Property tests: the tape-free inference engine agrees with the autograd
-//! tape bit for bit on random graphs (including single-node graphs and graphs with
+//! Property tests: the inference engine agrees with the autograd tape bit
+//! for bit on random graphs (including single-node graphs and graphs with
 //! empty relations), and the CSR adjacency is a lossless regrouping of the
 //! edge list.
 
-use irnuma_nn::graphdata::{Csr, NUM_RELATIONS};
-use irnuma_nn::{GnnConfig, GnnModel, GraphData};
+use crate::graphdata::{Csr, GraphData, NUM_RELATIONS};
+use crate::model::{GnnConfig, GnnModel};
 use proptest::prelude::*;
 
 const VOCAB: usize = 32;

@@ -1,8 +1,8 @@
 //! Property tests for the NN substrate: tensor algebra laws, autograd
 //! gradient checks on randomized compositions, and training invariances.
 
-use irnuma_nn::autograd::Tape;
-use irnuma_nn::Tensor;
+use crate::autograd::Tape;
+use crate::tensor::Tensor;
 use proptest::prelude::*;
 use std::rc::Rc;
 

@@ -3,9 +3,10 @@
 //! and the layer-norm ablation, the fused forward loss must be bit-identical
 //! to the tape's and every parameter gradient must agree within `1e-4`.
 
-use irnuma_nn::backprop::{fused_loss_grads_threadlocal, GradBuffer};
-use irnuma_nn::graphdata::NUM_RELATIONS;
-use irnuma_nn::{FusedEngine, GnnConfig, GnnModel, GraphData};
+use crate::backprop::{FusedEngine, GradBuffer, TrainScratch};
+use crate::dispatch::ModelPlan;
+use crate::graphdata::{GraphData, NUM_RELATIONS};
+use crate::model::{GnnConfig, GnnModel};
 use proptest::prelude::*;
 
 const VOCAB: usize = 20;
@@ -51,7 +52,8 @@ proptest! {
         });
         let (tape_loss, tape_grads) = m.loss_and_grads(&g, label);
         let mut gb = GradBuffer::for_model(&m);
-        let fused_loss = fused_loss_grads_threadlocal(&m, &g, label, &mut gb);
+        let plan = ModelPlan::build_training(&m);
+        let fused_loss = m.fused_loss_grads(&g, label, &mut TrainScratch::new(), &mut gb, &plan);
 
         prop_assert_eq!(
             fused_loss, tape_loss,
@@ -67,10 +69,10 @@ proptest! {
             }
         }
 
-        // The batch engine prepacks weights and dispatches shape-specialized
-        // kernels; a single-graph batch must still reproduce the planless
-        // fused gradients bit-for-bit (and therefore stay within the tape
-        // tolerance above).
+        // The batch engine builds its own plan, runs on the thread-local
+        // scratch and tree-reduces the pool; a single-graph batch must still
+        // reproduce the direct fused gradients bit-for-bit (and therefore
+        // stay within the tape tolerance above).
         let graphs = [g];
         let labels = [label];
         let mut engine = FusedEngine::new();

@@ -31,67 +31,8 @@ impl Tensor {
         Tensor { rows, cols, data }
     }
 
-    #[inline]
-    pub fn at(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.cols + c]
-    }
-
-    #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        &mut self.data[r * self.cols + c]
-    }
-
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    pub fn same_shape(&self, other: &Tensor) -> bool {
-        self.rows == other.rows && self.cols == other.cols
-    }
-
-    /// `self @ other`, via the blocked kernel of [`matmul_accumulate`].
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        matmul_accumulate(&self.data, self.rows, self.cols, &other.data, other.cols, &mut out.data);
-        out
-    }
-
-    pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.at_mut(c, r) = self.at(r, c);
-            }
-        }
-        out
-    }
-
-    /// Elementwise addition into `self`.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert!(self.same_shape(other), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert!(self.same_shape(other), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    pub fn scale(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 }
 
@@ -173,8 +114,8 @@ pub fn matmul_accumulate(
 /// all row-major (`out` is `a_cols×b_cols`). This is the weight-gradient
 /// kernel of the fused backward pass (`dW += xᵀ @ dy`): each output element
 /// accumulates its `rows` terms in ascending row order, exactly the order
-/// `a.transpose().matmul(&b)` produces, so the fused path and the tape
-/// oracle round identically — without materializing the transpose.
+/// a materialized `aᵀ` times `b` produces, so the fused path and the
+/// test-only tape round identically — without materializing the transpose.
 pub fn matmul_transpose_a_accumulate(
     a: &[f32],
     rows: usize,
@@ -204,8 +145,8 @@ pub fn matmul_transpose_a_accumulate(
 /// `out += a @ bᵀ` where `a` is `rows×inner` and `b` is `b_rows×inner`,
 /// all row-major (`out` is `rows×b_rows`). This is the activation-gradient
 /// kernel of the fused backward pass (`dx += dy @ Wᵀ`): each output element
-/// is a dot product over `inner` in ascending order — the same order
-/// `a.matmul(&b.transpose())` uses — and `b`'s rows are read contiguously,
+/// is a dot product over `inner` in ascending order — the same order `a`
+/// times a materialized `bᵀ` uses — and `b`'s rows are read contiguously,
 /// so no transpose is ever materialized.
 pub fn matmul_transpose_b_accumulate(
     a: &[f32],
@@ -232,8 +173,9 @@ pub fn matmul_transpose_b_accumulate(
 }
 
 /// Transpose `src` (`rows×cols`, row-major) into `dst` (`cols×rows`),
-/// overwriting `dst`. The fused training engine stages weight and
-/// activation transposes in reusable scratch with this, then runs the
+/// overwriting `dst`. The fused training engine stages activation
+/// transposes in reusable scratch with this (and the training plan stores
+/// weight transposes built with it), then runs the
 /// backward matmuls through the blocked [`matmul_accumulate`] kernel —
 /// the transpose-free kernels above are one long dependent add chain per
 /// output element, while the blocked kernel keeps four independent output
@@ -250,7 +192,7 @@ pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
 }
 
 /// Softmax of `logits` written into `probs` (max-shifted, matching the
-/// tape's [`crate::autograd::Tape::softmax_ce`] evaluation order exactly).
+/// test-only tape's `softmax_ce` evaluation order exactly).
 /// Shared by the inference engine and the fused training engine so the two
 /// can never drift.
 pub fn softmax_into(logits: &[f32], probs: &mut Vec<f32>) {

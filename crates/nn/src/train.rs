@@ -3,12 +3,12 @@
 //! There is one epoch loop, [`GnnClassifier::fit_streaming`], over a
 //! [`ShardSource`]; [`GnnClassifier::fit`] moves resident graphs into a
 //! one-shard [`MemorySource`] and runs the same loop. Minibatch gradients
-//! come from the tape-free fused engine ([`crate::backprop`]): per-graph
+//! come from the fused engine ([`crate::backprop`]): per-graph
 //! forward+backward in parallel (rayon map) with fixed graph→buffer
 //! assignment and an ordered pairwise tree reduction, so training is
 //! bit-for-bit deterministic for a given seed regardless of thread count.
-//! The autograd tape ([`GnnModel::loss_and_grads`]) is the oracle the fused
-//! gradients are tested against; no training path runs it.
+//! The fused gradients are tested against an autograd tape that only test
+//! builds compile.
 //!
 //! Training can checkpoint through `irnuma-store`: every N epochs the full
 //! trainer state (weights, Adam moments, loss history, per-shard record

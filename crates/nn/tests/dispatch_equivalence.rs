@@ -5,17 +5,17 @@
 //! strategies must equal plain scalar loops written out here — *bit for
 //! bit*, across awkward shapes (any width, row counts around block
 //! boundaries, empty operands, post-relu zeros, -0.0 accumulators, empty
-//! relations, duplicate edges). The fully planned inference/training passes
-//! must equal the planless ones.
+//! relations, duplicate edges). The fully planned inference pass must equal
+//! the planless one, and the batch trainer the direct fused backward.
 
-use irnuma_nn::backprop::{fused_loss_grads_threadlocal, GradBuffer};
+use irnuma_nn::backprop::{GradBuffer, TrainScratch};
 use irnuma_nn::dispatch::{
     host_kernel_tiers, matmul_accumulate_auto, matmul_accumulate_packed, PackedMatrix, RelView,
     SpmmStrategy,
 };
 use irnuma_nn::graphdata::NUM_RELATIONS;
 use irnuma_nn::tensor::matmul_accumulate;
-use irnuma_nn::{Csr, FusedEngine, GnnConfig, GnnModel, GraphData};
+use irnuma_nn::{Csr, FusedEngine, GnnConfig, GnnModel, GraphData, ModelPlan};
 use proptest::prelude::*;
 
 const VOCAB: usize = 20;
@@ -254,10 +254,11 @@ proptest! {
         }
     }
 
-    /// The fully planned pipelines (prepacked inference, planned fused
-    /// training through `FusedEngine`) are bit-identical to the planless
-    /// ones, at a strip-aligned width (8), at widths that end in the sub-8
-    /// tail (12), and at the odd label-count width (13).
+    /// Prepacked inference is bit-identical to the planless pass, and a
+    /// one-graph batch through `FusedEngine` (its own plan, thread-local
+    /// scratch, tree reduce) to the direct fused backward, at a
+    /// strip-aligned width (8), at widths that end in the sub-8 tail (12),
+    /// and at the odd label-count width (13).
     #[test]
     fn planned_inference_and_training_match_planless_bitwise(
         g in graph_strategy(),
@@ -281,14 +282,16 @@ proptest! {
         prop_assert_eq!(planned.pooled, planless.pooled);
 
         let mut direct = GradBuffer::for_model(&m);
-        let direct_loss = fused_loss_grads_threadlocal(&m, &g, label, &mut direct);
+        let train_plan = ModelPlan::build_training(&m);
+        let direct_loss =
+            m.fused_loss_grads(&g, label, &mut TrainScratch::new(), &mut direct, &train_plan);
         let graphs = [g];
         let labels = [label];
         let mut engine = FusedEngine::new();
         let (batch_loss, batch_gb) = engine.batch_grads(&m, &graphs, &labels, &[0]);
         prop_assert_eq!(batch_loss, direct_loss, "planned forward loss drifted");
         // A single-graph batch is scaled by 1/1, so the reduced gradient
-        // must equal the planless per-graph gradient bit-for-bit.
+        // must equal the direct per-graph gradient bit-for-bit.
         for i in 0..m.params.len() {
             prop_assert_eq!(
                 batch_gb.view(i), direct.view(i),

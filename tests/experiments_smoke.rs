@@ -64,7 +64,9 @@ fn fig6_label_sweep() {
     // And each evaluation used the right label count.
     assert_eq!(evals[0].dataset.chosen_configs.len(), 2);
     assert_eq!(evals[1].dataset.chosen_configs.len(), 6);
-    let _ = f.report();
+    let report = fig6::report(std::slice::from_ref(&f));
+    assert_eq!(report.rows.len(), 2);
+    assert!(report.rows.iter().all(|row| row[0] == "Skylake"));
 }
 
 #[test]

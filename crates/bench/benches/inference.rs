@@ -61,9 +61,9 @@ fn main() {
     // runs, the first of which is warmup (scratch growth, cold branches).
     let widths: &[(&GnnModel, &str)] =
         if quick { &[(&model64, "h64")] } else { &[(&model64, "h64"), (&model256, "h256")] };
-    let pairs = if quick { 5 } else { 15 };
+    let runs = if quick { 5 } else { 15 };
     for &(model, tag) in widths {
-        let mut batch_ns: Vec<f64> = (0..=pairs)
+        let mut batch_ns: Vec<f64> = (0..=runs)
             .map(|_| {
                 let t0 = std::time::Instant::now();
                 black_box(model.infer_batch(black_box(&graphs)).len());
@@ -80,7 +80,10 @@ fn main() {
         // Tracing overhead: the identical batched path with a live JSONL
         // sink (per-batch span + per-graph histogram records), as alternating
         // untraced/traced pairs. The median per-pair ratio lands in the JSON
-        // and must stay under 2%.
+        // and must stay under 2%. A pair takes ~15 ms on the build host,
+        // and its ratio moves by a few percent with host noise; the median
+        // of 101 pairs moves by about 1% from run to run.
+        let pairs = 101;
         let trace_path = std::env::temp_dir().join("irnuma-bench-inference-trace.jsonl");
         let sink =
             std::sync::Arc::new(irnuma_obs::JsonlSink::create(&trace_path).expect("trace file"));

@@ -109,7 +109,10 @@ fn main() {
     let trace_path = std::env::temp_dir().join("irnuma-bench-training-trace.jsonl");
     let sink = std::sync::Arc::new(irnuma_obs::JsonlSink::create(&trace_path).expect("trace file"));
     let clf = classifier(*widths.last().expect("at least one width"));
-    let pairs = if quick { 3 } else { 15 };
+    // A quick (h64) pair takes ~6 ms on the build host and a full (h256)
+    // pair ~110 ms. Short pairs are noisy, so the median needs many of them
+    // to stay well inside the budget from run to run.
+    let pairs = if quick { 61 } else { 31 };
     let mut ratios = Vec::with_capacity(pairs);
     for i in 0..=pairs {
         let t0 = std::time::Instant::now();

@@ -7,7 +7,7 @@
 
 use crate::dataset::Dataset;
 use crate::models::static_gnn::StaticModel;
-use irnuma_ml::{loo_predictions, DecisionTree, Ga, GaParams, Presorted, TreeParams};
+use irnuma_ml::{DecisionTree, Ga, GaParams, LooFolds, Presorted, TreeParams};
 use irnuma_nn::GraphData;
 use serde::{Deserialize, Serialize};
 
@@ -122,10 +122,11 @@ impl FlagModel {
         let k = p.feature_subset.min(dim);
 
         let x = Presorted::new(&embeddings);
+        let loo = LooFolds::new(&x, &y, TreeParams::default());
 
         // GA fitness: leave-one-out accuracy of the tree on the selected dims.
         let fitness = |sel: &[usize]| -> f64 {
-            let preds = loo_predictions(&x, sel, &y, TreeParams::default());
+            let preds = loo.predictions(sel);
             let correct = preds.iter().zip(&y).filter(|(p, t)| p == t).count();
             correct as f64 / y.len() as f64
         };

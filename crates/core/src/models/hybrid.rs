@@ -5,9 +5,7 @@
 
 use crate::dataset::Dataset;
 use crate::models::static_gnn::StaticModel;
-use irnuma_ml::{
-    loo_predictions, relative_difference, DecisionTree, Ga, GaParams, Presorted, TreeParams,
-};
+use irnuma_ml::{relative_difference, DecisionTree, Ga, GaParams, LooFolds, Presorted, TreeParams};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -139,6 +137,7 @@ impl HybridModel {
         // The router tree is depth-limited: the training set is ~50 regions
         // and the full-depth CART memorizes it without transferring.
         let tree_params = TreeParams { max_depth: Some(2), ..Default::default() };
+        let loo = LooFolds::new(&x, &y, tree_params);
 
         // GA fitness: leave-one-out *balanced* accuracy of the tree on the
         // selected dims (the paper optimizes the same objective with
@@ -147,7 +146,7 @@ impl HybridModel {
         let fitness = |sel: &[usize]| -> f64 {
             let mut hit = [0usize; 2];
             let mut tot = [0usize; 2];
-            for (pred, &truth) in loo_predictions(&x, sel, &y, tree_params).into_iter().zip(&y) {
+            for (pred, &truth) in loo.predictions(sel).into_iter().zip(&y) {
                 tot[truth] += 1;
                 hit[truth] += usize::from(pred == truth);
             }

@@ -23,6 +23,15 @@ impl Default for TreeParams {
     }
 }
 
+impl TreeParams {
+    /// Does a node of `m` rows with class counts `counts` at `depth` stay a
+    /// leaf without trying a split?
+    pub(crate) fn stops(&self, counts: &[usize], m: usize, depth: usize) -> bool {
+        let pure = counts.iter().filter(|&&c| c > 0).count() == 1;
+        pure || m < self.min_samples_split || self.max_depth.is_some_and(|d| depth >= d)
+    }
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Node {
     Leaf { class: usize },
@@ -41,11 +50,11 @@ pub struct DecisionTree {
 /// once by `(total_cmp(value), row)`. Build it once and fit any number of
 /// trees on column subsets and row subsets of it.
 pub struct Presorted {
-    n_rows: usize,
+    pub(crate) n_rows: usize,
     /// `cols[c][row]`.
-    cols: Vec<Vec<f32>>,
+    pub(crate) cols: Vec<Vec<f32>>,
     /// `orders[c]`: the rows sorted by `(cols[c][row], row)`.
-    orders: Vec<Vec<usize>>,
+    pub(crate) orders: Vec<Vec<usize>>,
 }
 
 impl Presorted {
@@ -79,8 +88,64 @@ fn gini(counts: &[usize], total: usize) -> f64 {
     1.0 - counts.iter().map(|&c| (c as f64 / t).powi(2)).sum::<f64>()
 }
 
+/// The first-wins rule of the split search: `score` replaces the best so
+/// far only when it is more than 1e-12 below it.
+pub(crate) fn improves(best: Option<f64>, score: f64) -> bool {
+    best.is_none_or(|b| score < b - 1e-12)
+}
+
+/// The split scan of one node over one column, shared by the builder and
+/// the leave-one-out context. `gini(counts, t)` is the Gini impurity of
+/// class counts `counts` over `t > 0` rows.
+pub(crate) struct SplitScan<'a, G> {
+    y: &'a [usize],
+    min_samples_leaf: usize,
+    gini: G,
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl<'a, G: Fn(&[usize], usize) -> f64> SplitScan<'a, G> {
+    pub(crate) fn new(y: &'a [usize], n_classes: usize, min_samples_leaf: usize, gini: G) -> Self {
+        SplitScan { y, min_samples_leaf, gini, left: vec![0; n_classes], right: vec![0; n_classes] }
+    }
+
+    /// `order` holds a node's rows sorted by `col`, and `parent` their
+    /// class counts. Calls `visit(score, thresh)` at each valid threshold
+    /// position, in order.
+    pub(crate) fn column(
+        &mut self,
+        col: &[f32],
+        order: &[usize],
+        parent: &[usize],
+        mut visit: impl FnMut(f64, f32),
+    ) {
+        let total = order.len();
+        self.left.fill(0);
+        self.right.copy_from_slice(parent);
+        for k in 0..total.saturating_sub(1) {
+            let i = order[k];
+            self.left[self.y[i]] += 1;
+            self.right[self.y[i]] -= 1;
+            let (va, vb) = (col[order[k]], col[order[k + 1]]);
+            if va == vb {
+                continue; // not a valid threshold position
+            }
+            let nl = k + 1;
+            let nr = total - nl;
+            if nl < self.min_samples_leaf || nr < self.min_samples_leaf {
+                continue;
+            }
+            let score = (nl as f64 * (self.gini)(&self.left, nl)
+                + nr as f64 * (self.gini)(&self.right, nr))
+                / total as f64;
+            visit(score, (va + vb) * 0.5);
+        }
+    }
+}
+
 /// The most frequent class; the lower index wins ties.
-fn majority(counts: &[usize]) -> usize {
+pub(crate) fn majority(counts: &[usize]) -> usize {
     counts
         .iter()
         .enumerate()
@@ -103,8 +168,7 @@ fn walk(nodes: &[Node], feature: impl Fn(usize) -> f32) -> usize {
 }
 
 /// One tree builder over a [`Presorted`] matrix, columns `sel` and labels
-/// `y`. Its buffers are refilled by each [`Builder::grow`], so the folds of
-/// a leave-one-out loop reuse them.
+/// `y`; [`Builder::grow`] fits the tree.
 struct Builder<'a> {
     x: &'a Presorted,
     sel: &'a [usize],
@@ -141,7 +205,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Fit a fresh tree into `self.nodes` on every row but `skip`.
+    /// Fit the tree into `self.nodes` on every row but `skip`.
     ///
     /// `n_classes` counts the skipped row's label too. When that row holds
     /// the only sample of the top class, the extra class only adds zero
@@ -152,8 +216,6 @@ impl<'a> Builder<'a> {
         let m = self.x.n_rows - usize::from(skip.is_some());
         assert!(m > 0, "empty training set");
         self.m = m;
-        self.nodes.clear();
-        self.orders.clear();
         for &c in self.sel {
             self.orders.extend(self.x.orders[c].iter().copied().filter(|&r| Some(r) != skip));
         }
@@ -175,9 +237,7 @@ impl<'a> Builder<'a> {
         for &r in &self.orders[lo..hi] {
             counts[self.y[r]] += 1;
         }
-        let pure = counts.iter().filter(|&&c| c > 0).count() == 1;
-        let depth_stop = self.params.max_depth.is_some_and(|d| depth >= d);
-        let split = if pure || hi - lo < self.params.min_samples_split || depth_stop {
+        let split = if self.params.stops(&counts, hi - lo, depth) {
             None
         } else {
             self.split(lo, hi, &counts)
@@ -210,34 +270,14 @@ impl<'a> Builder<'a> {
         let total = hi - lo;
         let parent_gini = gini(parent_counts, total);
         let mut best: Option<(f64, usize, f32)> = None;
-        let mut left_counts = vec![0usize; self.n_classes];
-        let mut right_counts = vec![0usize; self.n_classes];
+        let mut scan = SplitScan::new(self.y, self.n_classes, self.params.min_samples_leaf, gini);
         for (feat, &c) in self.sel.iter().enumerate() {
-            let col = &self.x.cols[c];
             let order = &self.orders[feat * self.m + lo..feat * self.m + hi];
-            left_counts.fill(0);
-            right_counts.copy_from_slice(parent_counts);
-            for k in 0..total - 1 {
-                let i = order[k];
-                left_counts[self.y[i]] += 1;
-                right_counts[self.y[i]] -= 1;
-                let (va, vb) = (col[order[k]], col[order[k + 1]]);
-                if va == vb {
-                    continue; // not a valid threshold position
-                }
-                let nl = k + 1;
-                let nr = total - nl;
-                if nl < self.params.min_samples_leaf || nr < self.params.min_samples_leaf {
-                    continue;
-                }
-                let score = (nl as f64 * gini(&left_counts, nl)
-                    + nr as f64 * gini(&right_counts, nr))
-                    / total as f64;
-                let thresh = (va + vb) * 0.5;
-                if best.is_none() || score < best.unwrap().0 - 1e-12 {
+            scan.column(&self.x.cols[c], order, parent_counts, |score, thresh| {
+                if improves(best.map(|b| b.0), score) {
                     best = Some((score, feat, thresh));
                 }
-            }
+            });
         }
 
         let (score, feat, thresh) = best?;
@@ -279,23 +319,6 @@ fn stable_partition(seg: &mut [usize], goes_left: &[bool], spill: &mut Vec<usize
         }
     }
     seg[w..].copy_from_slice(spill);
-}
-
-/// Leave-one-out predictions over columns `sel` of `x`: entry `i` is the
-/// class predicted for row `i` by the tree fitted on every other row.
-pub fn loo_predictions(
-    x: &Presorted,
-    sel: &[usize],
-    y: &[usize],
-    params: TreeParams,
-) -> Vec<usize> {
-    let mut b = Builder::new(x, sel, y, params);
-    (0..x.n_rows)
-        .map(|hold| {
-            b.grow(Some(hold));
-            walk(&b.nodes, |f| x.cols[sel[f]][hold])
-        })
-        .collect()
 }
 
 impl DecisionTree {

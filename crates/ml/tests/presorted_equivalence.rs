@@ -1,10 +1,15 @@
 //! The presorted CART must fit exactly the tree of the textbook CART that
 //! re-sorts the rows of every feature at every node. The oracle below is
 //! that sort-per-node builder; both trees serialize to the same JSON shape,
-//! so equal strings mean equal splits, thresholds and leaves.
+//! so equal strings mean equal splits, thresholds and leaves. The
+//! leave-one-out context must predict, for every fold, what the oracle's
+//! tree on that fold predicts.
 
-use irnuma_ml::{loo_predictions, DecisionTree, Presorted, TreeParams};
+use irnuma_ml::{DecisionTree, LooFolds, Presorted, TreeParams};
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 #[cfg(test)]
 mod oracle {
@@ -57,6 +62,18 @@ mod oracle {
     }
 
     impl Tree {
+        pub fn predict(&self, features: &[f32]) -> usize {
+            let mut cur = 0;
+            loop {
+                match &self.nodes[cur] {
+                    Node::Leaf { class } => return *class,
+                    Node::Split { feat, thresh, left, right } => {
+                        cur = if features[*feat] <= *thresh { *left } else { *right };
+                    }
+                }
+            }
+        }
+
         fn build(
             &mut self,
             x: &[Vec<f32>],
@@ -224,17 +241,88 @@ proptest! {
         prop_assert_eq!(json(&got), want);
     }
 
+    /// Every fold of the leave-one-out context against the oracle's tree
+    /// on that fold, for column subsets in sorted (GA) and arbitrary
+    /// order, with repeats allowed in the arbitrary ones.
     #[test]
-    fn loo_predictions_equal_oracle_folds((x, y, params) in case()) {
-        let sel: Vec<usize> = (0..x[0].len()).collect();
-        let preds = loo_predictions(&Presorted::new(&x), &sel, &y, params);
+    fn loo_predictions_equal_oracle_folds(
+        (x, y, params) in case(),
+        picks in prop::collection::vec(0usize..5, 0..7),
+        sorted in 0usize..2,
+    ) {
+        let width = x[0].len();
+        let mut sel: Vec<usize> = picks.iter().map(|&c| c % width).collect();
+        if sorted == 1 {
+            sel.sort_unstable();
+            sel.dedup();
+        }
+        let p = Presorted::new(&x);
+        let preds = LooFolds::new(&p, &y, params).predictions(&sel);
+        prop_assert_eq!(preds.len(), x.len());
         for (hold, &pred) in preds.iter().enumerate() {
             let (xs, ys) = subset(&x, &y, &sel, Some(hold));
-            let t = DecisionTree::fit(&xs, &ys, params);
-            prop_assert_eq!(json(&t), json(&oracle::fit(&xs, &ys, params)));
-            prop_assert_eq!(pred, t.predict(&x[hold]), "fold {}", hold);
+            let want = oracle::fit(&xs, &ys, params);
+            let row: Vec<f32> = sel.iter().map(|&c| x[hold][c]).collect();
+            prop_assert_eq!(pred, want.predict(&row), "fold {} sel {:?}", hold, &sel);
         }
     }
+}
+
+/// A matrix shaped like the models' embeddings: `rows` x `cols` continuous
+/// values where about a third of each column repeats an earlier value of
+/// that column.
+fn embedding_like(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Vec<Vec<f32>> {
+    let columns: Vec<Vec<f32>> = (0..cols)
+        .map(|_| {
+            let mut col: Vec<f32> = Vec::with_capacity(rows);
+            for r in 0..rows {
+                let v = if r > 0 && rng.gen_bool(0.3) {
+                    col[rng.gen_range(0..r)]
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                };
+                col.push(v);
+            }
+            col
+        })
+        .collect();
+    (0..rows).map(|r| columns.iter().map(|col| col[r]).collect()).collect()
+}
+
+#[test]
+fn loo_predictions_equal_per_fold_fits_on_embedding_shaped_data() {
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    let mut subsets = 0;
+    for case in 0..150 {
+        let rows = rng.gen_range(2..61);
+        let cols = rng.gen_range(1..49);
+        let classes = rng.gen_range(1..5);
+        let x = embedding_like(&mut rng, rows, cols);
+        let y: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..classes)).collect();
+        let params = [
+            TreeParams { max_depth: Some(2), ..Default::default() },
+            TreeParams::default(),
+            TreeParams { max_depth: Some(4), min_samples_split: 4, min_samples_leaf: 2 },
+        ][case % 3];
+        let p = Presorted::new(&x);
+        let loo = LooFolds::new(&p, &y, params);
+        for _ in 0..4 {
+            let mut sel: Vec<usize> = (0..cols).collect();
+            sel.shuffle(&mut rng);
+            sel.truncate(10);
+            if rng.gen_bool(0.5) {
+                sel.sort_unstable();
+            }
+            let preds = loo.predictions(&sel);
+            for (hold, &pred) in preds.iter().enumerate() {
+                let t = DecisionTree::fit_presorted(&p, &sel, &y, Some(hold), params);
+                let row: Vec<f32> = sel.iter().map(|&c| x[hold][c]).collect();
+                assert_eq!(pred, t.predict(&row), "case {case} fold {hold} sel {sel:?}");
+            }
+            subsets += 1;
+        }
+    }
+    assert_eq!(subsets, 600);
 }
 
 #[test]
@@ -246,7 +334,7 @@ fn zero_width_rows_fit_a_single_majority_leaf() {
     assert_eq!(t.predict(&[]), 0, "tie between 0 and 2 goes to the lower class");
     assert_eq!(json(&t), json(&oracle::fit(&x, &y, TreeParams::default())));
     let p = Presorted::new(&x);
-    assert_eq!(loo_predictions(&p, &[], &y, TreeParams::default()), [0, 2, 0, 0, 2]);
+    assert_eq!(LooFolds::new(&p, &y, TreeParams::default()).predictions(&[]), [0, 2, 0, 0, 2]);
 }
 
 #[test]

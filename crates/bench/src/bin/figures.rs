@@ -2,15 +2,23 @@
 //!
 //! ```text
 //! figures -- all                 # every figure, CSVs under results/
+//! figures -- everything          # `all` plus ablations, input sensitivity, cost comparison
 //! figures -- fig3 fig9           # a subset
 //! figures -- summary             # headline numbers only
 //! figures -- --smoke all         # tiny settings (CI)
 //! figures -- --flags 200 all     # override the number of flag sequences
 //! ```
+//!
+//! Each machine's dataset is built once, inside its one main evaluation,
+//! and every figure reads that evaluation. It runs light (static and
+//! dynamic models only) unless a requested figure reads the hybrid router
+//! or the flag model (`summary`, `fig9`, `fig11`). Fig. 6 evaluates only
+//! the label counts other than the dataset's own, and Fig. 7 reads Fig. 6's
+//! Skylake 6-label evaluation. Ablations and input sensitivity train no
+//! model of their own outside `evaluate_on`.
 
 use irnuma_bench::{paper_scale_config, smoke_config, standard_config};
-use irnuma_core::dataset::build_dataset;
-use irnuma_core::evaluation::{evaluate, evaluate_on, Evaluation, PipelineConfig};
+use irnuma_core::evaluation::{evaluate, Evaluation, PipelineConfig};
 use irnuma_core::experiments::*;
 use irnuma_sim::MicroArch;
 use std::collections::HashSet;
@@ -105,23 +113,36 @@ fn main() {
     };
 
     let t0 = Instant::now();
-    // Figures 3/4/5/8/9/11/12 and the summary all consume full evaluations.
-    let need_skl = ["fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig11", "fig12", "summary"]
-        .iter()
-        .any(|f| want(f));
-    let need_snb = ["fig5", "fig8", "fig11", "summary"].iter().any(|f| want(f));
+    // Every figure that trains a model reads the main evaluation of its
+    // machine (and its dataset): one evaluation per machine, run light
+    // unless a requested figure reads the hybrid router or the flag model.
+    let need_skl = [
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig11",
+        "fig12",
+        "summary",
+        "ablations",
+        "input-sensitivity",
+    ]
+    .iter()
+    .any(|f| want(f));
+    let need_snb = ["fig5", "fig6", "fig8", "fig11", "summary"].iter().any(|f| want(f));
+    let light = !["fig9", "fig11", "summary"].iter().any(|f| want(f));
 
-    let skl_cfg = config_for(&args, MicroArch::Skylake);
-    let snb_cfg = config_for(&args, MicroArch::SandyBridge);
-
-    let skl: Option<Evaluation> = need_skl.then(|| {
-        info!("[figures] evaluating Skylake pipeline…");
-        evaluate(&skl_cfg).expect("Skylake pipeline evaluates")
-    });
-    let snb: Option<Evaluation> = need_snb.then(|| {
-        info!("[figures] evaluating Sandy Bridge pipeline…");
-        evaluate(&snb_cfg).expect("Sandy Bridge pipeline evaluates")
-    });
+    let main_eval = |arch: MicroArch, name: &str| {
+        info!("[figures] evaluating {name} pipeline…");
+        let cfg = PipelineConfig { light, ..config_for(&args, arch) };
+        evaluate(&cfg).unwrap_or_else(|e| panic!("{name} pipeline evaluates: {e}"))
+    };
+    let skl: Option<Evaluation> = need_skl.then(|| main_eval(MicroArch::Skylake, "Skylake"));
+    let snb: Option<Evaluation> =
+        need_snb.then(|| main_eval(MicroArch::SandyBridge, "Sandy Bridge"));
 
     let emit = |report: irnuma_core::experiments::FigureReport| {
         println!("{report}");
@@ -140,27 +161,23 @@ fn main() {
     if want("fig5") {
         emit(fig5::run(skl.as_ref().unwrap(), snb.as_ref().unwrap()).report());
     }
+    // Fig. 7 is the Skylake 6-label evaluation that Fig. 6 sweeps through.
+    let mut skl6: Option<Evaluation> = None;
     if want("fig6") {
-        let figs: Vec<fig6::Fig6> = [MicroArch::Skylake, MicroArch::SandyBridge]
-            .into_iter()
-            .map(|arch| {
-                info!("[figures] fig6 label sweep on {arch:?}…");
-                let mut cfg = config_for(&args, arch);
-                cfg.light = true; // only static/dynamic needed for the sweep
-                let ds = build_dataset(arch, &cfg.dataset);
-                fig6::run(&cfg, &ds, &[2, 6, 13]).0
-            })
-            .collect();
+        let mut figs = Vec::new();
+        for main in [skl.as_ref().unwrap(), snb.as_ref().unwrap()] {
+            info!("[figures] fig6 label sweep on {:?}…", main.cfg.arch);
+            let (fig, evals) = fig6::run(main, &[2, 6, 13]);
+            if main.cfg.arch == MicroArch::Skylake {
+                skl6 = evals.into_iter().find(|(k, _)| *k == 6).map(|(_, e)| e);
+            }
+            figs.push(fig);
+        }
         emit(fig6::report(&figs));
     }
     if want("fig7") {
-        // Skylake, 6 labels (re-label + re-evaluate).
         info!("[figures] fig7 (Skylake, 6 labels)…");
-        let ds = build_dataset(MicroArch::Skylake, &skl_cfg.dataset);
-        let mut cfg6 = skl_cfg;
-        cfg6.light = true;
-        let eval6 =
-            evaluate_on(&cfg6, fig6::relabel(&ds, 6)).expect("relabeled pipeline evaluates");
+        let eval6 = skl6.unwrap_or_else(|| fig6::evaluate_labels(skl.as_ref().unwrap(), 6));
         emit(fig7::run(&eval6).report());
     }
     if want("fig8") {
@@ -180,9 +197,8 @@ fn main() {
     }
     if want("ablations") {
         info!("[figures] ablations (Skylake, 3-fold)…");
-        let cfg = config_for(&args, MicroArch::Skylake);
-        let ds = build_dataset(MicroArch::Skylake, &cfg.dataset);
-        emit(ablations::run(&ds, cfg.static_params).report());
+        let skl = skl.as_ref().unwrap();
+        emit(ablations::run(&skl.dataset, &skl.cfg).report());
     }
     if want("cost-comparison") {
         let cc = cost_comparison::run();
@@ -194,12 +210,8 @@ fn main() {
     }
     if want("input-sensitivity") {
         info!("[figures] input-sensitivity extension (Xeon Gold)…");
-        let cfg = config_for(&args, MicroArch::Skylake);
-        let ds = build_dataset(MicroArch::Skylake, &cfg.dataset);
-        emit(
-            input_sensitivity::run(&ds, cfg.static_params, 0.05, if args.smoke { 3 } else { 8 })
-                .report(),
-        );
+        let calls = if args.smoke { 3 } else { 8 };
+        emit(input_sensitivity::run(skl.as_ref().unwrap(), 0.05, calls).report());
     }
 
     if want("summary") {

@@ -19,9 +19,7 @@ use std::path::{Path, PathBuf};
 /// Write benchmark medians as `BENCH_<name>.json` at the repository root —
 /// a flat `{"id": median_ns}` object, written by bench binaries with a
 /// hand-written `main` from `Criterion::medians()` (plus any derived
-/// metrics, e.g. speedups). Also appends one timestamped line per run to
-/// `results/bench_history.jsonl` so trends survive the overwrite of the
-/// snapshot file. Returns the snapshot path written.
+/// metrics, e.g. speedups). Returns the path written.
 pub fn write_bench_json(name: &str, entries: &[(String, f64)]) -> std::io::Result<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join(format!("BENCH_{name}.json"));
@@ -32,33 +30,7 @@ pub fn write_bench_json(name: &str, entries: &[(String, f64)]) -> std::io::Resul
     }
     body.push_str("}\n");
     irnuma_store::atomic_write(&path, body.as_bytes())?;
-    append_bench_history(&root, name, entries)?;
     Ok(path)
-}
-
-/// Append one `{"ts_ns":…,"bench":name,"entries":{…}}` line to
-/// `results/bench_history.jsonl`. The file is append-only on purpose:
-/// `BENCH_*.json` holds only the latest run, while the history accumulates
-/// every run for trend plots and regression forensics.
-fn append_bench_history(root: &Path, name: &str, entries: &[(String, f64)]) -> std::io::Result<()> {
-    use std::io::Write;
-    let ts_ns = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let mut line = format!("{{\"ts_ns\":{ts_ns},\"bench\":\"{name}\",\"entries\":{{");
-    for (i, (id, v)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        line.push_str(&format!("\"{id}\":{v:.3}{sep}"));
-    }
-    line.push_str("}}\n");
-    let dir = root.join("results");
-    std::fs::create_dir_all(&dir)?;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join("bench_history.jsonl"))?;
-    f.write_all(line.as_bytes())
 }
 
 /// The default experiment scale: large enough for paper-shaped results,

@@ -119,7 +119,7 @@ USAGE:
   irnuma sweep <region> [--arch skylake|sandybridge|xeongold]
   irnuma interp <region> [--n <elements>]
   irnuma dataset [--arch <a>] [--seqs <n>] [--calls <n>] --out <dir>
-                 [--shard-regions <n>] [--strict] [--fault <region>[:once]]
+                 [--shard-regions <n>] [--strict] [--fault <region>]
                  [--json]
   irnuma dataset info <dir> [--verify]
   irnuma train   [--arch <a>] [--dataset <pack-dir>] [--seqs <n>]
@@ -314,8 +314,8 @@ fn interp(rest: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// The `--json` build summary. `dataset.skipped`/`dataset.retried` mirror
-/// the telemetry counters of the same names, read back from the registry so
+/// The `--json` build summary. `dataset.skipped` mirrors the telemetry
+/// counter of the same name, read back from the registry so
 /// the JSON output asserts the counters were actually recorded. Built as a
 /// [`serde_json::Value`] by hand because the counter keys carry dots.
 fn dataset_build_summary(
@@ -335,7 +335,6 @@ fn dataset_build_summary(
         ("configs".into(), Value::UInt(configs as u64)),
         ("label_coverage".into(), Value::Float(label_coverage)),
         ("dataset.skipped".into(), Value::UInt(registry.counter("dataset.skipped").get())),
-        ("dataset.retried".into(), Value::UInt(registry.counter("dataset.retried").get())),
         ("skips".into(), Value::Array(skips.iter().map(|s| Value::Str(s.clone())).collect())),
     ])
 }

@@ -2,10 +2,11 @@
 //! C (configuration sweep + label reduction) of the paper's workflow.
 //!
 //! Construction is fault-isolated: a failing (region, sequence) pair or a
-//! panicking sweep no longer aborts the whole build. Failures are retried
-//! once (transient I/O), then recorded as [`SkipRecord`]s — surfaced via the
-//! `dataset.skipped`/`dataset.retried` counters and the returned
-//! [`DatasetBuild`] — while every other region survives. `--strict`
+//! panicking sweep no longer aborts the whole build. A failure is recorded
+//! as a [`SkipRecord`] — surfaced via the `dataset.skipped` counter and the
+//! returned [`DatasetBuild`] — while every other region survives. A region
+//! build does no I/O and depends only on its inputs, so it is not retried:
+//! a second attempt would repeat the first one's error. `--strict`
 //! ([`BuildOptions::strict`]) restores fail-fast behavior.
 
 use irnuma_graph::{build_module_graph, Vocab};
@@ -114,8 +115,6 @@ pub struct SkipRecord {
     /// or `injected` (the `--fault` test hook).
     pub stage: String,
     pub error: String,
-    /// Attempts made before giving up (2 = failed, retried once, failed).
-    pub attempts: u32,
 }
 
 impl fmt::Display for SkipRecord {
@@ -124,7 +123,7 @@ impl fmt::Display for SkipRecord {
         if let Some(s) = self.sequence {
             write!(f, " × seq{s}")?;
         }
-        write!(f, ", {} attempts]: {}", self.attempts, self.error)
+        write!(f, "]: {}", self.error)
     }
 }
 
@@ -176,9 +175,7 @@ impl From<std::io::Error> for DatasetError {
 pub struct BuildOptions {
     /// Fail fast on the first region error instead of recording a skip.
     pub strict: bool,
-    /// Fault-injection test hook: `"<region>"` makes that region fail every
-    /// attempt (a persistent fault); `"<region>:once"` fails only the first
-    /// attempt (a transient fault, recovered by the retry).
+    /// Fault-injection test hook: `"<region>"` makes that region fail.
     pub fault: Option<String>,
 }
 
@@ -208,8 +205,8 @@ pub fn build_dataset(arch: MicroArch, params: &DatasetParams) -> Dataset {
 }
 
 /// Build the dataset with explicit failure handling: per-region errors
-/// (pass pipeline, region extraction, sweep panics) are caught, retried
-/// once, and — still failing — recorded as [`SkipRecord`]s while the other
+/// (pass pipeline, region extraction, sweep panics) are caught and
+/// recorded as [`SkipRecord`]s while the other
 /// regions proceed. With [`BuildOptions::strict`] the first failure aborts
 /// the build instead.
 pub fn build_dataset_report(
@@ -291,8 +288,8 @@ pub(crate) fn build_grouped(
 }
 
 /// Fault-isolated build of one region: a span under `ctx`, a
-/// [`catch_unwind`] around every stage, and one retry before the failure is
-/// condensed into a [`SkipRecord`].
+/// [`catch_unwind`] around every stage, and a failure condensed into a
+/// [`SkipRecord`].
 #[allow(clippy::too_many_arguments)]
 fn build_region_tolerant(
     spec: &RegionSpec,
@@ -305,42 +302,19 @@ fn build_region_tolerant(
     ctx: irnuma_obs::TraceContext,
 ) -> Result<RegionData, SkipRecord> {
     let _region_span = irnuma_obs::span_under!(ctx, "dataset.region", region = spec.name.as_str());
-    let run = |attempt: u32| {
-        catch_unwind(AssertUnwindSafe(|| {
-            build_region(spec, machine, configs, sequences, vocab, params, {
-                opts.fault.as_deref().filter(|f| fault_hits(f, &spec.name, attempt))
-            })
-        }))
-        .unwrap_or_else(|payload| {
-            Err(RegionError { stage: "panic", sequence: None, error: panic_msg(&payload) })
-        })
-    };
-    run(0).or_else(|first| {
-        // One retry covers transient failures (I/O hiccups, the `:once`
-        // injected fault); a deterministic error repeats.
-        irnuma_obs::counter!("dataset.retried").inc(1);
-        irnuma_obs::warn!(
-            "{}: attempt 1 failed at {} ({}); retrying once",
-            spec.name,
-            first.stage,
-            first.error
-        );
-        run(1).map_err(|e| SkipRecord {
-            region: spec.name.clone(),
-            sequence: e.sequence,
-            stage: e.stage.to_string(),
-            error: e.error,
-            attempts: 2,
-        })
+    let fault = opts.fault.as_deref().filter(|f| *f == spec.name);
+    catch_unwind(AssertUnwindSafe(|| {
+        build_region(spec, machine, configs, sequences, vocab, params, fault)
+    }))
+    .unwrap_or_else(|payload| {
+        Err(RegionError { stage: "panic", sequence: None, error: panic_msg(&payload) })
     })
-}
-
-/// Does the `--fault` spec hit `region` on this attempt?
-fn fault_hits(spec: &str, region: &str, attempt: u32) -> bool {
-    match spec.strip_suffix(":once") {
-        Some(name) => name == region && attempt == 0,
-        None => spec == region,
-    }
+    .map_err(|e| SkipRecord {
+        region: spec.name.clone(),
+        sequence: e.sequence,
+        stage: e.stage.to_string(),
+        error: e.error,
+    })
 }
 
 fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
@@ -468,17 +442,9 @@ mod tests {
         assert!(b.dataset.regions.iter().all(|r| r.spec.name != "cg.spmv"));
         assert_eq!(b.skips.len(), 1, "exactly one skip recorded");
         let s = &b.skips[0];
-        assert_eq!((s.region.as_str(), s.stage.as_str(), s.attempts), ("cg.spmv", "injected", 2));
+        assert_eq!((s.region.as_str(), s.stage.as_str()), ("cg.spmv", "injected"));
         assert_eq!(b.dataset.labels.len(), 55);
         assert!(b.skips[0].to_string().contains("cg.spmv"));
-    }
-
-    #[test]
-    fn transient_fault_recovers_on_the_retry() {
-        let opts = BuildOptions { fault: Some("cg.spmv:once".into()), ..Default::default() };
-        let b = build_dataset_report(MicroArch::Skylake, &tinier(), &opts).unwrap();
-        assert_eq!(b.dataset.regions.len(), 56, "transient failure retried, nothing lost");
-        assert!(b.skips.is_empty());
     }
 
     #[test]
@@ -490,15 +456,6 @@ mod tests {
             DatasetError::RegionFailed(s) => assert_eq!(s.region, "cg.spmv"),
             other => panic!("expected RegionFailed, got: {other}"),
         }
-    }
-
-    #[test]
-    fn fault_spec_matching() {
-        assert!(fault_hits("cg.spmv", "cg.spmv", 0));
-        assert!(fault_hits("cg.spmv", "cg.spmv", 1));
-        assert!(!fault_hits("cg.spmv", "cg.axpy", 0));
-        assert!(fault_hits("cg.spmv:once", "cg.spmv", 0));
-        assert!(!fault_hits("cg.spmv:once", "cg.spmv", 1));
     }
 
     #[test]

@@ -448,10 +448,10 @@ pub struct PackedBuild {
 /// Build the dataset straight into a pack directory, one shard per group
 /// of `shard_regions` regions. Groups build in sequence through the same
 /// Steps A–C driver as [`crate::dataset::build_dataset_report`], with its
-/// fault isolation (catch_unwind, one retry, [`SkipRecord`]s,
-/// `dataset.skipped`/`dataset.retried` counters). Each group's surviving
-/// graphs are encoded into its shard and dropped before the next group
-/// starts, so peak memory is one group, not the corpus. The manifest is
+/// fault isolation (catch_unwind, [`SkipRecord`]s, the `dataset.skipped`
+/// counter). Each group's surviving graphs are encoded into its shard and
+/// dropped before the next group starts, so peak memory is one group, not
+/// the corpus. The manifest is
 /// written last — a crashed build leaves no loadable pack.
 pub fn build_packed_dataset(
     arch: MicroArch,

@@ -6,15 +6,17 @@
 //!   paper's step A in isolation);
 //! * **hidden width** — the embedding size (paper: 256; our default: 32).
 //!
-//! Each ablation trains the static model under 3-fold CV at reduced scale
-//! and reports validation label accuracy and mean speedup.
+//! Each variant is one light [`evaluate_on`] over 3 folds: the static model
+//! trains, picks its explored sequence and is scored exactly as in every
+//! other figure, on a copy of the dataset whose graphs keep only the
+//! variant's relations. The three rows that name the base configuration
+//! (all relations, the configured sequence count and width) are one run.
 
 use crate::dataset::Dataset;
+use crate::evaluation::{evaluate_on, PipelineConfig};
 use crate::experiments::{f3, FigureReport};
-use crate::models::static_gnn::{training_sequence_ids, StaticParams};
-use irnuma_graph::Vocab;
-use irnuma_ml::kfold;
-use irnuma_nn::{GnnClassifier, GnnConfig, GraphData, TrainParams};
+use crate::models::static_gnn::StaticParams;
+use irnuma_nn::GraphData;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -52,99 +54,43 @@ fn mask_graph(g: &GraphData, m: RelationMask) -> GraphData {
     GraphData::from_parts(g.node_text.clone(), edges, norm)
 }
 
-/// Train/evaluate the static classifier under 3-fold CV with a graph
-/// transformer and a sequence-subsample size; returns (accuracy, speedup).
-fn run_variant(
-    ds: &Dataset,
-    p: StaticParams,
-    train_seqs: usize,
-    transform: &dyn Fn(&GraphData) -> GraphData,
-) -> (f64, f64) {
-    let vocab = Vocab::full();
-    let folds = kfold(ds.regions.len(), 3, 0xAB1A).expect("3 folds fit the region suite");
-    let mut correct = 0usize;
-    let mut gain = 0.0;
-    for (fi, validation) in folds.iter().enumerate() {
-        let train: Vec<usize> = irnuma_ml::cv::train_indices(&folds, fi);
-        let seq_ids = training_sequence_ids(ds.sequences.len(), train_seqs);
-        let mut graphs = Vec::new();
-        let mut labels = Vec::new();
-        for &r in &train {
-            for &s in &seq_ids {
-                graphs.push(transform(&ds.regions[r].graphs[s]));
-                labels.push(ds.labels[r]);
-            }
-        }
-        let mut clf = GnnClassifier::new(GnnConfig {
-            vocab_size: vocab.len(),
-            hidden: p.hidden,
-            classes: ds.chosen_configs.len(),
-            layers: 2,
-            layer_norm: true,
-            seed: p.seed,
-        });
-        clf.fit(
-            graphs,
-            labels,
-            TrainParams { epochs: p.epochs, batch_size: p.batch, lr: p.lr, seed: p.seed },
-        );
-        for &r in validation {
-            let g = transform(&ds.regions[r].graphs[0]);
-            let pred = clf.model.infer(&g).label();
-            if pred == ds.labels[r] {
-                correct += 1;
-            }
-            gain += ds.regions[r].default_time / ds.label_time(r, pred);
-        }
-    }
-    let n = ds.regions.len() as f64;
-    (correct as f64 / n, gain / n)
-}
-
-/// Run all three ablation families on a pre-built dataset.
-pub fn run(ds: &Dataset, base: StaticParams) -> Ablations {
+/// Run all three ablation families on `ds` (the main evaluation's dataset)
+/// under `cfg`'s static parameters.
+pub fn run(ds: &Dataset, cfg: &PipelineConfig) -> Ablations {
     let _span = irnuma_obs::span!("exp.ablations");
-    let mut points = Vec::new();
-    let id = |g: &GraphData| g.clone();
-
-    // Relation ablations.
+    let base = cfg.static_params;
     let full = RelationMask { control: true, data: true, call: true };
-    let variants: [(&str, RelationMask); 4] = [
-        ("all-relations", full),
+    let variant = |name: String, m: RelationMask, static_params: StaticParams| {
+        let mut masked = ds.clone();
+        for g in masked.regions.iter_mut().flat_map(|r| r.graphs.iter_mut()) {
+            *g = mask_graph(g, m);
+        }
+        let cfg = PipelineConfig { folds: 3, seed: 0xAB1A, light: true, static_params, ..*cfg };
+        let eval = evaluate_on(&cfg, masked).expect("3 folds fit the region suite");
+        AblationPoint {
+            name,
+            label_accuracy: eval.static_label_accuracy(),
+            mean_speedup: eval.static_speedup(),
+        }
+    };
+    let all = variant("relations/all-relations".into(), full, base);
+    let renamed = |name: String| AblationPoint { name, ..all.clone() };
+
+    let mut points = vec![all.clone()];
+    for (name, m) in [
         ("no-control", RelationMask { control: false, ..full }),
         ("no-data", RelationMask { data: false, ..full }),
         ("no-call", RelationMask { call: false, ..full }),
-    ];
-    for (name, m) in variants {
-        let t = move |g: &GraphData| mask_graph(g, m);
-        let (acc, gain) = run_variant(ds, base, base.train_sequences, &t);
-        points.push(AblationPoint {
-            name: format!("relations/{name}"),
-            label_accuracy: acc,
-            mean_speedup: gain,
-        });
+    ] {
+        points.push(variant(format!("relations/{name}"), m, base));
     }
-
-    // Augmentation ablation: 1 sequence vs the configured count.
-    for k in [1usize, base.train_sequences] {
-        let (acc, gain) = run_variant(ds, base, k, &id);
-        points.push(AblationPoint {
-            name: format!("augmentation/{k}-seqs"),
-            label_accuracy: acc,
-            mean_speedup: gain,
-        });
-    }
-
-    // Width ablation.
-    for h in [8usize, base.hidden] {
-        let p = StaticParams { hidden: h, ..base };
-        let (acc, gain) = run_variant(ds, p, base.train_sequences, &id);
-        points.push(AblationPoint {
-            name: format!("hidden/{h}"),
-            label_accuracy: acc,
-            mean_speedup: gain,
-        });
-    }
+    // Augmentation: 1 sequence vs the configured count.
+    let one = StaticParams { train_sequences: 1, ..base };
+    points.push(variant("augmentation/1-seqs".into(), full, one));
+    points.push(renamed(format!("augmentation/{}-seqs", base.train_sequences)));
+    // Width.
+    points.push(variant("hidden/8".into(), full, StaticParams { hidden: 8, ..base }));
+    points.push(renamed(format!("hidden/{}", base.hidden)));
 
     Ablations { points }
 }
@@ -162,8 +108,8 @@ impl Ablations {
         let get = |n: &str| self.points.iter().find(|p| p.name == n);
         if let (Some(all), Some(nd)) = (get("relations/all-relations"), get("relations/no-data")) {
             r.note(format!(
-                "dropping data-flow edges: accuracy {:.2} → {:.2} (typed structure matters)",
-                all.label_accuracy, nd.label_accuracy
+                "dropping data-flow edges: accuracy {:.2} → {:.2}, speedup {:.2}x → {:.2}x",
+                all.label_accuracy, nd.label_accuracy, all.mean_speedup, nd.mean_speedup
             ));
         }
         if let (Some(one), Some(many)) = (

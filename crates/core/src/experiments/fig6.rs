@@ -53,18 +53,32 @@ fn point(eval: &Evaluation, k: usize) -> Fig6Point {
     }
 }
 
-/// Run the label sweep on one machine (dataset built once, re-labeled).
-pub fn run(cfg: &PipelineConfig, ds: &Dataset, label_counts: &[usize]) -> (Fig6, Vec<Evaluation>) {
+/// Evaluate `main`'s dataset re-labeled with `k` configurations: a light
+/// evaluation under `main`'s configuration, since the sweep reads only the
+/// static and dynamic models.
+pub fn evaluate_labels(main: &Evaluation, k: usize) -> Evaluation {
+    let cfg = PipelineConfig { light: true, ..main.cfg };
+    evaluate_on(&cfg, relabel(&main.dataset, k)).expect("label sweep keeps the fold count valid")
+}
+
+/// Run the label sweep on one machine. A label count equal to the dataset's
+/// own is `main`'s point: its static half is what a light evaluation of the
+/// same dataset computes. Every other count is evaluated once, and those
+/// evaluations are returned with their label counts.
+pub fn run(main: &Evaluation, label_counts: &[usize]) -> (Fig6, Vec<(usize, Evaluation)>) {
     let _span = irnuma_obs::span!("exp.fig6", label_counts = label_counts.len());
     let mut points = Vec::new();
     let mut evals = Vec::new();
     for &k in label_counts {
-        let eval =
-            evaluate_on(cfg, relabel(ds, k)).expect("label sweep keeps the fold count valid");
-        points.push(point(&eval, k));
-        evals.push(eval);
+        if k == main.cfg.dataset.num_labels {
+            points.push(point(main, k));
+        } else {
+            let eval = evaluate_labels(main, k);
+            points.push(point(&eval, k));
+            evals.push((k, eval));
+        }
     }
-    (Fig6 { arch: format!("{:?}", cfg.arch), points }, evals)
+    (Fig6 { arch: format!("{:?}", main.cfg.arch), points }, evals)
 }
 
 /// One table for every machine swept: the `arch` column tells the rows

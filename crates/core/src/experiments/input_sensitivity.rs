@@ -9,9 +9,9 @@
 //! configuration for all inputs.
 
 use crate::dataset::Dataset;
+use crate::evaluation::Evaluation;
 use crate::experiments::{f3, size_transfer, FigureReport};
-use crate::models::static_gnn::StaticModel;
-use irnuma_ml::{kfold, DecisionTree, TreeParams};
+use irnuma_ml::{DecisionTree, TreeParams};
 use irnuma_sim::{Machine, MicroArch};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -46,28 +46,24 @@ fn transfer_losses(ds: &Dataset, calls: u32) -> Vec<f64> {
         .collect()
 }
 
-/// Train and evaluate the input-sensitivity predictor with k-fold CV over
-/// the regions, using the static model of each fold for embeddings.
-pub fn run(
-    ds: &Dataset,
-    sm_params: crate::models::static_gnn::StaticParams,
-    threshold: f64,
-    calls: u32,
-) -> InputSensitivity {
+/// Train and evaluate the input-sensitivity predictor under `eval`'s
+/// cross-validation: each fold's tree is fit on the embeddings of that
+/// fold's static model over its training regions and scored on its
+/// validation regions.
+pub fn run(eval: &Evaluation, threshold: f64, calls: u32) -> InputSensitivity {
     let _span = irnuma_obs::span!("exp.input_sensitivity", calls = calls);
+    let ds = &eval.dataset;
     let losses = transfer_losses(ds, calls);
     let truth: Vec<bool> = losses.iter().map(|&l| l > threshold).collect();
 
-    let folds = kfold(ds.regions.len(), 4, 0x1717).expect("4 folds fit the region suite");
     let mut correct = 0usize;
-    for (fi, validation) in folds.iter().enumerate() {
-        let train: Vec<usize> = irnuma_ml::cv::train_indices(&folds, fi);
-        let sm = StaticModel::train(ds, &train, sm_params);
-        let x: Vec<Vec<f32>> = train.iter().map(|&r| sm.embedding(ds, r)).collect();
-        let y: Vec<usize> = train.iter().map(|&r| truth[r] as usize).collect();
+    for fold in &eval.folds {
+        let sm = &fold.static_model;
+        let x: Vec<Vec<f32>> = fold.train.iter().map(|&r| sm.embedding(ds, r)).collect();
+        let y: Vec<usize> = fold.train.iter().map(|&r| truth[r] as usize).collect();
         let tree =
             DecisionTree::fit(&x, &y, TreeParams { max_depth: Some(3), ..Default::default() });
-        for &r in validation {
+        for &r in &fold.validation {
             let pred = tree.predict(&sm.embedding(ds, r)) == 1;
             if pred == truth[r] {
                 correct += 1;

@@ -175,9 +175,9 @@ pub fn run(params: &ServeBenchParams) -> Result<ServeBenchReport, String> {
     })
 }
 
-/// Write `BENCH_serving.json` at the repository root plus one history line
-/// in `results/bench_history.jsonl` (same format as the criterion bench
-/// binaries; duplicated here because `irnuma-bench` depends on this crate).
+/// Write `BENCH_serving.json` at the repository root (same format as the
+/// criterion bench binaries; duplicated here because `irnuma-bench` depends
+/// on this crate).
 pub fn write_report(report: &ServeBenchReport) -> std::io::Result<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let entries = [
@@ -194,25 +194,6 @@ pub fn write_report(report: &ServeBenchReport) -> std::io::Result<PathBuf> {
     body.push_str("}\n");
     let path = root.join("BENCH_serving.json");
     irnuma_store::atomic_write(&path, body.as_bytes())?;
-
-    let ts_ns = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let mut line = format!("{{\"ts_ns\":{ts_ns},\"bench\":\"serving\",\"entries\":{{");
-    for (i, (id, v)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        line.push_str(&format!("\"{id}\":{v:.3}{sep}"));
-    }
-    line.push_str("}}\n");
-    let dir = root.join("results");
-    std::fs::create_dir_all(&dir)?;
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join("bench_history.jsonl"))?;
-    f.write_all(line.as_bytes())?;
     Ok(path)
 }
 

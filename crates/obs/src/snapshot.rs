@@ -154,8 +154,7 @@ pub fn metric_help(name: &str) -> &'static str {
         "train.loss" => "Mean training loss of the most recent epoch.",
         "infer.graphs" => "Graphs classified through the batched inference engine.",
         "infer.batch_ns" => "Latency of one batched inference call (ns).",
-        "dataset.skipped" => "Regions dropped from a dataset build after retry.",
-        "dataset.retried" => "Region builds retried after a first failure.",
+        "dataset.skipped" => "Regions dropped from a dataset build after a failure.",
         "dataset.shards_read" => "Dataset shards read by the streaming loader.",
         "dataset.decode_ns" => "Time spent decoding dataset shards into graphs (ns).",
         "loader.prefetch_stall_ns" => "Time the trainer blocked waiting on shard prefetch (ns).",

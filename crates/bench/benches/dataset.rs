@@ -1,16 +1,19 @@
-//! The out-of-core dataset store: loading a whole pack back into memory,
-//! plus a streaming training epoch over a replicated (~100x) pack to price
-//! the double-buffered shard prefetcher. Results land in
-//! `BENCH_dataset.json` at the repo root, including the headline
-//! `graphs_per_sec_ingest`, `epoch_wall_s_100x` and `prefetch_stall_frac`
-//! entries.
+//! The dataset: Steps A–C at 100 flag sequences (`dataset/build_100_seqs`,
+//! the whole region suite, one sampled call so the pass pipelines and graph
+//! builds dominate), loading a whole pack back into memory, plus a
+//! streaming training epoch over a replicated (~100x) pack to price the
+//! double-buffered shard prefetcher. Results land in `BENCH_dataset.json`
+//! at the repo root, including the headline `graphs_per_sec_ingest`,
+//! `epoch_wall_s_100x` and `prefetch_stall_frac` entries.
 //!
-//! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to shrink the corpus (2 flag
-//! sequences, 2 sampled calls, 20x replication) so the whole benchmark runs
-//! in seconds. Regression gating lives in `irnuma bench-check` (rules in
-//! `results/bench_baselines.json`): the pack load must keep its ingest rate
-//! in graphs per second and the prefetch stall under 10% of the epoch wall;
-//! the bench itself always exits zero so a noisy run can't mask the numbers.
+//! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to shrink the pack corpus (2
+//! flag sequences, 2 sampled calls, 20x replication) so the whole benchmark
+//! runs in seconds; the 100-sequence build is timed in both modes.
+//! Regression gating lives in `irnuma bench-check` (rules in
+//! `results/bench_baselines.json`): the build must stay under its ceiling,
+//! the pack load must keep its ingest rate in graphs per second and the
+//! prefetch stall under 10% of the epoch wall; the bench itself always
+//! exits zero so a noisy run can't mask the numbers.
 
 use criterion::{black_box, Criterion};
 use irnuma_core::{
@@ -42,6 +45,16 @@ fn main() {
         // stores the CSR/CSC adjacency the engines consume verbatim.
         grp.bench_function("binary_load", |b| {
             b.iter(|| black_box(load_packed(black_box(&pack_dir)).expect("binary load")))
+        });
+        // Each build applies every distinct (IR state, pass) transition of
+        // 100 sequences per region once. Running every sequence's pipeline
+        // takes ~2.6x as long (2-vCPU host), so the ceiling in
+        // `results/bench_baselines.json` (~1.7x the calibrated median)
+        // fails a build that loses the reuse.
+        grp.sample_size(10);
+        let build = DatasetParams { num_sequences: 100, calls: 1, ..DatasetParams::default() };
+        grp.bench_function("build_100_seqs", |b| {
+            b.iter(|| black_box(build_dataset(MicroArch::Skylake, black_box(&build))))
         });
         grp.finish();
     }

@@ -320,20 +320,20 @@ fn interp(rest: &[String]) -> CmdResult {
 /// [`serde_json::Value`] by hand because the counter keys carry dots.
 fn dataset_build_summary(
     out: &str,
-    regions: usize,
-    graphs: usize,
+    built: &dataset_pack::PackedBuild,
     configs: usize,
-    label_coverage: f64,
     skips: &[String],
 ) -> serde_json::Value {
     use serde_json::Value;
     let registry = irnuma_obs::registry();
     Value::Object(vec![
         ("out".into(), Value::Str(out.to_string())),
-        ("regions".into(), Value::UInt(regions as u64)),
-        ("graphs".into(), Value::UInt(graphs as u64)),
+        ("regions".into(), Value::UInt(built.regions as u64)),
+        ("graphs".into(), Value::UInt(built.graphs as u64)),
+        ("distinct_modules".into(), Value::UInt(built.distinct_modules as u64)),
+        ("distinct_graphs".into(), Value::UInt(built.distinct_graphs as u64)),
         ("configs".into(), Value::UInt(configs as u64)),
-        ("label_coverage".into(), Value::Float(label_coverage)),
+        ("label_coverage".into(), Value::Float(built.label_coverage)),
         ("dataset.skipped".into(), Value::UInt(registry.counter("dataset.skipped").get())),
         ("skips".into(), Value::Array(skips.iter().map(|s| Value::Str(s.clone())).collect())),
     ])
@@ -365,14 +365,7 @@ fn dataset(rest: &[String]) -> CmdResult {
     let configs = dataset_pack::read_meta(dir).map_err(|e| e.to_string())?.configs.len();
     let skips: Vec<String> = built.skips.iter().map(|s| s.to_string()).collect();
     if rest.iter().any(|a| a == "--json") {
-        let summary = dataset_build_summary(
-            out,
-            built.regions,
-            built.graphs,
-            configs,
-            built.label_coverage,
-            &skips,
-        );
+        let summary = dataset_build_summary(out, &built, configs, &skips);
         outln!("{}", serde_json::value_to_string(&summary));
         return Ok(());
     }
@@ -383,6 +376,11 @@ fn dataset(rest: &[String]) -> CmdResult {
         built.graphs,
         built.shards,
         built.label_coverage
+    );
+    outln!(
+        "{} distinct final modules, {} distinct graphs",
+        built.distinct_modules,
+        built.distinct_graphs
     );
     if skips.is_empty() {
         outln!("skipped 0 regions");

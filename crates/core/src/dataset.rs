@@ -12,7 +12,7 @@
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_nn::GraphData;
-use irnuma_passes::{sample_sequences, FlagSequence, PassManager, SampleParams};
+use irnuma_passes::{sample_sequences, FlagSequence, PassManager, PassMemo, SampleParams};
 use irnuma_sim::{
     config_space, default_config, simulate, sweep_region, Config, Machine, MicroArch,
 };
@@ -214,15 +214,41 @@ pub fn build_dataset_report(
     params: &DatasetParams,
     opts: &BuildOptions,
 ) -> Result<DatasetBuild, DatasetError> {
-    build_grouped(arch, params, opts, usize::MAX, |_, _| Ok(()))
+    build_grouped(arch, params, opts, usize::MAX, |_, group| {
+        for r in group {
+            r.data.graphs = r.graphs_per_sequence();
+        }
+        Ok(())
+    })
+}
+
+/// One region's Steps A–C output, with its graphs held once per distinct
+/// graph. `data.graphs` is empty until `emit` lays the graphs out.
+pub(crate) struct RegionBuild {
+    pub data: RegionData,
+    /// The region's distinct graphs, in order of first appearance.
+    pub forms: Vec<GraphData>,
+    /// Per flag sequence: its graph's index in `forms`.
+    pub form_of: Vec<u32>,
+    /// Distinct final IR modules the region's sequences reached.
+    pub modules: usize,
+}
+
+impl RegionBuild {
+    /// One graph per flag sequence, each a clone of its distinct graph (no
+    /// adjacency cache is built on either).
+    pub fn graphs_per_sequence(&self) -> Vec<GraphData> {
+        self.form_of.iter().map(|&f| self.forms[f as usize].clone()).collect()
+    }
 }
 
 /// The one Steps A–C driver behind [`build_dataset_report`] and
 /// [`crate::dataset_pack::build_packed_dataset`]. Regions build `group` at
 /// a time, in parallel within a group, all under one `dataset.build` span.
 /// Each group's survivors go, in region order, to `emit` together with the
-/// index of the group's first survivor; `emit` may take their graphs (the
-/// packed build writes them to a shard and keeps none resident). Strict
+/// index of the group's first survivor. `emit` decides where the graphs go:
+/// the in-memory build lays them out per sequence in `data.graphs`, the
+/// packed build writes them to a shard and keeps none resident. Strict
 /// mode, skips and `NoRegionsSurvived` are handled here, and step C's label
 /// reduction runs once over every survivor's sweep.
 pub(crate) fn build_grouped(
@@ -230,7 +256,7 @@ pub(crate) fn build_grouped(
     params: &DatasetParams,
     opts: &BuildOptions,
     group: usize,
-    mut emit: impl FnMut(usize, &mut [RegionData]) -> Result<(), DatasetError>,
+    mut emit: impl FnMut(usize, &mut [RegionBuild]) -> Result<(), DatasetError>,
 ) -> Result<DatasetBuild, DatasetError> {
     let machine = Machine::new(arch);
     let configs = config_space(&machine);
@@ -249,7 +275,7 @@ pub(crate) fn build_grouped(
     let mut regions: Vec<RegionData> = Vec::with_capacity(total);
     let mut skips = Vec::new();
     for specs in specs.chunks(group.max(1)) {
-        let results: Vec<Result<RegionData, SkipRecord>> = specs
+        let results: Vec<Result<RegionBuild, SkipRecord>> = specs
             .par_iter()
             .map(|spec| {
                 build_region_tolerant(
@@ -257,10 +283,10 @@ pub(crate) fn build_grouped(
                 )
             })
             .collect();
-        let first = regions.len();
+        let mut built = Vec::with_capacity(results.len());
         for res in results {
             match res {
-                Ok(r) => regions.push(r),
+                Ok(r) => built.push(r),
                 Err(skip) => {
                     if opts.strict {
                         return Err(DatasetError::RegionFailed(skip));
@@ -270,7 +296,8 @@ pub(crate) fn build_grouped(
                 }
             }
         }
-        emit(first, &mut regions[first..])?;
+        emit(regions.len(), &mut built)?;
+        regions.extend(built.into_iter().map(|r| r.data));
     }
     if regions.is_empty() {
         return Err(DatasetError::NoRegionsSurvived { total, skips });
@@ -300,7 +327,7 @@ fn build_region_tolerant(
     params: &DatasetParams,
     opts: &BuildOptions,
     ctx: irnuma_obs::TraceContext,
-) -> Result<RegionData, SkipRecord> {
+) -> Result<RegionBuild, SkipRecord> {
     let _region_span = irnuma_obs::span_under!(ctx, "dataset.region", region = spec.name.as_str());
     let fault = opts.fault.as_deref().filter(|f| *f == spec.name);
     catch_unwind(AssertUnwindSafe(|| {
@@ -333,7 +360,7 @@ fn build_region(
     vocab: &Vocab,
     params: &DatasetParams,
     injected_fault: Option<&str>,
-) -> Result<RegionData, RegionError> {
+) -> Result<RegionBuild, RegionError> {
     if injected_fault.is_some() {
         return Err(RegionError {
             stage: "injected",
@@ -342,24 +369,9 @@ fn build_region(
         });
     }
 
-    // Step A+B: one graph per flag sequence.
-    let base_module = spec.module();
-    let pm = PassManager::new(false);
-    let mut graphs = Vec::with_capacity(sequences.len());
-    for seq in sequences {
-        let mut m = base_module.clone();
-        pm.run(&mut m, &seq.passes).map_err(|e| RegionError {
-            stage: "passes",
-            sequence: Some(seq.id),
-            error: e.to_string(),
-        })?;
-        let extracted = extract_region(&m, &spec.region_fn()).map_err(|e| RegionError {
-            stage: "extract",
-            sequence: Some(seq.id),
-            error: e.to_string(),
-        })?;
-        graphs.push(GraphData::from_graph(&build_module_graph(&extracted, vocab)));
-    }
+    // Steps A+B: one graph per flag sequence, computed once per distinct
+    // final module (see `region_forms`).
+    let (forms, form_of, modules) = region_forms(spec, sequences, vocab)?;
 
     // Step C (per-region part): the sweep with default compile flags. A
     // panicking configuration fails just this region, not the whole build.
@@ -377,12 +389,103 @@ fn build_region(
     let dynamic_features =
         vec![meas.counters.package_power_w as f32, meas.counters.l3_miss_ratio as f32];
 
-    Ok(RegionData { spec: spec.clone(), graphs, sweep, default_time, dynamic_features })
+    let data = RegionData {
+        spec: spec.clone(),
+        graphs: Vec::new(),
+        sweep,
+        default_time,
+        dynamic_features,
+    };
+    Ok(RegionBuild { data, forms, form_of, modules })
+}
+
+/// Steps A+B for one region: `(forms, form_of, modules)` as in
+/// [`RegionBuild`].
+///
+/// Every sequence runs through one [`PassMemo`], so each distinct
+/// `(IR state, pass)` transition is applied once; extraction and the graph
+/// build run once per distinct final module. The result equals running
+/// each sequence through `PassManager::run`, `extract_region` and the graph
+/// build on its own, failures included: the first failing sequence, in
+/// sequence order, is reported with its stage.
+fn region_forms(
+    spec: &RegionSpec,
+    sequences: &[FlagSequence],
+    vocab: &Vocab,
+) -> Result<(Vec<GraphData>, Vec<u32>, usize), RegionError> {
+    let pm = PassManager::new(false);
+    let mut memo = PassMemo::new(&pm, spec.module());
+    let mut finals = Vec::with_capacity(sequences.len());
+    let mut pass_error = None;
+    {
+        let mut span = irnuma_obs::span!("passes.run", sequences = sequences.len());
+        for seq in sequences {
+            match memo.run(&seq.passes) {
+                Ok(f) => finals.push(f),
+                Err(e) => {
+                    pass_error = Some(RegionError {
+                        stage: "passes",
+                        sequence: Some(seq.id),
+                        error: e.to_string(),
+                    });
+                    break;
+                }
+            }
+        }
+        span.field("states", memo.states());
+        span.field("applied", memo.applied());
+    }
+    irnuma_obs::counter!("passes.applied").inc(memo.applied() as u64);
+    irnuma_obs::counter!("passes.reused").inc(memo.reused() as u64);
+
+    // The sequences before a pass failure still extract first, in order, as
+    // they would one sequence at a time.
+    let region_fn = spec.region_fn();
+    let mut form_of_state = vec![u32::MAX; memo.states()];
+    let mut forms: Vec<GraphData> = Vec::new();
+    let mut form_of = Vec::with_capacity(finals.len());
+    let mut modules = 0;
+    for (seq, &f) in sequences.iter().zip(&finals) {
+        if form_of_state[f] == u32::MAX {
+            let extracted = extract_region(memo.state(f), &region_fn).map_err(|e| RegionError {
+                stage: "extract",
+                sequence: Some(seq.id),
+                error: e.to_string(),
+            })?;
+            let g = GraphData::from_graph(&build_module_graph(&extracted, vocab));
+            form_of_state[f] = match forms.iter().position(|h| same_graph(h, &g)) {
+                Some(i) => i as u32,
+                None => {
+                    forms.push(g);
+                    (forms.len() - 1) as u32
+                }
+            };
+            modules += 1;
+        }
+        form_of.push(form_of_state[f]);
+    }
+    if let Some(e) = pass_error {
+        return Err(e);
+    }
+    irnuma_obs::counter!("graph.reused").inc((sequences.len() - modules) as u64);
+    Ok((forms, form_of, modules))
+}
+
+/// Whether two graphs are the same model input: equal tokens, edges and
+/// norms (compared by bits).
+fn same_graph(a: &GraphData, b: &GraphData) -> bool {
+    let same_bits = |x: &[f32], y: &[f32]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    };
+    a.node_text == b.node_text
+        && a.edges == b.edges
+        && a.norm.iter().zip(&b.norm).all(|(x, y)| same_bits(x, y))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irnuma_ir::Module;
 
     fn tiny() -> DatasetParams {
         DatasetParams { num_sequences: 3, calls: 2, num_labels: 5, ..Default::default() }
@@ -456,6 +559,99 @@ mod tests {
             DatasetError::RegionFailed(s) => assert_eq!(s.region, "cg.spmv"),
             other => panic!("expected RegionFailed, got: {other}"),
         }
+    }
+
+    /// Steps A+B one sequence at a time: a pipeline, an extraction and a
+    /// graph build per sequence. The oracle for [`region_forms`].
+    fn per_sequence(
+        spec: &RegionSpec,
+        sequences: &[FlagSequence],
+        vocab: &Vocab,
+    ) -> Result<Vec<(Module, GraphData)>, RegionError> {
+        let pm = PassManager::new(false);
+        let mut out = Vec::new();
+        for seq in sequences {
+            let mut m = spec.module();
+            pm.run(&mut m, &seq.passes).map_err(|e| RegionError {
+                stage: "passes",
+                sequence: Some(seq.id),
+                error: e.to_string(),
+            })?;
+            let extracted = extract_region(&m, &spec.region_fn()).map_err(|e| RegionError {
+                stage: "extract",
+                sequence: Some(seq.id),
+                error: e.to_string(),
+            })?;
+            let g = GraphData::from_graph(&build_module_graph(&extracted, vocab));
+            out.push((m, g));
+        }
+        Ok(out)
+    }
+
+    fn assert_graphs_equal(a: &GraphData, b: &GraphData, what: &str) {
+        let bits = |g: &GraphData| {
+            g.norm.clone().map(|n| n.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(a.node_text, b.node_text, "{what}: node tokens");
+        assert_eq!(a.edges, b.edges, "{what}: edges");
+        assert_eq!(bits(a), bits(b), "{what}: norms");
+    }
+
+    /// Sampled sequences plus hand-made ones that repeat passes, repeat the
+    /// whole `-O3` pipeline, or are empty.
+    fn oracle_sequences() -> Vec<FlagSequence> {
+        let mut seqs = sample_sequences(12, 5, SampleParams::default());
+        let o3: Vec<String> = irnuma_passes::o3_sequence().iter().map(|s| s.to_string()).collect();
+        let named = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let hand = [
+            [o3.clone(), o3.clone()].concat(),
+            o3.iter().rev().cloned().collect(),
+            named(&["dce", "dce", "dce"]),
+            named(&["mem2reg", "mem2reg", "gvn", "gvn", "loop-unroll", "loop-unroll"]),
+            named(&["inline", "mem2reg", "licm", "inline", "sink", "sink", "simplifycfg"]),
+            Vec::new(),
+        ];
+        for (i, passes) in hand.into_iter().enumerate() {
+            seqs.push(FlagSequence { id: 100 + i as u32, passes });
+        }
+        seqs
+    }
+
+    #[test]
+    fn memoized_steps_a_b_equal_per_sequence_builds_on_every_region() {
+        let vocab = Vocab::full();
+        let seqs = oracle_sequences();
+        let pm = PassManager::new(false);
+        for spec in all_regions() {
+            let want = per_sequence(&spec, &seqs, &vocab).ok().expect("oracle build");
+            let mut memo = PassMemo::new(&pm, spec.module());
+            for (seq, (m, _)) in seqs.iter().zip(&want) {
+                let id = memo.run(&seq.passes).unwrap();
+                assert!(memo.state(id) == m, "{} seq {}: final module", spec.name, seq.id);
+            }
+            let (forms, form_of, modules) = region_forms(&spec, &seqs, &vocab).ok().unwrap();
+            assert_eq!(form_of.len(), seqs.len());
+            assert!(forms.len() <= modules && modules <= seqs.len());
+            for (i, (seq, (_, g))) in seqs.iter().zip(&want).enumerate() {
+                let what = format!("{} seq {}", spec.name, seq.id);
+                assert_graphs_equal(&forms[form_of[i] as usize], g, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_pass_reports_the_per_sequence_builds_first_failing_sequence() {
+        let vocab = Vocab::full();
+        let mut seqs = oracle_sequences();
+        for at in [3, 7] {
+            seqs[at].passes.insert(1, "no-such-pass".to_string());
+        }
+        let spec = &all_regions()[0];
+        let want = per_sequence(spec, &seqs, &vocab).expect_err("oracle fails");
+        let got = region_forms(spec, &seqs, &vocab).expect_err("memoized build fails");
+        assert_eq!((got.stage, got.sequence), (want.stage, want.sequence));
+        assert_eq!((got.stage, got.sequence), ("passes", Some(seqs[3].id)));
+        assert_eq!(got.error, want.error);
     }
 
     #[test]

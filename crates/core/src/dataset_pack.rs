@@ -227,13 +227,12 @@ fn decode_region_tables(rec: &[u8]) -> io::Result<RegionTables> {
     Ok((sweep, dynamic, default_time))
 }
 
-/// Encode one graph-shard record: `[u32 region][u32 sequence]` followed by
-/// the graph.
-fn encode_record(region: usize, sequence: usize, g: &GraphData, out: &mut Vec<u8>) {
+/// Start a graph-shard record in `out`: the `[u32 region][u32 sequence]`
+/// prefix, which the encoded graph follows.
+fn start_record(region: usize, sequence: usize, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&(region as u32).to_le_bytes());
     out.extend_from_slice(&(sequence as u32).to_le_bytes());
-    encode_graph(g, out);
 }
 
 /// Write `writer` as the manifest's next `shard-NNNN.bin`.
@@ -316,7 +315,8 @@ pub fn pack_dataset(ds: &Dataset, dir: &Path, shard_graphs: usize) -> io::Result
     let mut graphs = 0usize;
     for (ri, region) in ds.regions.iter().enumerate() {
         for (si, g) in region.graphs.iter().enumerate() {
-            encode_record(ri, si, g, &mut rec);
+            start_record(ri, si, &mut rec);
+            encode_graph(g, &mut rec);
             writer.push(&rec);
             graphs += 1;
             if writer.records() >= shard_graphs.max(1) {
@@ -439,7 +439,14 @@ pub fn open_stream(dir: &Path, meta: &PackedMeta, train_seqs: &[usize]) -> io::R
 #[derive(Debug, Clone)]
 pub struct PackedBuild {
     pub regions: usize,
+    /// Graph records written: one per (region, flag sequence).
     pub graphs: usize,
+    /// Distinct final IR modules, summed over regions: how many compiled
+    /// forms the flag sequences reached.
+    pub distinct_modules: usize,
+    /// Distinct graphs, summed over regions (at most `distinct_modules`:
+    /// different modules can map to one graph).
+    pub distinct_graphs: usize,
     pub shards: usize,
     pub label_coverage: f64,
     pub skips: Vec<SkipRecord>,
@@ -461,18 +468,29 @@ pub fn build_packed_dataset(
     shard_regions: usize,
 ) -> Result<PackedBuild, DatasetError> {
     let mut manifest = ShardManifest::default();
-    let mut graphs = 0usize;
+    let (mut graphs, mut distinct_modules, mut distinct_graphs) = (0, 0, 0);
     let mut rec = Vec::new();
+    let mut payloads: Vec<Vec<u8>> = Vec::new();
     let build = build_grouped(arch, params, opts, shard_regions, |first, group| {
         let mut writer = ShardWriter::new(GRAPH_SHARD_KIND);
         for (i, r) in group.iter_mut().enumerate() {
-            for (seq, g) in r.graphs.iter().enumerate() {
-                encode_record(first + i, seq, g, &mut rec);
+            // Each distinct graph is encoded once; every sequence's record
+            // repeats its payload under the record's own prefix.
+            payloads.resize_with(r.forms.len(), Vec::new);
+            for (g, p) in r.forms.iter().zip(&mut payloads) {
+                p.clear();
+                encode_graph(g, p);
+            }
+            for (seq, &f) in r.form_of.iter().enumerate() {
+                start_record(first + i, seq, &mut rec);
+                rec.extend_from_slice(&payloads[f as usize]);
                 writer.push(&rec);
             }
-            graphs += r.graphs.len();
+            graphs += r.form_of.len();
+            distinct_modules += r.modules;
+            distinct_graphs += r.forms.len();
             // The group is this build's high-water mark, not the corpus.
-            r.graphs = Vec::new();
+            r.forms = Vec::new();
         }
         if !writer.is_empty() {
             finish_shard(writer, dir, &mut manifest)?;
@@ -487,6 +505,8 @@ pub fn build_packed_dataset(
     Ok(PackedBuild {
         regions: ds.regions.len(),
         graphs,
+        distinct_modules,
+        distinct_graphs,
         shards,
         label_coverage: ds.label_coverage(),
         skips: build.skips,

@@ -126,3 +126,47 @@ impl Ablations {
         r
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use irnuma_nn::graphdata::NUM_RELATIONS;
+
+    /// Four nodes with edges and distinct norms in all three relations
+    /// (control, data, call: the `GraphData` relation order).
+    fn graph() -> GraphData {
+        GraphData::from_parts(
+            vec![3, 1, 4, 1],
+            [vec![(0, 1), (1, 2)], vec![(2, 3), (0, 3), (1, 3)], vec![(3, 0)]],
+            [vec![1.0, 0.5], vec![0.25, 0.5, 0.75], vec![-1.0]],
+        )
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn dropping_a_relation_clears_exactly_its_edges_and_norms() {
+        let g = graph();
+        let full = RelationMask { control: true, data: true, call: true };
+        let masks = [
+            (Some(0), RelationMask { control: false, ..full }),
+            (Some(1), RelationMask { data: false, ..full }),
+            (Some(2), RelationMask { call: false, ..full }),
+            (None, full),
+        ];
+        for (dropped, m) in masks {
+            let h = mask_graph(&g, m);
+            assert_eq!(h.node_text, g.node_text, "{m:?}: node tokens kept");
+            for r in 0..NUM_RELATIONS {
+                if Some(r) == dropped {
+                    assert!(h.edges[r].is_empty() && h.norm[r].is_empty(), "{m:?}: relation {r}");
+                } else {
+                    assert_eq!(h.edges[r], g.edges[r], "{m:?}: relation {r} edges kept");
+                    assert_eq!(bits(&h.norm[r]), bits(&g.norm[r]), "{m:?}: relation {r} norms");
+                }
+            }
+        }
+    }
+}

@@ -276,6 +276,32 @@ fn dataset_json_build_reports_the_skip_counter() {
 }
 
 #[test]
+fn dataset_reports_its_distinct_final_modules_and_graphs() {
+    let dir = std::env::temp_dir().join("irnuma-cli-distinct-forms");
+    std::fs::remove_dir_all(&dir).ok();
+    let out_dir = dir.join("ds");
+    let args = ["dataset", "--seqs", "6", "--calls", "2", "--out", out_dir.to_str().unwrap()];
+    let out = irnuma(&[&args[..], &["--json"]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let v = serde_json::parse_value(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+    let get = |k: &str| v.field(k).and_then(|f| f.as_u64()).unwrap_or_else(|| panic!("{k}"));
+    let (graphs, modules, distinct) =
+        (get("graphs"), get("distinct_modules"), get("distinct_graphs"));
+    assert_eq!(graphs, 56 * 6);
+    // At least one form per region, at most one per sequence, and
+    // different modules may share a graph.
+    assert!(56 <= distinct && distinct <= modules && modules <= graphs, "{v:?}");
+
+    std::fs::remove_dir_all(&out_dir).ok();
+    let text = String::from_utf8_lossy(&irnuma(&args).stdout).to_string();
+    assert!(
+        text.contains(&format!("{modules} distinct final modules, {distinct} distinct graphs")),
+        "{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_dataset_that_is_not_a_pack_is_a_clean_error() {
     let dir = std::env::temp_dir().join("irnuma-cli-not-a-pack");
     std::fs::remove_dir_all(&dir).ok();

@@ -16,7 +16,7 @@ impl BlockId {
 
 /// A basic block: an ordered list of instruction ids. The verifier enforces
 /// that the list ends with exactly one terminator and contains none earlier.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Block {
     pub instrs: Vec<InstrId>,
 }
@@ -41,7 +41,7 @@ pub enum FunctionKind {
 /// never physically removed; detaching an id from every block's list erases
 /// it logically (the printer, verifier and analyses only look at attached
 /// instructions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Function {
     pub name: String,
     pub params: Vec<Ty>,

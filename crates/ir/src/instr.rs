@@ -439,7 +439,7 @@ impl fmt::Display for Opcode {
 }
 
 /// A single instruction: opcode + result type + operand list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Instr {
     pub op: Opcode,
     /// Result type (`Void` for stores/branches).

@@ -15,7 +15,7 @@ impl GlobalId {
 }
 
 /// A module-level array variable (the kernels' shared data).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Global {
     pub name: String,
     /// Element type of the array.
@@ -33,7 +33,12 @@ impl Global {
 
 /// A translation unit: globals + functions. The workload suite emits one
 /// module per benchmark; `extract` carves per-region modules out of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and hashing are exact and structural: arenas, detached
+/// instructions and block numbering all count, and float immediates compare
+/// by their bits (`-0.0 != 0.0`). Two equal modules are the same input to
+/// every pass, which is what lets the dataset build reuse pass results.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Module {
     pub name: String,
     pub globals: Vec<Global>,

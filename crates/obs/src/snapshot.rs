@@ -159,6 +159,9 @@ pub fn metric_help(name: &str) -> &'static str {
         "dataset.decode_ns" => "Time spent decoding dataset shards into graphs (ns).",
         "loader.prefetch_stall_ns" => "Time the trainer blocked waiting on shard prefetch (ns).",
         "graph.builds" => "ProGraML-style region graphs constructed.",
+        "graph.reused" => "Dataset graphs cloned from an equal final module's graph.",
+        "passes.applied" => "Pass applications run by the dataset build's pass memo.",
+        "passes.reused" => "Pass applications answered from the pass memo's transitions.",
         "store.write_bytes" => "Bytes durably written through the artifact store.",
         "store.fsync_ns" => "Latency of artifact-store fsync calls (ns).",
         "store.corruption_detected" => "Artifact reads rejected by checksum verification.",
@@ -171,6 +174,7 @@ pub fn metric_help(name: &str) -> &'static str {
             Some("dataset") => "Dataset-construction metric.",
             Some("loader") => "Streaming-loader metric.",
             Some("graph") => "Graph-construction metric.",
+            Some("pass" | "passes") => "Middle-end pass metric.",
             Some("sim") => "Simulator metric.",
             Some("store") => "Artifact-store metric.",
             Some("mem") => "Allocation-tracking gauge (bytes).",

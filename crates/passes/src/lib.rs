@@ -16,6 +16,8 @@
 //!   combining, reassociation, GVN-style CSE, store-to-load forwarding, dead
 //!   store elimination, phi simplification, LICM, full loop unrolling,
 //!   function inlining, and sinking);
+//! * a [`PassMemo`] that runs many sequences over one base module and
+//!   applies each distinct `(IR state, pass)` transition once;
 //! * the [`flags`] module: the `-O3`-like default pipeline and the paper's
 //!   down-sampling procedure that generates random flag sequences
 //!   (each pass instance removed with probability 0.8, four rounds);
@@ -24,8 +26,10 @@
 //! re-verifies after every pass when `verify_each` is set (tests always do).
 
 pub mod flags;
+pub mod memo;
 pub mod pass;
 pub mod passes;
 
 pub use flags::{o3_sequence, sample_sequences, FlagSequence, SampleParams};
+pub use memo::PassMemo;
 pub use pass::{registry, run_sequence, PassManager};

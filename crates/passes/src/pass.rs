@@ -77,33 +77,32 @@ impl PassManager {
         PassManager { verify_each }
     }
 
-    /// Run the named sequence over `m`. Returns the number of passes that
-    /// reported a change.
-    pub fn run(&self, m: &mut Module, sequence: &[String]) -> Result<usize, PassError> {
-        let mut span = irnuma_obs::span!("passes.run", passes = sequence.len());
-        let mut changed = 0;
-        for name in sequence {
-            let pass = find_pass(name).ok_or_else(|| PassError::UnknownPass(name.clone()))?;
-            if irnuma_obs::telemetry_enabled() {
-                let t0 = std::time::Instant::now();
-                if pass.run(m) {
-                    changed += 1;
-                }
-                // Per-pass timing under a dynamic name (`pass.gvn_ns`, ...);
-                // dynamic names go through the registry, not the macro cache.
-                irnuma_obs::registry()
-                    .histogram(&format!("pass.{}_ns", pass.name()))
-                    .record_duration(t0.elapsed());
-            } else if pass.run(m) {
-                changed += 1;
-            }
-            if self.verify_each {
-                verify_module(m).map_err(|err| PassError::Broken { pass: pass.name(), err })?;
-            }
+    /// Apply one pass to `m`, then verify it when `verify_each` is set.
+    /// Returns whether the pass reported a change. Both [`PassManager::run`]
+    /// and [`crate::PassMemo`] apply every pass through this step.
+    pub fn apply(&self, pass: &dyn Pass, m: &mut Module) -> Result<bool, PassError> {
+        let changed = if irnuma_obs::telemetry_enabled() {
+            let t0 = std::time::Instant::now();
+            let changed = pass.run(m);
+            // Per-pass timing under a dynamic name (`pass.gvn_ns`, ...);
+            // dynamic names go through the registry, not the macro cache.
+            irnuma_obs::registry()
+                .histogram(&format!("pass.{}_ns", pass.name()))
+                .record_duration(t0.elapsed());
+            changed
+        } else {
+            pass.run(m)
+        };
+        if self.verify_each {
+            verify_module(m).map_err(|err| PassError::Broken { pass: pass.name(), err })?;
         }
-        span.field("changed", changed);
-        // Compact arenas and drop empty blocks so downstream consumers
-        // (printer, graphs) see tight ids.
+        Ok(changed)
+    }
+
+    /// End a sequence: compact arenas and drop empty blocks so downstream
+    /// consumers (printer, graphs) see tight ids, then verify when
+    /// `verify_each` is set.
+    pub fn finish(&self, m: &mut Module) -> Result<(), PassError> {
         for f in &mut m.functions {
             if !f.is_declaration() {
                 // Drop detached instructions first: they may still hold
@@ -115,8 +114,31 @@ impl PassManager {
         if self.verify_each {
             verify_module(m).map_err(|err| PassError::Broken { pass: "compact", err })?;
         }
+        Ok(())
+    }
+
+    /// Run the named sequence over `m`, then [`PassManager::finish`] it.
+    /// Returns the number of passes that reported a change.
+    pub fn run(&self, m: &mut Module, sequence: &[String]) -> Result<usize, PassError> {
+        let mut span = irnuma_obs::span!("passes.run", passes = sequence.len());
+        let passes = registry();
+        let mut changed = 0;
+        for name in sequence {
+            let pass = passes[pass_index(&passes, name)?].as_ref();
+            changed += usize::from(self.apply(pass, m)?);
+        }
+        span.field("changed", changed);
+        self.finish(m)?;
         Ok(changed)
     }
+}
+
+/// Position of the pass named `name` in `passes` (a [`registry`]).
+pub(crate) fn pass_index(passes: &[Box<dyn Pass>], name: &str) -> Result<usize, PassError> {
+    passes
+        .iter()
+        .position(|p| p.name() == name)
+        .ok_or_else(|| PassError::UnknownPass(name.to_string()))
 }
 
 /// Convenience: run a sequence of `&str` names with default settings.

@@ -14,7 +14,7 @@ use crate::pass::Pass;
 use crate::passes::util::for_each_function;
 use irnuma_ir::analysis::{dominance_frontiers, reachable, DomTree};
 use irnuma_ir::{BlockId, Function, Instr, InstrId, Module, Opcode, Operand, Ty};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 pub struct Mem2Reg;
 
@@ -96,8 +96,10 @@ fn run_function(f: &mut Function) -> bool {
             }
         }
 
-        // Iterated dominance frontier → phi blocks.
-        let mut phi_blocks: HashSet<BlockId> = HashSet::new();
+        // Iterated dominance frontier → phi blocks, in `BlockId` order: the
+        // phis are allocated in this order, so a hash-ordered set would make
+        // their arena ids depend on the per-map hash seed.
+        let mut phi_blocks: BTreeSet<BlockId> = BTreeSet::new();
         let mut work: Vec<BlockId> = def_blocks.clone();
         while let Some(b) = work.pop() {
             if !reach[b.index()] {

@@ -4,7 +4,7 @@
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_ir::verify_module;
-use irnuma_passes::{sample_sequences, PassManager, SampleParams};
+use irnuma_passes::{registry, sample_sequences, PassManager, SampleParams};
 use irnuma_workloads::all_regions;
 
 #[test]
@@ -53,6 +53,41 @@ fn flag_sequences_produce_distinct_graph_populations() {
         "graphs collapse too much: {} distinct of {total}",
         distinct.len()
     );
+}
+
+#[test]
+fn every_pass_is_a_function_of_its_input_module() {
+    // The dataset build's pass memo reuses a transition once computed, so a
+    // pass must give `==` modules on equal inputs, arena ids included. Each
+    // run sees fresh per-map hash seeds, so a pass that walks a hash map or
+    // set while allocating shows up here.
+    let pm = PassManager::new(false);
+    let passes = registry();
+    let seqs = sample_sequences(2, 11, SampleParams::default());
+    for r in all_regions() {
+        let mut states = vec![r.module()];
+        for seq in &seqs {
+            let mut m = r.module();
+            let n = seq.passes.len();
+            for (i, name) in seq.passes.iter().enumerate() {
+                let pass = passes.iter().find(|p| p.name() == name).unwrap();
+                pm.apply(pass.as_ref(), &mut m).unwrap();
+                if i == n / 3 || i == 2 * n / 3 {
+                    states.push(m.clone());
+                }
+            }
+            pm.finish(&mut m).unwrap();
+            states.push(m);
+        }
+        for (i, state) in states.iter().enumerate() {
+            for pass in &passes {
+                let (mut a, mut b) = (state.clone(), state.clone());
+                pass.run(&mut a);
+                pass.run(&mut b);
+                assert!(a == b, "{} state {i}: `{}` differs between runs", r.name, pass.name());
+            }
+        }
+    }
 }
 
 fn extract(m: &irnuma_ir::Module, r: &irnuma_workloads::RegionSpec) -> irnuma_ir::Module {

@@ -16,6 +16,7 @@
 //! exits zero so a noisy run can't mask the numbers.
 
 use criterion::{black_box, Criterion};
+use irnuma_core::bench_check::write_bench_json;
 use irnuma_core::{
     build_dataset, load_packed, open_stream, pack_dataset, read_meta, DatasetParams,
 };
@@ -110,7 +111,7 @@ fn main() {
     entries.push(("dataset/prefetch_stall_frac".into(), stall_frac));
     entries.push(("dataset/pack_graphs".into(), summary.graphs as f64));
     entries.push(("dataset/pack_bytes".into(), summary.bytes as f64));
-    let path = irnuma_bench::write_bench_json("dataset", &entries).expect("write bench json");
+    let path = write_bench_json("dataset", &entries).expect("write bench json");
     println!(
         "binary load {:.1} ms ({graphs_per_sec:.0} graphs/s) -> {}",
         bin_ns / 1e6,

@@ -14,6 +14,7 @@
 //! a noisy run can't mask the numbers.
 
 use criterion::Criterion;
+use irnuma_core::bench_check::write_bench_json;
 use irnuma_core::dataset::{build_dataset, DatasetParams};
 use irnuma_core::models::flags::FlagParams;
 use irnuma_core::models::hybrid::HybridParams;
@@ -76,6 +77,6 @@ fn main() {
         bench_dataset(&mut c);
     }
     bench_fold(&mut c, quick);
-    let path = irnuma_bench::write_bench_json("figures", c.medians()).expect("write bench json");
+    let path = write_bench_json("figures", c.medians()).expect("write bench json");
     println!("wrote {} — gate with `irnuma bench-check`", path.display());
 }

@@ -11,6 +11,7 @@
 //! always exits zero so a noisy run can't mask the numbers.
 
 use criterion::{black_box, Criterion};
+use irnuma_core::bench_check::write_bench_json;
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_nn::{GnnConfig, GnnModel, GraphData};
@@ -111,6 +112,6 @@ fn main() {
             eprintln!("warning: tracing overhead {overhead_pct:.2}% exceeds the 2% budget");
         }
     }
-    let path = irnuma_bench::write_bench_json("inference", &entries).expect("write bench json");
+    let path = write_bench_json("inference", &entries).expect("write bench json");
     println!("wrote {} — gate with `irnuma bench-check`", path.display());
 }

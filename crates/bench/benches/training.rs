@@ -15,6 +15,7 @@
 //! noisy run can't mask the numbers.
 
 use criterion::{black_box, Criterion};
+use irnuma_core::bench_check::write_bench_json;
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_nn::{FusedEngine, GnnClassifier, GnnConfig, GnnModel, GraphData, TrainParams};
@@ -134,7 +135,7 @@ fn main() {
 
     let mut entries = c.medians().to_vec();
     entries.push(("training/tracing_overhead_ratio".into(), overhead_ratio));
-    let path = irnuma_bench::write_bench_json("training", &entries).expect("write bench json");
+    let path = write_bench_json("training", &entries).expect("write bench json");
     println!("wrote {} — gate with `irnuma bench-check`", path.display());
     // Budget mirrors the training/tracing_overhead_ratio gate in
     // results/bench_baselines.json (<= 1.10): training epochs are short in

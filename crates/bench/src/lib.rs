@@ -14,24 +14,6 @@ use irnuma_core::dataset::DatasetParams;
 use irnuma_core::evaluation::PipelineConfig;
 use irnuma_core::models::static_gnn::StaticParams;
 use irnuma_sim::MicroArch;
-use std::path::{Path, PathBuf};
-
-/// Write benchmark medians as `BENCH_<name>.json` at the repository root —
-/// a flat `{"id": median_ns}` object, written by bench binaries with a
-/// hand-written `main` from `Criterion::medians()` (plus any derived
-/// metrics, e.g. speedups). Returns the path written.
-pub fn write_bench_json(name: &str, entries: &[(String, f64)]) -> std::io::Result<PathBuf> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join(format!("BENCH_{name}.json"));
-    let mut body = String::from("{\n");
-    for (i, (id, v)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        body.push_str(&format!("  \"{id}\": {v:.3}{sep}\n"));
-    }
-    body.push_str("}\n");
-    irnuma_store::atomic_write(&path, body.as_bytes())?;
-    Ok(path)
-}
 
 /// The default experiment scale: large enough for paper-shaped results,
 /// small enough to run all figures in minutes on a laptop.

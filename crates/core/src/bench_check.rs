@@ -23,7 +23,7 @@
 //! (or whole family file) is absent are skipped; in full mode absence is a
 //! failure, so a renamed metric can't silently disable its gate.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One declarative bound over a bench metric.
 #[derive(Debug, Clone)]
@@ -98,6 +98,24 @@ fn parse_baselines(body: &str) -> Result<Baselines, String> {
         rules.push(rule);
     }
     Ok(Baselines { tolerance, rules })
+}
+
+/// Write benchmark medians as `BENCH_<family>.json` at the repository
+/// root: a flat `{"id": value}` object, the format [`check`] reads. Every
+/// bench writer goes through here: the bench binaries (from
+/// `Criterion::medians()` plus derived metrics) and `irnuma serve-bench`.
+/// Returns the path written.
+pub fn write_bench_json(family: &str, entries: &[(String, f64)]) -> std::io::Result<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = root.join(format!("BENCH_{family}.json"));
+    let mut body = String::from("{\n");
+    for (i, (id, v)) in entries.iter().enumerate() {
+        let sep = if i + 1 == entries.len() { "" } else { "," };
+        body.push_str(&format!("  \"{id}\": {v:.3}{sep}\n"));
+    }
+    body.push_str("}\n");
+    irnuma_store::atomic_write(&path, body.as_bytes())?;
+    Ok(path)
 }
 
 /// Look `metric` (`family/id`) up in `BENCH_<family>.json` under `root`.

@@ -12,7 +12,7 @@
 
 use irnuma_core::dataset::{build_dataset, BuildOptions, Dataset, DatasetParams};
 use irnuma_core::models::static_gnn::{training_sequence_ids, StaticModel, StaticParams};
-use irnuma_core::{bench_check, dataset_pack, top as top_view, trace_report, trace_tree};
+use irnuma_core::{bench_check, dataset_pack, top as top_view, trace_report};
 use irnuma_graph::{build_module_graph, to_dot, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_ir::{print_module, Interp, InterpConfig, Value};
@@ -559,7 +559,7 @@ fn predict(rest: &[String]) -> CmdResult {
 
 fn report(rest: &[String]) -> CmdResult {
     let path = rest.first().ok_or("missing trace file (irnuma report <trace.jsonl>)")?;
-    let mut r = trace_report::load(std::path::Path::new(path))?;
+    let mut r = trace_report::load(Path::new(path))?.report();
     if let Some(key) = opt_value(rest, "--sort") {
         let key = trace_report::SortKey::parse(key)
             .ok_or_else(|| format!("bad --sort `{key}` (total|p99|count)"))?;
@@ -593,25 +593,25 @@ fn trace(rest: &[String]) -> CmdResult {
     match sub {
         Some("analyze") => {
             let path = args.first().ok_or("missing trace file (irnuma trace analyze <f>)")?;
-            let spans = trace_tree::load_spans(Path::new(path))?;
-            let opts = trace_tree::AnalyzeOptions {
+            let trace = trace_report::load(Path::new(path))?;
+            let opts = trace_report::AnalyzeOptions {
                 roots: opt_value(args, "--roots").map(split_names),
                 require_roots: opt_value(args, "--require-roots")
                     .map(split_names)
                     .unwrap_or_default(),
             };
-            write_stdout(&trace_tree::analyze(spans, &opts)?)?;
+            write_stdout(&trace_report::analyze(trace, &opts)?)?;
             Ok(())
         }
         Some("export") => {
             let path = args.first().ok_or("missing trace file (irnuma trace export <f>)")?;
             let out = opt_value(args, "--perfetto").ok_or("missing --perfetto <out.json>")?;
-            let spans = trace_tree::load_spans(Path::new(path))?;
-            trace_tree::export_perfetto(&spans, Path::new(out))?;
+            let trace = trace_report::load(Path::new(path))?;
+            trace_report::export_perfetto(&trace, Path::new(out))?;
             outln!(
                 "wrote {out}: {} spans ({} skipped lines) — load in ui.perfetto.dev",
-                spans.records.len(),
-                spans.skipped_lines
+                trace.spans.len(),
+                trace.malformed_lines
             );
             Ok(())
         }

@@ -32,7 +32,6 @@ pub mod models;
 pub mod serve_bench;
 pub mod top;
 pub mod trace_report;
-pub mod trace_tree;
 
 pub use dataset::{
     build_dataset, build_dataset_report, BuildOptions, Dataset, DatasetBuild, DatasetError,

@@ -13,7 +13,7 @@ use irnuma_nn::graphdata::NUM_RELATIONS;
 use irnuma_nn::{GnnClassifier, GnnConfig, GraphData};
 use irnuma_serve::{Client, Reply, Request, ServeConfig, Server};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -175,26 +175,17 @@ pub fn run(params: &ServeBenchParams) -> Result<ServeBenchReport, String> {
     })
 }
 
-/// Write `BENCH_serving.json` at the repository root (same format as the
-/// criterion bench binaries; duplicated here because `irnuma-bench` depends
-/// on this crate).
+/// Write `BENCH_serving.json` at the repository root for the bench-check
+/// gate.
 pub fn write_report(report: &ServeBenchReport) -> std::io::Result<PathBuf> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let entries = [
         ("serving/p50_latency_us", report.p50_us),
         ("serving/p99_latency_us", report.p99_us),
         ("serving/mean_latency_us", report.mean_us),
         ("serving/throughput_rps", report.throughput_rps),
-    ];
-    let mut body = String::from("{\n");
-    for (i, (id, v)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        body.push_str(&format!("  \"{id}\": {v:.3}{sep}\n"));
-    }
-    body.push_str("}\n");
-    let path = root.join("BENCH_serving.json");
-    irnuma_store::atomic_write(&path, body.as_bytes())?;
-    Ok(path)
+    ]
+    .map(|(id, v)| (id.to_string(), v));
+    crate::bench_check::write_bench_json("serving", &entries)
 }
 
 #[cfg(test)]

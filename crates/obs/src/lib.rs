@@ -59,7 +59,7 @@ pub use sink::{
 pub use snapshot::TelemetrySnapshot;
 pub use span::{current_span, timed, SpanGuard};
 pub use tree::{PathSegment, SpanForest, SpanRecord, SubtreeStats};
-pub use value::Value;
+pub use value::{write_json_string, Value};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;

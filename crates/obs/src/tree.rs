@@ -16,8 +16,9 @@
 //!   reducing) versus leaf compute time.
 //!
 //! The input [`SpanRecord`]s can come from an in-memory [`crate::Event`]
-//! stream (tests) or a parsed JSONL trace (the `irnuma trace` CLI, which
-//! owns the JSON parsing — this crate stays dependency-free).
+//! stream (tests) or a parsed JSONL trace (the `irnuma` trace reader, which
+//! owns the JSON parsing — this crate stays dependency-free); both go
+//! through [`SpanRecord::from_fields`].
 
 use crate::sink::Event;
 use crate::value::Value;
@@ -40,6 +41,11 @@ pub struct SpanRecord {
     pub args: Vec<(String, String)>,
 }
 
+/// Field keys spent on [`SpanRecord`] structure; every other field becomes
+/// an arg.
+const CAUSAL_KEYS: [&str; 7] =
+    ["span", "parent", "trace_id", "span_id", "parent_id", "thread", "dur_ns"];
+
 impl SpanRecord {
     /// End timestamp (saturating).
     pub fn end_ns(&self) -> u64 {
@@ -53,33 +59,53 @@ impl SpanRecord {
         if e.kind != "span" {
             return None;
         }
-        let u64_field = |key: &str| match e.get(key) {
-            Some(&Value::U64(v)) => Some(v),
-            Some(&Value::I64(v)) => u64::try_from(v).ok(),
-            _ => None,
-        };
-        let dur_ns = u64_field("dur_ns")?;
-        let span_id = u64_field("span_id").or_else(|| u64_field("span"))?;
-        let parent_id = u64_field("parent_id").or_else(|| u64_field("parent")).unwrap_or(0);
-        const CAUSAL_KEYS: [&str; 7] =
-            ["span", "parent", "trace_id", "span_id", "parent_id", "thread", "dur_ns"];
-        let args = e
-            .fields
-            .iter()
-            .filter(|(k, _)| !CAUSAL_KEYS.contains(k))
-            .map(|(k, v)| {
+        SpanRecord::from_fields(
+            e.ts_ns,
+            e.name.clone(),
+            e.fields.iter().map(|(k, v)| (*k, v)),
+            |v| match *v {
+                Value::U64(v) => Some(v),
+                Value::I64(v) => u64::try_from(v).ok(),
+                _ => None,
+            },
+            |v| {
                 let mut s = String::new();
                 v.write_json(&mut s);
-                (k.to_string(), s.trim_matches('"').to_string())
-            })
-            .collect();
+                s.trim_matches('"').to_string()
+            },
+        )
+    }
+
+    /// The causal-field rule every span reader shares (the in-memory
+    /// [`SpanRecord::from_event`] and the JSONL trace reader): `dur_ns` and a
+    /// span id are required, `span_id` falls back to the legacy `span` and
+    /// `parent_id` to `parent` (neither = a root), and the start is
+    /// `ts_ns − dur_ns` because span events are emitted at close. `u64_of`
+    /// reads an integer field value, `arg_of` stringifies any other field.
+    pub fn from_fields<'a, V: 'a>(
+        ts_ns: u64,
+        name: String,
+        fields: impl IntoIterator<Item = (&'a str, &'a V)>,
+        u64_of: impl Fn(&V) -> Option<u64>,
+        arg_of: impl Fn(&V) -> String,
+    ) -> Option<SpanRecord> {
+        let mut causal = [None; CAUSAL_KEYS.len()];
+        let mut args = Vec::new();
+        for (k, v) in fields {
+            match CAUSAL_KEYS.iter().position(|c| *c == k) {
+                Some(i) => causal[i] = causal[i].or_else(|| u64_of(v)),
+                None => args.push((k.to_string(), arg_of(v))),
+            }
+        }
+        let [span, parent, trace_id, span_id, parent_id, thread, dur_ns] = causal;
+        let dur_ns = dur_ns?;
         Some(SpanRecord {
-            trace_id: u64_field("trace_id").unwrap_or(0),
-            span_id,
-            parent_id,
-            thread: u64_field("thread").unwrap_or(0),
-            name: e.name.clone(),
-            start_ns: e.ts_ns.saturating_sub(dur_ns),
+            trace_id: trace_id.unwrap_or(0),
+            span_id: span_id.or(span)?,
+            parent_id: parent_id.or(parent).unwrap_or(0),
+            thread: thread.unwrap_or(0),
+            name,
+            start_ns: ts_ns.saturating_sub(dur_ns),
             dur_ns,
             args,
         })

@@ -1,6 +1,7 @@
 //! The dataset: Steps A–C at 100 flag sequences (`dataset/build_100_seqs`,
 //! the whole region suite, one sampled call so the pass pipelines and graph
-//! builds dominate), loading a whole pack back into memory, plus a
+//! builds dominate), loading a whole pack back into memory (`binary_load`,
+//! and `load_100_seqs` for the 100-sequence pack), plus a
 //! streaming training epoch over a replicated (~100x) pack to price the
 //! double-buffered shard prefetcher. Results land in `BENCH_dataset.json`
 //! at the repo root, including the headline `graphs_per_sec_ingest`,
@@ -8,17 +9,19 @@
 //!
 //! CI smoke mode: set `IRNUMA_BENCH_QUICK=1` to shrink the pack corpus (2
 //! flag sequences, 2 sampled calls, 20x replication) so the whole benchmark
-//! runs in seconds; the 100-sequence build is timed in both modes.
-//! Regression gating lives in `irnuma bench-check` (rules in
-//! `results/bench_baselines.json`): the build must stay under its ceiling,
-//! the pack load must keep its ingest rate in graphs per second and the
-//! prefetch stall under 10% of the epoch wall; the bench itself always
-//! exits zero so a noisy run can't mask the numbers.
+//! runs in seconds; the 100-sequence build and load are timed in both
+//! modes. Regression gating lives in `irnuma bench-check` (rules in
+//! `results/bench_baselines.json`): the 100-sequence build and load must
+//! stay under their ceilings, the pack load must keep its ingest rate in
+//! graphs per second and the prefetch stall under 10% of the epoch wall;
+//! the bench itself always exits zero so a noisy run can't mask the
+//! numbers.
 
 use criterion::{black_box, Criterion};
 use irnuma_core::bench_check::write_bench_json;
 use irnuma_core::{
-    build_dataset, load_packed, open_stream, pack_dataset, read_meta, DatasetParams,
+    build_dataset, build_packed_dataset, load_packed, open_stream, pack_dataset, read_meta,
+    BuildOptions, DatasetParams,
 };
 use irnuma_graph::Vocab;
 use irnuma_nn::{GnnClassifier, GnnConfig, TrainParams};
@@ -56,6 +59,19 @@ fn main() {
         let build = DatasetParams { num_sequences: 100, calls: 1, ..DatasetParams::default() };
         grp.bench_function("build_100_seqs", |b| {
             b.iter(|| black_box(build_dataset(MicroArch::Skylake, black_box(&build))))
+        });
+        // The same 100 sequences as a pack, loaded back: ~5,600 records of
+        // which ~12% are distinct graphs. The load decodes each distinct
+        // payload once; decoding every record takes ~1.36x as long (34 vs
+        // 47 ms, 2-vCPU host), since checksums and file reads stay. The
+        // ceiling in `results/bench_baselines.json` (~1.7x the calibrated
+        // median) catches a load that slows across the board; the loss of
+        // interning alone is caught by `dataset_pack`'s interning tests.
+        let pack_100 = root.join("pack-100");
+        build_packed_dataset(MicroArch::Skylake, &build, &BuildOptions::default(), &pack_100, 8)
+            .expect("100-sequence pack");
+        grp.bench_function("load_100_seqs", |b| {
+            b.iter(|| black_box(load_packed(black_box(&pack_100)).expect("100-sequence load")))
         });
         grp.finish();
     }

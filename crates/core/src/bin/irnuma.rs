@@ -17,7 +17,8 @@ use irnuma_graph::{build_module_graph, to_dot, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_ir::{print_module, Interp, InterpConfig, Value};
 use irnuma_nn::{
-    CheckpointConfig, GnnClassifier, GnnConfig, MemorySource, ShardSource, TrainParams,
+    distinct_handles, CheckpointConfig, GnnClassifier, GnnConfig, MemorySource, ShardSource,
+    TrainParams,
 };
 use irnuma_passes::{o3_sequence, run_sequence};
 use irnuma_sim::{config_space, default_config, sweep_region, Machine, MicroArch};
@@ -417,7 +418,8 @@ fn dataset_info(rest: &[String]) -> CmdResult {
         manifest.verify(dir).map_err(|e| e.to_string())?;
         let ds = dataset_pack::load_packed(dir).map_err(|e| e.to_string())?;
         let graphs: usize = ds.regions.iter().map(|r| r.graphs.len()).sum();
-        outln!("verify ok: {graphs} graphs decoded, all checksums match");
+        let distinct = distinct_handles(ds.regions.iter().flat_map(|r| &r.graphs));
+        outln!("verify ok: {graphs} graphs decoded ({distinct} distinct), all checksums match");
     }
     Ok(())
 }

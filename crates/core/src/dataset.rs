@@ -216,7 +216,7 @@ pub fn build_dataset_report(
 ) -> Result<DatasetBuild, DatasetError> {
     build_grouped(arch, params, opts, usize::MAX, |_, group| {
         for r in group {
-            r.data.graphs = r.graphs_per_sequence();
+            r.data.graphs = r.graphs();
         }
         Ok(())
     })
@@ -235,9 +235,9 @@ pub(crate) struct RegionBuild {
 }
 
 impl RegionBuild {
-    /// One graph per flag sequence, each a clone of its distinct graph (no
-    /// adjacency cache is built on either).
-    pub fn graphs_per_sequence(&self) -> Vec<GraphData> {
+    /// One graph per flag sequence: a clone of its distinct graph's handle,
+    /// so sequences that reach one graph share its arrays and caches.
+    pub fn graphs(&self) -> Vec<GraphData> {
         self.form_of.iter().map(|&f| self.forms[f as usize].clone()).collect()
     }
 }

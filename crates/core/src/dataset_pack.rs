@@ -37,12 +37,14 @@ use crate::dataset::{
 };
 use irnuma_nn::stream::{RecordMap, ShardStream, GRAPH_SHARD_KIND, RECORD_PREFIX};
 use irnuma_nn::{decode_graph, encode_graph, GraphData};
-use irnuma_passes::FlagSequence;
+use irnuma_passes::{FlagSequence, FxHasher};
 use irnuma_sim::{Config, Machine, MicroArch};
 use irnuma_store::shard::{parse_shard, ShardEntry, ShardManifest, ShardWriter, MANIFEST_FILE};
 use irnuma_store::{corruption, invalid};
 use irnuma_workloads::InputSize;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::io;
 use std::path::Path;
 
@@ -340,26 +342,22 @@ pub fn pack_dataset(ds: &Dataset, dir: &Path, shard_graphs: usize) -> io::Result
 /// a record for an unknown `(region, sequence)`, a duplicate, a missing
 /// graph, or a graph with a token outside the vocabulary is
 /// [`io::ErrorKind::InvalidData`].
+///
+/// Records are interned per region by payload bytes: the first record with
+/// a given graph payload is decoded and validated, and every later record
+/// of the region with the same bytes shares that graph's handle. A pack of
+/// 1000 sequences holds ~30 records per distinct graph, so the load decodes
+/// and keeps each distinct graph once. A region's table lives until its
+/// last slot is filled.
 pub fn load_packed(dir: &Path) -> io::Result<Dataset> {
     let meta = read_meta(dir)?;
     let manifest = ShardManifest::load(dir)?;
     let tables = read_region_tables(dir, &meta)?;
-    let mut regions: Vec<RegionData> = meta
-        .regions
-        .iter()
-        .zip(tables)
-        .map(|(p, (sweep, dynamic_features, default_time))| RegionData {
-            spec: p.spec.clone(),
-            graphs: (0..p.graph_count)
-                .map(|_| GraphData::from_parts(Vec::new(), Default::default(), Default::default()))
-                .collect(),
-            sweep,
-            default_time,
-            dynamic_features,
-        })
-        .collect();
-    let mut filled: Vec<Vec<bool>> =
-        meta.regions.iter().map(|p| vec![false; p.graph_count]).collect();
+    let mut slots: Vec<Vec<Option<GraphData>>> =
+        meta.regions.iter().map(|p| vec![None; p.graph_count]).collect();
+    let mut interned: Vec<HashMap<Box<[u8]>, GraphData, PayloadHash>> =
+        meta.regions.iter().map(|_| HashMap::default()).collect();
+    let mut unfilled: Vec<usize> = meta.regions.iter().map(|p| p.graph_count).collect();
 
     let vocab_size = irnuma_graph::Vocab::full().len();
     for entry in &manifest.entries {
@@ -374,34 +372,58 @@ pub fn load_packed(dir: &Path) -> io::Result<Dataset> {
             }
             let r = u32::from_le_bytes(rec[..4].try_into().unwrap()) as usize;
             let s = u32::from_le_bytes(rec[4..8].try_into().unwrap()) as usize;
-            let slot = filled.get_mut(r).and_then(|f| f.get_mut(s)).ok_or_else(|| {
+            let slot = slots.get_mut(r).and_then(|f| f.get_mut(s)).ok_or_else(|| {
                 invalid(format!(
                     "shard `{}`: record for unknown (region {r}, sequence {s})",
                     entry.file
                 ))
             })?;
-            if *slot {
+            if slot.is_some() {
                 return Err(invalid(format!(
                     "shard `{}`: duplicate record for (region {r}, sequence {s})",
                     entry.file
                 )));
             }
-            let g = decode_graph(&rec[RECORD_PREFIX..])?;
-            // Models embed `Vocab::full()`, so an out-of-vocabulary token
-            // would index past the embedding table.
-            g.validate(vocab_size).map_err(|e| {
-                invalid(format!("shard `{}`: (region {r}, sequence {s}): {e}", entry.file))
-            })?;
-            regions[r].graphs[s] = g;
-            *slot = true;
+            let payload = &rec[RECORD_PREFIX..];
+            let g = match interned[r].get(payload) {
+                Some(g) => g.clone(),
+                None => {
+                    let g = decode_graph(payload)?;
+                    // Models embed `Vocab::full()`, so an out-of-vocabulary
+                    // token would index past the embedding table.
+                    g.validate(vocab_size).map_err(|e| {
+                        invalid(format!("shard `{}`: (region {r}, sequence {s}): {e}", entry.file))
+                    })?;
+                    interned[r].insert(payload.into(), g.clone());
+                    g
+                }
+            };
+            *slot = Some(g);
+            unfilled[r] -= 1;
+            if unfilled[r] == 0 {
+                // Any later record of the region is a duplicate: free its
+                // payload copies now, so a pack without repeats does not
+                // hold every payload twice until the load returns.
+                interned[r] = HashMap::default();
+            }
         }
     }
-    for (r, region_filled) in filled.iter().enumerate() {
-        if let Some(s) = region_filled.iter().position(|&f| !f) {
-            return Err(invalid(format!(
-                "pack is missing the graph for (region {r}, sequence {s})"
-            )));
-        }
+    let mut regions = Vec::with_capacity(slots.len());
+    for (r, ((p, (sweep, dynamic_features, default_time)), graphs)) in
+        meta.regions.iter().zip(tables).zip(slots).enumerate()
+    {
+        let graphs = graphs.into_iter().enumerate().map(|(s, g)| {
+            g.ok_or_else(|| {
+                invalid(format!("pack is missing the graph for (region {r}, sequence {s})"))
+            })
+        });
+        regions.push(RegionData {
+            spec: p.spec.clone(),
+            graphs: graphs.collect::<io::Result<_>>()?,
+            sweep,
+            default_time,
+            dynamic_features,
+        });
     }
 
     Ok(Dataset {
@@ -414,6 +436,11 @@ pub fn load_packed(dir: &Path) -> io::Result<Dataset> {
         labels: meta.labels,
     })
 }
+
+/// The hasher of [`load_packed`]'s intern table: SipHash would cost more
+/// than the decodes interning saves, and a hit is confirmed on the full
+/// bytes.
+type PayloadHash = BuildHasherDefault<FxHasher>;
 
 /// Open a streaming source over a pack: records of sequences in
 /// `train_seqs` (indices into `meta.sequences`) are labeled with their
@@ -573,20 +600,95 @@ mod tests {
         assert_datasets_identical(ds, &back);
     }
 
+    /// The tiny dataset built straight into a pack, once.
+    fn tiny_build() -> &'static (PathBuf, PackedBuild) {
+        static BUILD: OnceLock<(PathBuf, PackedBuild)> = OnceLock::new();
+        BUILD.get_or_init(|| {
+            let d = tdir("build");
+            let opts = BuildOptions::default();
+            let built = build_packed_dataset(MicroArch::Skylake, &tiny(), &opts, &d, 10).unwrap();
+            (d, built)
+        })
+    }
+
+    /// How many distinct graph handles a dataset holds.
+    fn handle_count(ds: &Dataset) -> usize {
+        irnuma_nn::distinct_handles(ds.regions.iter().flat_map(|r| &r.graphs))
+    }
+
     #[test]
     fn sharded_build_matches_the_in_memory_build() {
-        let d = tdir("build");
-        let opts = BuildOptions::default();
-        let built = build_packed_dataset(MicroArch::Skylake, &tiny(), &opts, &d, 10).unwrap();
+        let (d, built) = tiny_build();
         assert_eq!(built.regions, 56);
         assert_eq!(built.graphs, 56 * 2);
         assert_eq!(built.shards, 56usize.div_ceil(10));
         assert!(built.skips.is_empty());
         assert!(built.label_coverage > 0.9, "coverage {}", built.label_coverage);
 
-        let from_pack = load_packed(&d).unwrap();
+        let from_pack = load_packed(d).unwrap();
+        let opts = BuildOptions::default();
         let in_memory = build_dataset_report(MicroArch::Skylake, &tiny(), &opts).unwrap().dataset;
         assert_datasets_identical(&in_memory, &from_pack);
+        // Both hold one handle per distinct graph of each region.
+        assert_eq!(handle_count(&in_memory), built.distinct_graphs);
+    }
+
+    #[test]
+    fn load_interns_one_handle_per_distinct_graph() {
+        let (d, built) = tiny_build();
+        assert!(built.distinct_graphs < built.graphs, "the tiny build repeats graphs");
+        let ds = load_packed(d).unwrap();
+        assert_eq!(handle_count(&ds), built.distinct_graphs);
+        // A region's sequences share a handle exactly when their graphs are
+        // equal.
+        for r in &ds.regions {
+            let [a, b] = [&r.graphs[0], &r.graphs[1]];
+            let equal = a.node_text == b.node_text && a.edges == b.edges && a.norm == b.norm;
+            assert_eq!(GraphData::same_handle(a, b), equal);
+        }
+    }
+
+    #[test]
+    fn a_damaged_later_copy_of_a_repeated_graph_is_decoded_and_refused() {
+        let (pristine, _) = tiny_build();
+        let d = tdir("damaged-copy");
+        for e in fs::read_dir(pristine).unwrap() {
+            let e = e.unwrap();
+            fs::copy(e.path(), d.join(e.file_name())).unwrap();
+        }
+        // The first shard record whose payload repeats an earlier one's.
+        let mut manifest = ShardManifest::load(&d).unwrap();
+        let (shard, record, region, seq) = manifest
+            .entries
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| {
+                let bytes = fs::read(d.join(&e.file)).unwrap();
+                let recs: Vec<&[u8]> = parse_shard(GRAPH_SHARD_KIND, &bytes)
+                    .unwrap()
+                    .into_iter()
+                    .map(|r| &bytes[r])
+                    .collect();
+                let later = (1..recs.len()).find(|&j| {
+                    recs[..j].iter().any(|p| p[..4] == recs[j][..4] && p[8..] == recs[j][8..])
+                })?;
+                let word =
+                    |at: usize| u32::from_le_bytes(recs[later][at..at + 4].try_into().unwrap());
+                Some((i, later, word(0), word(4)))
+            })
+            .expect("the tiny build repeats a graph within a shard");
+        // Its first node token (after the prefix, node count and flags)
+        // leaves the vocabulary; every checksum is recomputed, so only the
+        // decoder and `validate` can catch it.
+        manifest.entries[shard] =
+            rewrite_record(&d, &manifest.entries[shard], GRAPH_SHARD_KIND, record, |rec| {
+                rec[16..20].copy_from_slice(&u32::MAX.to_le_bytes())
+            });
+        manifest.save(&d).unwrap();
+        let err = load_packed(&d).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let what = format!("(region {region}, sequence {seq}): node 0 has vocabulary token");
+        assert!(err.to_string().contains(&what), "{err}");
     }
 
     #[test]
@@ -834,16 +936,17 @@ mod tests {
         entry: &ShardEntry,
         kind: &str,
         record: usize,
-        mutate: Mutation,
+        mutate: impl FnOnce(&mut Vec<u8>),
     ) -> ShardEntry {
         let bytes = fs::read(dir.join(&entry.file)).unwrap();
         let ranges = parse_shard(kind, &bytes).unwrap();
         let target = record % ranges.len();
         let mut writer = ShardWriter::new(kind);
+        let mut mutate = Some(mutate);
         for (i, r) in ranges.into_iter().enumerate() {
             let mut rec = bytes[r].to_vec();
             if i == target {
-                mutate.apply(&mut rec);
+                mutate.take().unwrap()(&mut rec);
             }
             writer.push(&rec);
         }
@@ -882,17 +985,16 @@ mod tests {
             (Target::Meta | Target::Manifest, true) => reframe(&d.join(&file), mutation),
             (Target::Regions, true) => {
                 meta.region_tables =
-                    rewrite_record(&d, &meta.region_tables, REGION_TABLE_KIND, record, mutation);
+                    rewrite_record(&d, &meta.region_tables, REGION_TABLE_KIND, record, |r| {
+                        mutation.apply(r)
+                    });
                 meta.save(&d).unwrap();
             }
             (Target::Shard, true) => {
-                manifest.entries[shard] = rewrite_record(
-                    &d,
-                    &manifest.entries[shard],
-                    GRAPH_SHARD_KIND,
-                    record,
-                    mutation,
-                );
+                manifest.entries[shard] =
+                    rewrite_record(&d, &manifest.entries[shard], GRAPH_SHARD_KIND, record, |r| {
+                        mutation.apply(r)
+                    });
                 manifest.save(&d).unwrap();
             }
         }

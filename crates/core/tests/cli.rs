@@ -167,6 +167,39 @@ fn dataset_fault_injection_skips_one_region() {
 }
 
 #[test]
+fn dataset_info_verify_reports_the_distinct_graph_count() {
+    let dir = std::env::temp_dir().join("irnuma-cli-info-distinct");
+    std::fs::remove_dir_all(&dir).ok();
+    let ds = dir.join("ds");
+    let out = irnuma(&[
+        "dataset",
+        "--seqs",
+        "3",
+        "--calls",
+        "1",
+        "--json",
+        "--out",
+        ds.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let summary = String::from_utf8_lossy(&out.stdout).into_owned();
+    let field = |name: &str| -> usize {
+        let at = summary.find(&format!("\"{name}\":")).expect(name) + name.len() + 3;
+        summary[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+    };
+    let (graphs, distinct) = (field("graphs"), field("distinct_graphs"));
+    assert!(distinct < graphs, "{summary}");
+
+    let info = irnuma(&["dataset", "info", ds.to_str().unwrap(), "--verify"]);
+    assert!(info.status.success(), "{}", String::from_utf8_lossy(&info.stderr));
+    let expect =
+        format!("verify ok: {graphs} graphs decoded ({distinct} distinct), all checksums match");
+    let stdout = String::from_utf8_lossy(&info.stdout);
+    assert!(stdout.lines().any(|l| l == expect), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn train_resume_is_bit_identical_to_an_uninterrupted_run() {
     let dir = std::env::temp_dir().join("irnuma-cli-train");
     std::fs::remove_dir_all(&dir).ok();

@@ -25,7 +25,7 @@
 //!   the forward; staged transposes bring it back to the ~2× the FLOP ratio
 //!   predicts, bit-identically (both orderings match the materialized
 //!   transpose exactly). The SpMM backward walks a cached source-grouped
-//!   CSC mirror ([`GraphData::csc`]) so `dx[src]` rows accumulate
+//!   CSC mirror ([`GraphArrays::csc`](crate::GraphArrays::csc)) so `dx[src]` rows accumulate
 //!   independently, in original edge order.
 //! * **Flat gradient accumulation.** Gradients for one graph land in a
 //!   [`GradBuffer`] — one flat `Vec<f32>` spanning every parameter but the

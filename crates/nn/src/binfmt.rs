@@ -80,8 +80,11 @@ pub fn decode_graph(bytes: &[u8]) -> io::Result<GraphData> {
 
 /// Decode one graph from `bytes` into `dst`, reusing every allocation `dst`
 /// already holds (node/edge/norm vectors and, if built, its adjacency
-/// cache arrays). On error `dst` is left in an unspecified but valid state.
+/// cache arrays) when no other clone of its handle exists; a shared handle
+/// is replaced by a fresh graph instead, leaving the other holders' graph
+/// as it was. On error `dst` is left in an unspecified but valid state.
 pub fn decode_graph_into(bytes: &[u8], dst: &mut GraphData) -> io::Result<()> {
+    let dst = dst.arrays_mut();
     let mut cur = Cur { bytes, pos: 0 };
     let n = cur.u32()? as usize;
     let flags = cur.u32()?;
@@ -257,6 +260,21 @@ mod tests {
         // And a second decode over the now-populated slot still matches.
         decode_graph_into(&buf, &mut slot).unwrap();
         assert_graphs_identical(&g, &slot);
+    }
+
+    #[test]
+    fn decode_into_a_shared_handle_leaves_the_other_clones_alone() {
+        let g = sample();
+        let mut buf = Vec::new();
+        encode_graph(&g, &mut buf);
+        let other = GraphData::from_edge_lists(vec![1, 1], [vec![(0, 1)], vec![], vec![]]);
+        let _ = other.csr();
+        let mut slot = other.clone();
+        decode_graph_into(&buf, &mut slot).unwrap();
+        assert_graphs_identical(&g, &slot);
+        assert!(!GraphData::same_handle(&slot, &other));
+        assert_eq!(other.node_text, vec![1, 1]);
+        assert_eq!(other.csr()[0].src, vec![0]);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! relation).
 
 use irnuma_graph::Graph;
+use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Number of edge relations (control, data, call).
 pub const NUM_RELATIONS: usize = 3;
@@ -13,7 +14,7 @@ pub const NUM_RELATIONS: usize = 3;
 /// Why a graph is not safe to feed into the GNN kernels. Internally-built
 /// graphs ([`GraphData::from_graph`]) are valid by construction; graphs
 /// arriving from untrusted input (the serve wire protocol, decoded pack
-/// records) must pass [`GraphData::validate`] first — the CSR build and the
+/// records) must pass [`GraphArrays::validate`] first — the CSR build and the
 /// embedding gather index with edge endpoints and token ids directly, so an
 /// out-of-range value is an index panic, not a recoverable error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,9 +99,21 @@ impl Csr {
     }
 }
 
-/// A GNN-ready graph.
-#[derive(Debug, Clone)]
-pub struct GraphData {
+/// A GNN-ready graph: a cheap, shareable handle over one [`GraphArrays`].
+///
+/// Cloning copies a pointer, not the arrays, and every clone shares one
+/// set of adjacency caches, so the CSR/CSC views are built once per
+/// distinct graph however many sequences, folds or batches hold it. The
+/// arrays are immutable behind the handle: code that wants different
+/// edges builds a new graph ([`GraphData::from_parts`]), so a cache can
+/// never go stale. Field reads go through `Deref` (`g.node_text`,
+/// `g.edges[r]`).
+#[derive(Clone)]
+pub struct GraphData(Arc<GraphArrays>);
+
+/// The arrays behind a [`GraphData`] handle.
+#[derive(Debug)]
+pub struct GraphArrays {
     /// Vocabulary index per node.
     pub node_text: Vec<u32>,
     /// Per relation: edge list as `(src, dst)`.
@@ -108,16 +121,28 @@ pub struct GraphData {
     /// Per relation: `1/c_{dst,r}` per edge, aligned with `edges`.
     pub norm: [Vec<f32>; NUM_RELATIONS],
     /// Destination-grouped adjacency, built on first use by the inference
-    /// engine and reused across every later forward pass of this graph
-    /// (the pack decoder installs it prebuilt). Code that mutates
-    /// `edges`/`norm` in place must construct a fresh `GraphData` (see
-    /// [`GraphData::from_parts`]) instead, or the cache goes stale.
+    /// engine and reused across every later forward pass of this graph and
+    /// every clone of its handle (the pack decoder installs it prebuilt).
     csr: OnceLock<[Csr; NUM_RELATIONS]>,
     /// Source-grouped mirror of `csr` (a CSC view of the same edges), built
     /// on first use by the fused backward pass: the SpMM gradient scatters
     /// `w · dy[dst]` into `dx[src]`, so grouping by source turns it into an
     /// independent-per-row gather with no transpose ever materialized.
     csc: OnceLock<[Csr; NUM_RELATIONS]>,
+}
+
+impl std::ops::Deref for GraphData {
+    type Target = GraphArrays;
+
+    fn deref(&self) -> &GraphArrays {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for GraphData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 impl GraphData {
@@ -134,7 +159,13 @@ impl GraphData {
         edges: [Vec<(u32, u32)>; NUM_RELATIONS],
         norm: [Vec<f32>; NUM_RELATIONS],
     ) -> GraphData {
-        GraphData { node_text, edges, norm, csr: OnceLock::new(), csc: OnceLock::new() }
+        GraphData(Arc::new(GraphArrays {
+            node_text,
+            edges,
+            norm,
+            csr: OnceLock::new(),
+            csc: OnceLock::new(),
+        }))
     }
 
     /// Assemble from node ids and edge lists, computing the paper's
@@ -152,7 +183,7 @@ impl GraphData {
     /// so a bad edge is a typed [`GraphError`] instead of an index panic.
     /// Token ids are not checked here (the valid range depends on the
     /// model's vocabulary) — callers holding a model should follow up with
-    /// [`GraphData::validate`].
+    /// [`GraphArrays::validate`].
     pub fn try_from_edge_lists(
         node_text: Vec<u32>,
         edges: [Vec<(u32, u32)>; NUM_RELATIONS],
@@ -174,6 +205,31 @@ impl GraphData {
         Ok(GraphData::from_edge_lists(node_text, edges))
     }
 
+    /// Whether `a` and `b` are clones of one handle (not merely equal
+    /// arrays).
+    pub fn same_handle(a: &GraphData, b: &GraphData) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The arrays for in-place overwriting by the binary decoder. A handle
+    /// held alone is reused with every allocation it owns; a shared one is
+    /// first replaced by a fresh empty graph, so no other holder's graph
+    /// (or cache) changes under it.
+    pub(crate) fn arrays_mut(&mut self) -> &mut GraphArrays {
+        if Arc::get_mut(&mut self.0).is_none() {
+            *self = GraphData::from_parts(Vec::new(), Default::default(), Default::default());
+        }
+        Arc::get_mut(&mut self.0).expect("a fresh handle is unique")
+    }
+}
+
+/// How many distinct handles `graphs` holds: clones of one handle count
+/// once, equal arrays in separate handles count apart.
+pub fn distinct_handles<'a>(graphs: impl IntoIterator<Item = &'a GraphData>) -> usize {
+    graphs.into_iter().map(|g| Arc::as_ptr(&g.0)).collect::<HashSet<_>>().len()
+}
+
+impl GraphArrays {
     /// Check that this graph is safe to feed into the kernels: every edge
     /// endpoint in range, every `norm` array aligned with its edge list,
     /// and every node token within `vocab_size`. Empty graphs and empty
@@ -381,10 +437,25 @@ mod tests {
     #[test]
     fn csr_cache_survives_clone() {
         let d = GraphData::from_graph(&toy());
-        let _ = d.csr();
         let cloned = d.clone();
-        assert_eq!(cloned.csr()[0].src, d.csr()[0].src);
-        assert_eq!(cloned.node_text, d.node_text);
+        // A cache built through either clone is the other's too.
+        assert!(std::ptr::eq(cloned.csr(), d.csr()));
+        assert!(std::ptr::eq(d.csc(), cloned.csc()));
+        assert!(GraphData::same_handle(&d, &cloned));
+        // Equal arrays in a separate handle are a separate graph.
+        let twin = GraphData::from_graph(&toy());
+        assert_eq!(twin.node_text, d.node_text);
+        assert!(!GraphData::same_handle(&d, &twin));
+    }
+
+    #[test]
+    fn distinct_handles_counts_clones_once() {
+        let a = GraphData::from_graph(&toy());
+        let b = GraphData::from_graph(&toy());
+        let (a2, b2) = (a.clone(), b.clone());
+        assert_eq!(distinct_handles([&b, &a, &b2, &a2, &b]), 2);
+        assert_eq!(distinct_handles([&a, &a2]), 1);
+        assert_eq!(distinct_handles([]), 0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod oracle_tests;
 pub use backprop::{FusedEngine, GradBuffer, TrainScratch};
 pub use binfmt::{decode_graph, decode_graph_into, encode_graph};
 pub use dispatch::{ModelPlan, SpmmStrategy};
-pub use graphdata::{Csr, GraphData, GraphError};
+pub use graphdata::{distinct_handles, Csr, GraphArrays, GraphData, GraphError};
 pub use infer::InferOutput;
 pub use model::{GnnConfig, GnnModel};
 pub use stream::{MemorySource, RecordMap, ShardBatch, ShardSource, ShardStream, GRAPH_SHARD_KIND};

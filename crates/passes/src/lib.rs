@@ -31,5 +31,5 @@ pub mod pass;
 pub mod passes;
 
 pub use flags::{o3_sequence, sample_sequences, FlagSequence, SampleParams};
-pub use memo::PassMemo;
+pub use memo::{FxHasher, PassMemo};
 pub use pass::{registry, run_sequence, PassManager};

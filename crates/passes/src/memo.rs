@@ -141,10 +141,11 @@ impl<'a> PassMemo<'a> {
 }
 
 /// The multiply-rotate word hash of rustc's `FxHasher`: one multiply per
-/// word, against SipHash's rounds. The memo confirms every hash match with
-/// `==`, so it needs speed from its hash, not collision resistance.
+/// word, against SipHash's rounds. For tables that confirm every hash match
+/// with `==` (the memo, the pack loader's intern table), so they need speed
+/// from their hash, not collision resistance.
 #[derive(Default)]
-struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]

@@ -2,7 +2,9 @@
 //! [`PassManager`] that runs sequences with optional post-pass verification.
 
 use irnuma_ir::{verify_module, Module, VerifyError};
+use irnuma_obs::Histogram;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A module-level transformation.
 pub trait Pass: Sync + Send {
@@ -84,11 +86,7 @@ impl PassManager {
         let changed = if irnuma_obs::telemetry_enabled() {
             let t0 = std::time::Instant::now();
             let changed = pass.run(m);
-            // Per-pass timing under a dynamic name (`pass.gvn_ns`, ...);
-            // dynamic names go through the registry, not the macro cache.
-            irnuma_obs::registry()
-                .histogram(&format!("pass.{}_ns", pass.name()))
-                .record_duration(t0.elapsed());
+            pass_histogram(pass.name()).record_duration(t0.elapsed());
             changed
         } else {
             pass.run(m)
@@ -130,6 +128,22 @@ impl PassManager {
         span.field("changed", changed);
         self.finish(m)?;
         Ok(changed)
+    }
+}
+
+/// The per-pass timing histogram `pass.<name>_ns` (`pass.gvn_ns`, ...).
+/// Each registered pass resolves its handle in the metrics registry once,
+/// on its first timed run; a pass outside [`registry`] is looked up by name
+/// on every call.
+fn pass_histogram(name: &'static str) -> &'static Histogram {
+    type Slot = (&'static str, OnceLock<&'static Histogram>);
+    static SLOTS: OnceLock<Vec<Slot>> = OnceLock::new();
+    let slots =
+        SLOTS.get_or_init(|| registry().iter().map(|p| (p.name(), OnceLock::new())).collect());
+    let resolve = || irnuma_obs::registry().histogram(&format!("pass.{name}_ns"));
+    match slots.iter().find(|(n, _)| *n == name) {
+        Some((_, h)) => h.get_or_init(resolve),
+        None => resolve(),
     }
 }
 
@@ -183,6 +197,21 @@ mod tests {
         let mut m = Module::new("m");
         let err = PassManager::new(true).run(&mut m, &["does-not-exist".to_string()]).unwrap_err();
         assert!(matches!(err, PassError::UnknownPass(_)));
+    }
+
+    #[test]
+    fn timed_passes_record_into_their_named_histograms() {
+        irnuma_obs::set_stats_enabled(true);
+        let pm = PassManager::new(false);
+        let mut m = Module::new("m");
+        for name in ["gvn", "dce"] {
+            let h = irnuma_obs::registry().histogram(&format!("pass.{name}_ns"));
+            let before = h.snapshot().count;
+            pm.apply(find_pass(name).unwrap().as_ref(), &mut m).unwrap();
+            pm.apply(find_pass(name).unwrap().as_ref(), &mut m).unwrap();
+            assert!(std::ptr::eq(pass_histogram(name), h), "{name}");
+            assert!(h.snapshot().count >= before + 2, "{name}");
+        }
     }
 
     #[test]

@@ -37,15 +37,83 @@ pub const FORMAT_VERSION: u32 = 1;
 
 const MAGIC: &str = "irnuma-store ";
 
+/// FNV-1a 64 offset basis: the state of a stream that has hashed nothing.
+pub(crate) const FNV1A64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// How many streams [`fnv1a64_lanes`] advances at once.
+pub(crate) const FNV_LANES: usize = 4;
+
 /// FNV-1a 64-bit checksum (dependency-free; detects truncation/corruption,
 /// not adversaries).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_continue(FNV1A64_INIT, bytes)
+}
+
+/// Continue an FNV-1a 64 stream in state `h` over `bytes`: hashing a file
+/// as its header then its body equals hashing the two concatenated.
+pub(crate) fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ b as u64).wrapping_mul(FNV1A64_PRIME);
     }
     h
+}
+
+/// Continue up to [`FNV_LANES`] independent FNV-1a 64 streams at once:
+/// `states[i]` over `slices[i]`, each ending exactly where
+/// [`fnv1a64_continue`] would. One stream is bound by the multiply's
+/// latency; interleaving four lets their multiplies overlap. Slices of
+/// unequal length run in lockstep over the shortest, then the rest go on
+/// among the lanes with bytes left.
+pub(crate) fn fnv1a64_lanes(states: &mut [u64], slices: &[&[u8]]) {
+    assert!(
+        states.len() == slices.len() && slices.len() <= FNV_LANES,
+        "fnv1a64_lanes takes one state per slice, at most {FNV_LANES}"
+    );
+    let mut rest = [&[][..]; FNV_LANES];
+    rest[..slices.len()].copy_from_slice(slices);
+    let mut h = [FNV1A64_INIT; FNV_LANES];
+    h[..states.len()].copy_from_slice(states);
+    loop {
+        let live = rest.iter().filter(|s| !s.is_empty()).count();
+        if live <= 1 {
+            if let Some(l) = rest.iter().position(|s| !s.is_empty()) {
+                h[l] = fnv1a64_continue(h[l], rest[l]);
+            }
+            break;
+        }
+        // Idle lanes hash a live lane's bytes into a discarded state, so
+        // the loop below always runs four streams of one length.
+        let step = rest.iter().filter(|s| !s.is_empty()).map(|s| s.len()).min().unwrap_or(0);
+        let filler = rest.iter().find(|s| !s.is_empty()).copied().unwrap_or_default();
+        let lane = |l: usize| if rest[l].is_empty() { &filler[..step] } else { &rest[l][..step] };
+        let (a, b, c, d) = (lane(0), lane(1), lane(2), lane(3));
+        let [mut ha, mut hb, mut hc, mut hd] = h;
+        for (((&x, &y), &z), &w) in a.iter().zip(b).zip(c).zip(d) {
+            ha = (ha ^ x as u64).wrapping_mul(FNV1A64_PRIME);
+            hb = (hb ^ y as u64).wrapping_mul(FNV1A64_PRIME);
+            hc = (hc ^ z as u64).wrapping_mul(FNV1A64_PRIME);
+            hd = (hd ^ w as u64).wrapping_mul(FNV1A64_PRIME);
+        }
+        for (l, v) in [ha, hb, hc, hd].into_iter().enumerate() {
+            if !rest[l].is_empty() {
+                h[l] = v;
+                rest[l] = &rest[l][step..];
+            }
+        }
+    }
+    states.copy_from_slice(&h[..states.len()]);
+}
+
+/// [`fnv1a64`] of every slice, [`FNV_LANES`] at a time:
+/// `out[i] == fnv1a64(slices[i])`.
+pub(crate) fn fnv1a64_each(slices: &[&[u8]]) -> Vec<u64> {
+    let mut out = vec![FNV1A64_INIT; slices.len()];
+    for (h, group) in out.chunks_mut(FNV_LANES).zip(slices.chunks(FNV_LANES)) {
+        fnv1a64_lanes(h, group);
+    }
+    out
 }
 
 /// An [`io::ErrorKind::InvalidData`] error for usage mistakes (wrong kind,
@@ -230,6 +298,7 @@ pub fn load_json<T: Deserialize>(path: &Path, kind: &str) -> io::Result<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join("irnuma-store-test").join(name);
@@ -327,6 +396,34 @@ mod tests {
         let path = d.join("a/b/c.txt");
         atomic_write(&path, b"x").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"x");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every lane ends where the serial hash does, whatever the slice
+        /// count (0–9: full groups of four, a partial group, none) and
+        /// however unequal the lengths, empty slices included.
+        #[test]
+        fn lanes_equal_the_serial_hash_for_every_slice(
+            slices in prop::collection::vec(
+                prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..200),
+                0..10,
+            ),
+        ) {
+            let refs: Vec<&[u8]> = slices.iter().map(Vec::as_slice).collect();
+            let serial: Vec<u64> = refs.iter().map(|s| fnv1a64(s)).collect();
+            prop_assert_eq!(fnv1a64_each(&refs), serial);
+        }
+    }
+
+    #[test]
+    fn lanes_continue_streams_from_any_state() {
+        let (head, tail): (&[u8], &[u8]) = (b"irnuma-shard v1\n", b"a longer body of bytes");
+        let mut states = [fnv1a64(head), FNV1A64_INIT, fnv1a64(b"x")];
+        fnv1a64_lanes(&mut states, &[tail, b"", b"yz"]);
+        assert_eq!(states, [fnv1a64(&[head, tail].concat()), fnv1a64(b""), fnv1a64(b"xyz")]);
+        assert_eq!(fnv1a64_continue(fnv1a64(head), tail), states[0]);
     }
 
     #[test]
